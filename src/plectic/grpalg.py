@@ -5,12 +5,18 @@ generators g_1..g_s of the free part identifies the algebra with a power
 series ring via [g_i] = t_i + 1.  Everything is truncated at a total
 degree D, with a sticky flag recording whether any nonzero term was ever
 dropped, so no identity can silently pass through a lossy product.
+
+Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling,
+agreement and the product loop live there; this module adds the key shape,
+the truncation rule and the involution.
 """
 
 import itertools
+import operator
 
 from .errors import DegreeTooLow, ShapeMismatch
-from .padic import INF, PadicScalar
+from .kernel import CoeffMap
+from .padic import PadicScalar
 from .linalg import assert_full_column_rank
 
 
@@ -31,9 +37,6 @@ class GroupShape:
 
     def q_elements(self):
         return list(itertools.product(*[range(d) for d in self.divisors]))
-
-    def q_add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.divisors))
 
     def q_neg(self, a):
         return tuple((-x) % d for x, d in zip(a, self.divisors))
@@ -63,21 +66,17 @@ class GroupShape:
         return "GroupShape(Q=%r, s=%d, D=%d)" % (self.divisors, self.s, self.degree)
 
 
-class GroupAlgebraElem:
+class GroupAlgebraElem(CoeffMap):
     """Element of the truncated algebra: map (Q-element, exponent) -> scalar."""
 
     def __init__(self, shape, coeffs, lost=False):
-        self.shape = shape
-        self.lost = lost
-        clean = {}
-        for (q, e), c in coeffs.items():
+        for q, e in coeffs:
             if len(q) != len(shape.divisors) or len(e) != shape.s:
                 raise ShapeMismatch("bad key %r" % ((q, e),))
             if sum(e) > shape.degree:
                 raise ShapeMismatch("degree beyond truncation")
-            if not c.is_zero():
-                clean[(q, e)] = c
-        self.coeffs = clean
+        super().__init__(coeffs, lost)
+        self.shape = shape
 
     @classmethod
     def zero(cls, shape):
@@ -112,44 +111,21 @@ class GroupAlgebraElem:
                     out = out * step
         return out
 
-    def _check(self, other):
-        if self.shape != other.shape:
-            raise ShapeMismatch("mixed group shapes")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return GroupAlgebraElem(self.shape, out, self.lost or other.lost)
-
-    def __neg__(self):
-        return GroupAlgebraElem(self.shape,
-                                {k: -c for k, c in self.coeffs.items()}, self.lost)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return GroupAlgebraElem(self.shape,
-                                {k: c * scalar for k, c in self.coeffs.items()},
-                                self.lost)
+    def _shape(self):
+        return self.shape
 
     def __mul__(self, other):
         self._check(other)
-        shape = self.shape
-        out = {}
-        lost = self.lost or other.lost
-        for (q1, e1), c1 in self.coeffs.items():
-            for (q2, e2), c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > shape.degree:
-                    lost = True
-                    continue
-                k = (shape.q_add(q1, q2), e)
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return GroupAlgebraElem(shape, out, lost)
+        degree, divisors = self.shape.degree, self.shape.divisors
+
+        def combine(k1, k2):
+            e = tuple(map(operator.add, k1[1], k2[1]))
+            if sum(e) > degree:
+                return None
+            return tuple(map(operator.mod, map(operator.add, k1[0], k2[0]),
+                             divisors)), e
+
+        return self._like(*self._product(other, combine))
 
     def inverse_of_one_unit(self):
         """Inverse of 1 + x with x of positive degree, via geometric series."""
@@ -206,87 +182,38 @@ class GroupAlgebraElem:
             raise DegreeTooLow("element is not in I_Q^%d" % n)
         return GradedPiece(self.shape, n, self.graded_part(n))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def agreement(self, other):
-        self._check(other)
-        return _dict_agreement(self.coeffs, other.coeffs, self.shape)
-
     def __repr__(self):
         return "GroupAlgebraElem(%d terms%s)" % (len(self.coeffs),
                                                  ", lossy" if self.lost else "")
 
 
-class GradedPiece:
+class GradedPiece(CoeffMap):
     """Class in I_Q^n / I_Q^{n+1}, i.e. Sym^n(Z_p^s) tensor Z_p[Q]."""
 
     def __init__(self, shape, degree, coeffs):
+        super().__init__(coeffs)
         self.shape = shape
         self.degree = degree
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         for (q, e) in self.coeffs:
             if sum(e) != degree:
                 raise ShapeMismatch("non-homogeneous graded piece")
 
-    def _check(self, other):
-        if self.shape != other.shape or self.degree != other.degree:
-            raise ShapeMismatch("mixed graded pieces")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return GradedPiece(self.shape, self.degree, out)
-
-    def __neg__(self):
-        return GradedPiece(self.shape, self.degree,
-                           {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return GradedPiece(self.shape, self.degree,
-                           {k: c * scalar for k, c in self.coeffs.items()})
+    def _shape(self):
+        return self.shape, self.degree
 
     def dual(self):
-        """(-1)^degree on the symmetric part, inversion on Q."""
+        """(-1)^degree on the symmetric part, inversion on Q (a bijection)."""
         sign = -1 if self.degree % 2 else 1
-        out = {}
-        for (q, e), c in self.coeffs.items():
-            k = (self.shape.q_neg(q), e)
-            c = c.scale_int(sign)
-            out[k] = out[k] + c if k in out else c
-        return GradedPiece(self.shape, self.degree, out)
+        q_neg = self.shape.q_neg
+        return self._like({(q_neg(q), e): c.scale_int(sign)
+                           for (q, e), c in self.coeffs.items()}, self.lost)
 
     def as_elem(self):
         """A lift of the class back into the algebra (its monomial rep)."""
         return GroupAlgebraElem(self.shape, dict(self.coeffs))
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def agreement(self, other):
-        self._check(other)
-        return _dict_agreement(self.coeffs, other.coeffs, self.shape)
-
     def __repr__(self):
         return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
-
-
-def _dict_agreement(a, b, shape):
-    margin = INF
-    for k in set(a) | set(b):
-        x = a.get(k)
-        y = b.get(k)
-        if x is None:
-            x = PadicScalar.zero(shape.p, shape.prec)
-        if y is None:
-            y = PadicScalar.zero(shape.p, shape.prec)
-        margin = min(margin, x.agreement(y))
-    return margin
 
 
 def check_lemma_free_graded_injectivity(shape, n):

@@ -1,0 +1,147 @@
+"""The two arithmetic kernels the coefficient and coordinate types share.
+
+`CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
+group-algebra elements, their graded pieces and symmetric tensors are maps
+that differ only in their key shape and product.  `CoordVector` is a fixed
+tuple of scalars with componentwise operations: the completed units, points
+and the minus line.
+"""
+
+import operator
+
+from .errors import ShapeMismatch
+from .padic import INF
+
+
+def _add_keys(k1, k2):
+    """Componentwise sum of two exponent tuples."""
+    return tuple(map(operator.add, k1, k2))
+
+
+class CoeffMap:
+    """Map key -> nonzero scalar; `lost` records any truncated product term.
+
+    Subclasses add their shape fields and `_shape()`, the data two operands
+    must share; a key missing from the map is an exact zero.
+    """
+
+    def __init__(self, coeffs, lost=False):
+        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        self.lost = lost
+
+    def _shape(self):
+        return None
+
+    def _check(self, other):
+        if type(other) is not type(self) or other._shape() != self._shape():
+            raise ShapeMismatch("mixed %s shapes" % type(self).__name__)
+
+    def _like(self, coeffs, lost, **shape):
+        """A map with this one's shape (updated by `shape`); keys are trusted."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **shape)
+        out.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        out.lost = lost
+        return out
+
+    def _product(self, other, combine=_add_keys):
+        """(coeffs, lost) of the product; `combine` maps two keys to one.
+
+        The default adds exponent tuples.  A `None` key marks a term beyond
+        the truncation: it is dropped and the result is flagged lossy.
+        """
+        out = {}
+        lost = self.lost or other.lost
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = combine(k1, k2)
+                if k is None:
+                    lost = True
+                    continue
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return out, lost
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return self._like(out, self.lost or other.lost)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()}, self.lost)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        return self._like({k: c * scalar for k, c in self.coeffs.items()},
+                          self.lost)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def agreement(self, other):
+        """Smallest certified key-wise agreement (INF for two zero maps)."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        margin = INF
+        for k, c in a.items():
+            d = b.get(k)
+            margin = min(margin, c.valuation if d is None else c.agreement(d))
+        for k, d in b.items():
+            if k not in a:
+                margin = min(margin, d.valuation)
+        return margin
+
+
+def _agreement(a, b):
+    return a.agreement(b)
+
+
+class CoordVector:
+    """A fixed-length tuple of scalars with componentwise operations."""
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, *coords):
+        self._coords = coords
+
+    def coords(self):
+        return self._coords
+
+    def _zip(self, other, op):
+        if type(other) is not type(self):
+            raise ShapeMismatch("mixed coordinate vectors")
+        return map(op, self._coords, other._coords)
+
+    def __add__(self, other):
+        return type(self)(*self._zip(other, operator.add))
+
+    def __neg__(self):
+        return type(self)(*map(operator.neg, self._coords))
+
+    def __sub__(self, other):
+        return type(self)(*self._zip(other, operator.sub))
+
+    def scale(self, scalar):
+        return type(self)(*[c * scalar for c in self._coords])
+
+    def scale_int(self, n):
+        return type(self)(*[c.scale_int(n) for c in self._coords])
+
+    def agreement(self, other):
+        return min(self._zip(other, _agreement))
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self._coords)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(map(repr, self._coords)))
+
+
+def coordinate(i):
+    """A read-only named accessor for coordinate `i` of a CoordVector."""
+    return property(lambda self: self._coords[i])

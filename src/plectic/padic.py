@@ -137,12 +137,6 @@ class PadicScalar:
             return PadicScalar(self.p, INF, 0, prec)
         return PadicScalar(self.p, self.v, self.unit, prec)
 
-    def as_fraction(self):
-        """A representative of the interval (exact for integer data)."""
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.p) ** self.v
-
     def residue(self):
         """Image in F_p; requires a p-adic integer."""
         if self.is_zero():

@@ -18,6 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .grpalg import GroupAlgebraElem, GroupShape
+from .kernel import CoeffMap
 from .padic import INF, PadicScalar, padic_sqrt
 from .symalg import FreeModule, SymTensor, collapse, linear_form, sqrt_ratio
 
@@ -195,14 +196,7 @@ class PlecticTensor:
 
     def agreement(self, other):
         self._check(other)
-        a, b = self.coords(), other.coords()
-        margin = INF
-        for k in set(a) | set(b):
-            if k in a and k in b:
-                margin = min(margin, a[k].agreement(b[k]))
-            else:
-                margin = min(margin, (a.get(k) or b[k]).valuation)
-        return margin
+        return CoeffMap(self.coords()).agreement(CoeffMap(other.coords()))
 
     def __repr__(self):
         return "PlecticTensor(r=%d, dim=%d, %d terms)" % (self.r, self.dim,

@@ -25,18 +25,19 @@ class CheckResult:
 
 
 class Report:
-    def __init__(self, scenario_name, floor):
+    def __init__(self, scenario_name, floor, precision):
         self.scenario_name = scenario_name
         self.floor = floor
+        self.precision = precision
         self.checks = []
         self.elapsed = 0.0
 
-    def add(self, name, margin, note="", exact=None):
-        """Record one check; `exact` overrides the margin comparison."""
-        if isinstance(margin, float) and math.isinf(margin):
-            margin = -1 if margin < 0 else 10 ** 6
-        passed = (margin >= self.floor) if exact is None else exact
-        self.checks.append(CheckResult(name, passed, int(margin), note))
+    def add(self, name, margin, note=""):
+        """Record one check, its margin clamped to [-1, precision]."""
+        if math.isinf(margin):
+            margin = -1 if margin < 0 else self.precision
+        margin = min(int(margin), self.precision)
+        self.checks.append(CheckResult(name, margin >= self.floor, margin, note))
 
     def add_fail(self, name, note):
         self.checks.append(CheckResult(name, False, -1, note))
@@ -68,12 +69,6 @@ class Report:
                      % (sum(c.passed for c in self.checks), len(self.checks),
                         self.elapsed))
         return "\n".join(lines) + "\n"
-
-
-def _cap(margin, prec):
-    if isinstance(margin, float) and math.isinf(margin):
-        return prec if margin > 0 else -1
-    return min(int(margin), prec)
 
 
 def _random_unit(rng, units, max_shift=2):
@@ -110,18 +105,18 @@ def suite_units(sc, report, rng, pairs=25):
         lhs = units.complete(u * v)
         rhs = units.complete(u) + units.complete(v)
         margin = min(margin, lhs.agreement(rhs))
-    report.add("units.homomorphism", _cap(margin, prec))
+    report.add("units.homomorphism", margin)
 
     u = _random_unit(rng, units)
     cu = units.complete(u)
     m1 = units.sigma(units.sigma(cu)).agreement(cu)
     m2 = units.complete(u.frobenius()).agreement(units.sigma(cu))
-    report.add("units.sigma_involution", _cap(min(m1, m2), prec))
+    report.add("units.sigma_involution", min(m1, m2))
 
     gen = units.norm_one_generator()
     coord = units.minus_project(gen).coord
     report.add("units.minus_generator",
-               _cap(coord.agreement(PadicScalar.one(sc.p, prec)), prec))
+               coord.agreement(PadicScalar.one(sc.p, prec)))
 
     one = PadicScalar.one(sc.p, prec)
     zero = PadicScalar.zero(sc.p, prec)
@@ -151,16 +146,16 @@ def suite_tate(sc, report, rng, pairs=20):
         lhs = curve.phi(u * v)
         rhs = curve.add(curve.phi(u), curve.phi(v))
         margin = min(margin, lhs.agreement(rhs), curve.on_curve_margin(lhs))
-    report.add("tate.homomorphism", _cap(margin, prec))
+    report.add("tate.homomorphism", margin)
 
     u = _random_unit(rng, units)
     pt = curve.phi(u)
     report.add("tate.negation",
-               _cap(curve.phi(u.inverse()).agreement(curve.negate(pt)), prec))
+               curve.phi(u.inverse()).agreement(curve.negate(pt)))
     report.add("tate.frobenius",
-               _cap(curve.phi(u.frobenius()).agreement(curve.sigma(pt)), prec))
+               curve.phi(u.frobenius()).agreement(curve.sigma(pt)))
     report.add("tate.j_roundtrip",
-               _cap(tate_period_from_j(j_invariant(sc.q)).agreement(sc.q), prec))
+               tate_period_from_j(j_invariant(sc.q)).agreement(sc.q))
 
     u0 = units.norm_one_unit()
     inj = not curve.phi(u0).is_infinity() and not sc.points.complete(u0).is_zero()
@@ -177,7 +172,7 @@ def suite_grpalg(sc, report, rng, samples=20):
         gh = GroupAlgebraElem.group_elem(shape, None, (1, 1) + (0,) * (shape.s - 2))
         lhs = (g - one) * (h - one)
         rhs = gh - g - h + one
-        report.add("grpalg.expansion", _cap(lhs.agreement(rhs), prec))
+        report.add("grpalg.expansion", lhs.agreement(rhs))
 
     def rand_elem(min_deg):
         out = GroupAlgebraElem.zero(shape)
@@ -195,7 +190,7 @@ def suite_grpalg(sc, report, rng, samples=20):
     y = rand_elem(0)
     m = min(x.involution().involution().agreement(x),
             (x * y).involution().agreement(x.involution() * y.involution()))
-    report.add("grpalg.involution", _cap(m, prec))
+    report.add("grpalg.involution", m)
 
     margin = INF
     for n in range(1, min(4, shape.degree - 1) + 1):
@@ -203,7 +198,7 @@ def suite_grpalg(sc, report, rng, samples=20):
             z = rand_elem(n)
             margin = min(margin, z.involution().leading_term(n).agreement(
                 z.leading_term(n).dual()))
-    report.add("grpalg.diagram_sign", _cap(margin, prec))
+    report.add("grpalg.diagram_sign", margin)
 
     try:
         n = min(sc.r, shape.degree - 1, 3)
@@ -234,7 +229,7 @@ def suite_symalg(sc, report, rng, samples=40):
 
     v, w = rand_vec(), rand_vec()
     m = collapse(M1, [(mk(1), [v, w])]).agreement(collapse(M1, [(mk(1), [w, v])]))
-    report.add("symalg.collapse_commutes", _cap(m, prec))
+    report.add("symalg.collapse_commutes", m)
 
     margin = INF
     fails = 0
@@ -249,7 +244,7 @@ def suite_symalg(sc, report, rng, samples=40):
             sqrt_ratio(bad, y, cert_floor)
         except NotProportional:
             fails += 1
-    report.add("symalg.sqrt_roundtrip", _cap(margin, prec))
+    report.add("symalg.sqrt_roundtrip", margin)
     report.add("symalg.sqrt_rejects", prec if fails == samples else -1)
 
     nz = all(not (collapse(M1, [(mk(1), [rand_vec(), rand_vec()])])
@@ -271,7 +266,7 @@ def suite_gz(sc, report, rng):
     lhs = ell.leading_term(sc.r).scale(
         PadicScalar.from_int(2 ** sc.r, sc.p, INF))
     rhs = po.theta(inv, shape).involution().leading_term(sc.r)
-    report.add("gz.leading_term", _cap(lhs.agreement(rhs), prec))
+    report.add("gz.leading_term", lhs.agreement(rhs))
 
 
 def suite_sign(sc, report, rng):
@@ -291,10 +286,9 @@ def suite_factorization(sc, report, rng):
         res = po.factorization_check(sc.family, sc.c_chi, sc.invariant,
                                      sc.units, sc.config.shape,
                                      floor=report.floor)
-        report.add("factorization.square", _cap(res["square_margin"], sc.precision))
+        report.add("factorization.square", res["square_margin"])
         report.add("factorization.sqrt",
-                   _cap(min(res["linear_margin"], res["root_square_margin"]),
-                        sc.precision))
+                   min(res["linear_margin"], res["root_square_margin"]))
         report.add("factorization.c_chi_square", sc.precision,
                    note="square in Z_p" if res["c_chi_is_padic_square"]
                    else "not a square in Z_p")
@@ -310,9 +304,8 @@ def suite_algebraicity(sc, report, rng):
         report.add("algebraicity.char_det",
                    sc.precision if abs(res["c_g"]) == want else -1,
                    note="C_G=%d" % res["c_g"])
-        report.add("algebraicity.norm_det", _cap(res["step2_margin"], sc.precision))
-        report.add("algebraicity.plectic_point",
-                   _cap(res["step3_margin"], sc.precision))
+        report.add("algebraicity.norm_det", res["step2_margin"])
+        report.add("algebraicity.plectic_point", res["step3_margin"])
     except PlecticError as e:
         report.add_fail("algebraicity.identity", str(e))
 
@@ -336,7 +329,7 @@ SUITE_ORDER = ("units", "tate", "grpalg", "symalg", "gz", "sign",
 def run(scenario, suites=None, floor=DEFAULT_FLOOR, seed=None):
     chosen = suites if suites else scenario.suites
     seed = scenario.seed if seed is None else seed
-    report = Report(scenario.name, floor)
+    report = Report(scenario.name, floor, scenario.precision)
     start = time.monotonic()
     for name in SUITE_ORDER:
         if name not in chosen:

@@ -3,10 +3,12 @@
 A degree-n element is a map from exponent tuples (summing to n) to
 scalars.  Pure tensors enter through mu / collapse as products of linear
 forms, so the commutativity diagrams hold by construction and are also
-re-checked numerically in the test suite.
+re-checked numerically in the test suite.  Tensors are `kernel.CoeffMap`s:
+addition, scaling, agreement and the product loop live there.
 """
 
 from .errors import NotProportional, ShapeMismatch, ZeroDenominator
+from .kernel import CoeffMap
 
 
 class FreeModule:
@@ -32,13 +34,13 @@ def direct_sum(modules):
     return FreeModule(names)
 
 
-class SymTensor:
+class SymTensor(CoeffMap):
     """Element of Sym^degree of a free module, as a monomial-coefficient map."""
 
     def __init__(self, module, degree, coeffs):
+        super().__init__(coeffs)
         self.module = module
         self.degree = degree
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
         for e in self.coeffs:
             if len(e) != module.rank or sum(e) != degree:
                 raise ShapeMismatch("bad exponent %r for degree %d" % (e, degree))
@@ -47,61 +49,14 @@ class SymTensor:
     def zero(cls, module, degree):
         return cls(module, degree, {})
 
-    def _check(self, other):
-        if self.module != other.module or self.degree != other.degree:
-            raise ShapeMismatch("incompatible symmetric tensors")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return SymTensor(self.module, self.degree, out)
-
-    def __neg__(self):
-        return SymTensor(self.module, self.degree,
-                         {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return SymTensor(self.module, self.degree,
-                         {e: c * scalar for e, c in self.coeffs.items()})
+    def _shape(self):
+        return self.module, self.degree
 
     def __mul__(self, other):
         if self.module != other.module:
             raise ShapeMismatch("products need a common module")
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return SymTensor(self.module, self.degree + other.degree, out)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def agreement(self, other):
-        """Smallest certified coefficient-wise agreement."""
-        self._check(other)
-        zero = None
-        margin = None
-        for e in set(self.coeffs) | set(other.coeffs):
-            a = self.coeffs.get(e)
-            b = other.coeffs.get(e)
-            if a is None:
-                a = b.scale_int(0)
-            if b is None:
-                b = a.scale_int(0)
-            m = a.agreement(b)
-            margin = m if margin is None else min(margin, m)
-        if margin is None:
-            from .padic import INF
-
-            return INF
-        return margin
+        return self._like(*self._product(other),
+                          degree=self.degree + other.degree)
 
     def leading(self):
         """(exponent, coefficient) under graded lexicographic order."""

@@ -10,6 +10,7 @@ eigenspace projections are exact.
 from fractions import Fraction
 
 from .errors import NotInImage, PrecisionExhausted
+from .kernel import CoordVector, coordinate
 from .padic import (
     INF,
     PadicScalar,
@@ -20,73 +21,20 @@ from .padic import (
 )
 
 
-class CompletedUnit:
+class CompletedUnit(CoordVector):
     """Coordinates (valuation, log_a, log_b) of a completed unit."""
 
-    __slots__ = ("val", "log_a", "log_b")
-
-    def __init__(self, val, log_a, log_b):
-        self.val = val
-        self.log_a = log_a
-        self.log_b = log_b
-
-    def coords(self):
-        return (self.val, self.log_a, self.log_b)
-
-    def __add__(self, other):
-        return CompletedUnit(self.val + other.val, self.log_a + other.log_a,
-                             self.log_b + other.log_b)
-
-    def __neg__(self):
-        return CompletedUnit(-self.val, -self.log_a, -self.log_b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return CompletedUnit(self.val * scalar, self.log_a * scalar, self.log_b * scalar)
-
-    def scale_int(self, n):
-        return CompletedUnit(self.val.scale_int(n), self.log_a.scale_int(n),
-                             self.log_b.scale_int(n))
-
-    def agreement(self, other):
-        return min(self.val.agreement(other.val),
-                   self.log_a.agreement(other.log_a),
-                   self.log_b.agreement(other.log_b))
-
-    def is_zero(self):
-        return self.val.is_zero() and self.log_a.is_zero() and self.log_b.is_zero()
-
-    def __repr__(self):
-        return "CompletedUnit%r" % (self.coords(),)
+    __slots__ = ()
+    val = coordinate(0)
+    log_a = coordinate(1)
+    log_b = coordinate(2)
 
 
-class MinusUnit:
+class MinusUnit(CoordVector):
     """Coordinate in the pinned generator basis of the minus eigenspace."""
 
-    __slots__ = ("coord",)
-
-    def __init__(self, coord):
-        self.coord = coord
-
-    def __add__(self, other):
-        return MinusUnit(self.coord + other.coord)
-
-    def __neg__(self):
-        return MinusUnit(-self.coord)
-
-    def scale(self, scalar):
-        return MinusUnit(self.coord * scalar)
-
-    def is_zero(self):
-        return self.coord.is_zero()
-
-    def agreement(self, other):
-        return self.coord.agreement(other.coord)
-
-    def __repr__(self):
-        return "MinusUnit(%r)" % (self.coord,)
+    __slots__ = ()
+    coord = coordinate(0)
 
 
 class UnitCompletion:
@@ -159,41 +107,12 @@ class UnitCompletion:
         return [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
 
 
-class CompletedPoint:
+class CompletedPoint(CoordVector):
     """Coordinates (x, y) of a point-group element modulo the period lattice."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-    def coords(self):
-        return (self.x, self.y)
-
-    def __add__(self, other):
-        return CompletedPoint(self.x + other.x, self.y + other.y)
-
-    def __neg__(self):
-        return CompletedPoint(-self.x, -self.y)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return CompletedPoint(self.x * scalar, self.y * scalar)
-
-    def scale_int(self, n):
-        return CompletedPoint(self.x.scale_int(n), self.y.scale_int(n))
-
-    def agreement(self, other):
-        return min(self.x.agreement(other.x), self.y.agreement(other.y))
-
-    def is_zero(self):
-        return self.x.is_zero() and self.y.is_zero()
-
-    def __repr__(self):
-        return "CompletedPoint(%r, %r)" % (self.x, self.y)
+    __slots__ = ()
+    x = coordinate(0)
+    y = coordinate(1)
 
 
 class PointCompletion:

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from plectic import runner
 from plectic.cli import main
+from plectic.padic import INF
 from plectic.runner import run
 from plectic.scenario import load_scenario, parse_scenario
 
@@ -19,6 +21,21 @@ def test_run_fast_suites_pass_on_golden():
     report = run(sc, suites=FAST, floor=30)
     assert report.ok
     assert all(c.margin >= 30 for c in report.checks)
+
+
+def test_margins_clamp_to_the_working_precision(monkeypatch):
+    def probe(sc, report, rng):
+        report.add("probe.exact", INF)
+        report.add("probe.beyond", sc.precision + 7)
+        report.add("probe.diverged", -INF)
+
+    sc = load_scenario(GOLDEN / "t1-split.kv")
+    monkeypatch.setitem(runner.SUITE_FUNCS, "sign", probe)
+    kv = run(sc, suites=("sign",), floor=30).render_kv()
+    assert kv == ("probe.exact=pass margin=%d\n"
+                  "probe.beyond=pass margin=%d\n"
+                  "probe.diverged=fail margin=-1\n"
+                  "summary=fail checks=3\n" % (sc.precision, sc.precision))
 
 
 def test_kv_report_format_and_determinism():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plectic.errors import ShapeMismatch
 from plectic.linalg import rank
 from plectic.padic import PadicScalar, QuadExtScalar, plog, quad_teichmuller
 from plectic.units import MinusUnit, PointCompletion, UnitCompletion
@@ -108,6 +109,22 @@ def test_generator_homomorphism_doubling():
     u0 = U.norm_one_unit()
     assert U.complete(u0 * u0).agreement(
         U.norm_one_generator().scale_int(2)) >= N - 3
+    # the three coordinate types share one vector arithmetic
+    gen = U.norm_one_generator()
+    for v, names in ((gen, ("val", "log_a", "log_b")),
+                     (PTS.complete(u0), ("x", "y")),
+                     (U.minus_project(gen), ("coord",))):
+        double = v + v
+        assert double.agreement(v.scale_int(2)) >= N - 3
+        assert (double - v).agreement(v) >= N - 3
+        assert double.scale_int(-1).agreement(-double) == double.agreement(double)
+        assert (v - v).is_zero() and not v.is_zero()
+        assert v.agreement(v) == min(c.agreement(c) for c in v.coords())
+        assert all(getattr(v, n) is c for n, c in zip(names, v.coords()))
+        with pytest.raises(AttributeError):
+            setattr(v, names[0], v.coords()[0])
+    with pytest.raises(ShapeMismatch):
+        gen + PTS.complete(u0)
 
 
 def test_sigma_matrix_eigen_ranks():
