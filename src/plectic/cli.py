@@ -49,6 +49,11 @@ def main(argv=None):
     except PlecticError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    if args.floor > scenario.precision:
+        # margins are capped at the precision, so no check could pass
+        print("error: floor %d exceeds the working precision %d"
+              % (args.floor, scenario.precision), file=sys.stderr)
+        return 2
     suites = tuple(args.suite) if args.suite else None
     report = run(scenario, suites=suites, floor=args.floor, seed=args.seed)
     rendered = report.render_kv() if args.format == "kv" else report.render_human()

@@ -98,18 +98,14 @@ class GroupAlgebraElem(CoeffMap):
     @classmethod
     def group_elem(cls, shape, q=None, free_exponent=None):
         """[g] for g = (q, sum a_i g_i): [q] * prod (1+t_i)^{a_i}, truncated."""
-        out = cls.monomial(shape, q, None, 1)
-        if free_exponent:
-            for i, a in enumerate(free_exponent):
-                gi = cls.monomial(shape, None, tuple(1 if j == i else 0
-                                                     for j in range(shape.s)), 1)
-                step = cls.one(shape) + gi
-                if a < 0:
-                    step = step.inverse_of_one_unit()
-                    a = -a
-                for _ in range(a):
-                    out = out * step
-        return out
+        q = shape.q_identity() if q is None else tuple(q)
+        a = (0,) * shape.s if free_exponent is None else tuple(free_exponent)
+        if len(a) != shape.s:
+            raise ShapeMismatch("free exponent %r needs %d entries" % (a, shape.s))
+        coeffs = {}
+        one = PadicScalar.one(shape.p, shape.prec)
+        lost = _add_binomial_series(shape, coeffs, one, q, (0,) * shape.s, a)
+        return cls(shape, coeffs, lost)
 
     def _shape(self):
         return self.shape
@@ -127,44 +123,17 @@ class GroupAlgebraElem(CoeffMap):
 
         return self._like(*self._product(other, combine))
 
-    def inverse_of_one_unit(self):
-        """Inverse of 1 + x with x of positive degree, via geometric series."""
-        shape = self.shape
-        one = GroupAlgebraElem.one(shape)
-        x = self - one
-        if x.rel_aug_degree() < 1:
-            raise ShapeMismatch("inverse implemented for 1 + (positive degree)")
-        out = one
-        power = one
-        for _ in range(shape.degree):
-            power = power * x
-            power.lost = False  # powers of I never wrap below the cut
-            out = out + (-power if _ % 2 == 0 else power)
-        return out
-
     def involution(self):
-        """[g] -> [g^{-1}]: negation on Q, (1+t_i) -> (1+t_i)^{-1}.
+        """[g] -> [g^{-1}]: negation on Q, t^e -> (-t)^e * prod (1+t_i)^{-e_i}.
 
         Filtration-preserving, hence exact on the truncated quotient.
         """
         shape = self.shape
-        one = GroupAlgebraElem.one(shape)
-        # t_i^dual = (1+t_i)^{-1} - 1, precomputed per variable
-        duals = []
-        for i in range(shape.s):
-            ti = GroupAlgebraElem.monomial(
-                shape, None, tuple(1 if j == i else 0 for j in range(shape.s)), 1)
-            duals.append((one + ti).inverse_of_one_unit() - one)
-        out = GroupAlgebraElem.zero(shape)
+        out = {}
         for (q, e), c in self.coeffs.items():
-            term = GroupAlgebraElem.monomial(shape, shape.q_neg(q), None, 1).scale(c)
-            for i, a in enumerate(e):
-                for _ in range(a):
-                    term = term * duals[i]
-            term.lost = False
-            out = out + term
-        out.lost = self.lost
-        return out
+            _add_binomial_series(shape, out, -c if sum(e) % 2 else c,
+                                 shape.q_neg(q), e, tuple(-x for x in e))
+        return self._like(out, self.lost)
 
     def rel_aug_degree(self):
         """Largest n <= D with the element in I_Q^n (D+1 for zero)."""
@@ -185,6 +154,33 @@ class GroupAlgebraElem(CoeffMap):
     def __repr__(self):
         return "GroupAlgebraElem(%d terms%s)" % (len(self.coeffs),
                                                  ", lossy" if self.lost else "")
+
+
+def _binomials(a, n):
+    """[C(a, k) for k = 0..n], stopping at C(a, a) when 0 <= a < n."""
+    out = [1]
+    for k in range(n if a < 0 else min(a, n)):
+        out.append(out[-1] * (a - k) // (k + 1))
+    return out
+
+
+def _add_binomial_series(shape, coeffs, scalar, q, b, a):
+    """Add scalar * [q] * prod t_i^{b_i} (1+t_i)^{a_i} into `coeffs`.
+
+    Terms beyond total degree D are dropped; the return value says whether
+    any nonzero one was (always, when some a_i < 0).
+    """
+    budget = shape.degree - sum(b)
+    terms = [((), 1, budget)]
+    for bi, ai in zip(b, a):
+        row = _binomials(ai, budget)
+        terms = [(e + (bi + k,), n * ck, left - k)
+                 for e, n, left in terms for k, ck in enumerate(row[:left + 1])]
+    for e, n, _ in terms:
+        key = (q, e)
+        c = scalar.scale_int(n)
+        coeffs[key] = coeffs[key] + c if key in coeffs else c
+    return min(a, default=0) < 0 or sum(b) + sum(a) > shape.degree
 
 
 class GradedPiece(CoeffMap):

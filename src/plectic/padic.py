@@ -116,20 +116,6 @@ class PadicScalar:
     def valuation(self):
         return self.v
 
-    @property
-    def unit_digits(self):
-        """Base-p digits of the unit part, least significant first."""
-        if self.is_zero():
-            return ()
-        if self.prec == INF:
-            raise ValueError("exact value has unbounded digits; truncate first")
-        rel = int(self.prec - self.v)
-        u, out = self.unit, []
-        for _ in range(rel):
-            u, d = divmod(u, self.p)
-            out.append(d)
-        return tuple(out)
-
     def truncate(self, prec):
         if prec >= self.prec:
             return self
@@ -239,7 +225,8 @@ class PadicScalar:
     def __repr__(self):
         if self.is_zero():
             return "O(%d^%s)" % (self.p, self.prec)
-        digits = " ".join(str(d) for d in self.unit_digits[:8])
+        n = int(min(8, self.prec - self.v))  # an exact value has unbounded digits
+        digits = " ".join(str(self.unit // self.p ** i % self.p) for i in range(n))
         return "(%s...)*%d^%s mod %d^%s" % (digits, self.p, self.v, self.p, self.prec)
 
 

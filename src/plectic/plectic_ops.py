@@ -106,6 +106,8 @@ class PlecticConfig:
         s = free_rank if free_rank is not None else self.r
         if s < self.r:
             raise ValidationError("free rank must be at least r")
+        if degree < 1:
+            raise ValidationError("truncation degree must be at least 1")
         self.shape = GroupShape((2,) * max(t, 1), s, degree, p, prec)
 
     def _validate_table(self):
@@ -236,17 +238,11 @@ def det_map(entries):
     r = len(entries)
     if any(len(row) != r for row in entries):
         raise ShapeMismatch("determinant needs a square matrix of vectors")
-    dim = len(entries[0][0])
-    out = PlecticTensor.zero(r, dim)
-    for perm in itertools.permutations(range(r)):
-        sign = perm_sign(perm)
-        factors = tuple(entries[perm[j]][j] for j in range(r))
-        out = out + PlecticTensor.pure(_one_like(entries[0][0][0], sign), factors)
-    return out
-
-
-def _one_like(scalar, n):
-    return PadicScalar.from_int(n, scalar.p, INF)
+    p = entries[0][0][0].p
+    return PlecticTensor(r, len(entries[0][0]), [
+        (PadicScalar.from_int(perm_sign(perm), p, INF),
+         tuple(entries[perm[j]][j] for j in range(r)))
+        for perm in itertools.permutations(range(r))])
 
 
 def perm_sign(perm):

@@ -83,32 +83,45 @@ def _is_prime(n):
     return True
 
 
+def _number(kind, raw, key, default=None):
+    """raw[key] (or `default`) read as `kind`; None when both are missing."""
+    text = raw.get(key, default)
+    if text is None:
+        return None
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("%s = %r is not a valid %s" % (key, text, kind.__name__))
+
+
 class Scenario:
     """A parsed, validated scenario with its runtime objects built."""
 
     def __init__(self, raw):
         self.name = raw.get("name", "unnamed")
-        self.p = int(raw.get("p", "5"))
+        self.p = _number(int, raw, "p", "5")
         if not _is_prime(self.p) or self.p < 5:
             raise ValidationError("p must be a prime >= 5")
-        self.t = int(raw.get("t", "1"))
+        self.t = _number(int, raw, "t", "1")
         if self.t < 0 or self.t > 3:
             raise ValidationError("t must be between 0 and 3")
         self.r = 2 ** self.t
-        self.reduction_sign = int(raw.get("reduction_sign", "1"))
-        self.eps = int(raw.get("eps", "1"))
-        self.precision = int(raw.get("precision", "40"))
+        self.reduction_sign = _number(int, raw, "reduction_sign", "1")
+        self.eps = _number(int, raw, "eps", "1")
+        self.precision = _number(int, raw, "precision", "40")
         if self.precision < 10:
             raise ValidationError("precision must be at least 10")
-        self.seed = int(raw.get("seed", "0"))
-        self.trunc_degree = int(raw["trunc_degree"]) if "trunc_degree" in raw else None
-        self.free_rank = int(raw["free_rank"]) if "free_rank" in raw else None
+        self.seed = _number(int, raw, "seed", "0")
+        self.trunc_degree = _number(int, raw, "trunc_degree")
+        self.free_rank = _number(int, raw, "free_rank")
 
         if "tate_period" not in raw:
             raise ValidationError("tate_period required")
         self.q = parse_padic(raw["tate_period"], self.p, self.precision)
         if self.q.is_zero() or self.q.v < 1:
             raise ValidationError("tate_period must have positive valuation")
+        if self.q.v % self.p == 0:
+            raise ValidationError("tate_period valuation must be prime to p")
 
         table = None
         if "char_table" in raw:
@@ -126,7 +139,10 @@ class Scenario:
                     bits = list(bits[0])
                 if len(bits) != self.t:
                     raise ParseError("tau entry %r needs %d bits" % (part, self.t))
-                tau.append(tuple(int(b) for b in bits))
+                try:
+                    tau.append(tuple(int(b) for b in bits))
+                except ValueError:
+                    raise ParseError("tau entry %r must be bits" % part)
 
         self.config = PlecticConfig(
             self.t, self.p, self.reduction_sign, self.q, self.eps,
@@ -150,12 +166,12 @@ class Scenario:
                 if self.points.complete(u).is_zero():
                     raise ValidationError("u_eta.%d lies in the period lattice"
                                           % (i + 1))
-                k = Fraction(raw.get("k_eta.%d" % (i + 1), "1"))
+                k = _number(Fraction, raw, "k_eta.%d" % (i + 1), "1")
                 if k == 0:
                     raise ValidationError("k_eta.%d must be nonzero" % (i + 1))
                 self.family.append((u, k))
 
-        self.c_chi = Fraction(raw["C_chi"]) if "C_chi" in raw else None
+        self.c_chi = _number(Fraction, raw, "C_chi")
         self.invariant = None
         if "Q_S" in raw:
             c = parse_padic(raw["Q_S"], self.p, self.precision)

@@ -87,23 +87,16 @@ def mu(modules, terms):
     maps to the product of the disjoint linear forms of its factors.
     """
     total = direct_sum(modules)
-    n = len(modules)
-    out = SymTensor.zero(total, n)
-    offsets = []
-    off = 0
-    for m in modules:
-        offsets.append(off)
-        off += m.rank
+    padded_terms = []
     for scalar, vectors in terms:
-        prod = None
-        for k, (m, vec) in enumerate(zip(modules, vectors)):
-            padded = [scalar.scale_int(0)] * total.rank
-            for i, c in enumerate(vec):
-                padded[offsets[k] + i] = c
-            form = linear_form(total, padded)
-            prod = form if prod is None else prod * form
-        out = out + prod.scale(scalar)
-    return out
+        padded, off = [], 0
+        for m, vec in zip(modules, vectors):
+            row = [scalar.scale_int(0)] * total.rank
+            row[off:off + m.rank] = vec
+            padded.append(row)
+            off += m.rank
+        padded_terms.append((scalar, padded))
+    return collapse(total, padded_terms)
 
 
 def collapse(module, terms):

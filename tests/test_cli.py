@@ -89,6 +89,31 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p", "abc"),
+    ("t", "x"),
+    ("k_eta.1", "1/0"),
+    ("tate_period", "1e5"),  # valuation 5 is divisible by p = 5
+    ("tau", "x; 1"),
+    ("trunc_degree", "0"),
+])
+def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
+    text = (GOLDEN / "t1-split.kv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
+    bad = tmp_path / "bad.kv"
+    bad.write_text("\n".join(lines + ["%s = %s" % (key, value)]) + "\n")
+    assert main(["verify", str(bad), "--suite", "sign"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [["--precision", "20"], ["--floor", "50"]])
+def test_cli_exit_two_on_floor_above_precision(capsys, extra):
+    assert main(["verify", T1, "--suite", "sign"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the working precision" in captured.err
+
+
 def test_cli_report_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "report.kv"
     rc = main(["verify", T1, "--suite", "sign", "--format", "kv",

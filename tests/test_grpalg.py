@@ -39,6 +39,69 @@ def rand_elem(rng, min_deg=0, shape=SHAPE):
     return out
 
 
+def variable(shape, i):
+    return GroupAlgebraElem.monomial(
+        shape, None, tuple(1 if j == i else 0 for j in range(shape.s)), 1)
+
+
+# -- reference expansion: the products the closed forms replace ---------------
+
+def reference_inverse(unit):
+    """(1 + x)^{-1} for x of positive degree, by the geometric series."""
+    one = GroupAlgebraElem.one(unit.shape)
+    x = unit - one
+    out = power = one
+    for k in range(unit.shape.degree):
+        power = power * x
+        power.lost = False  # powers of I never wrap below the cut
+        out = out + (-power if k % 2 == 0 else power)
+    return out
+
+
+def reference_group_elem(shape, q, a):
+    """[q] * prod (1+t_i)^{a_i} as |a| repeated products."""
+    out = GroupAlgebraElem.monomial(shape, q, None, 1)
+    for i, ai in enumerate(a):
+        step = GroupAlgebraElem.one(shape) + variable(shape, i)
+        if ai < 0:
+            step, ai = reference_inverse(step), -ai
+        for _ in range(ai):
+            out = out * step
+    return out
+
+
+def reference_involution(x):
+    """Each term times the dual (1+t_i)^{-1} - 1 once per unit of exponent."""
+    shape = x.shape
+    one = GroupAlgebraElem.one(shape)
+    duals = [reference_inverse(one + variable(shape, i)) - one
+             for i in range(shape.s)]
+    out = GroupAlgebraElem.zero(shape)
+    for (q, e), c in x.coeffs.items():
+        term = GroupAlgebraElem.monomial(shape, shape.q_neg(q), None, 1).scale(c)
+        for i, a in enumerate(e):
+            for _ in range(a):
+                term = term * duals[i]
+        term.lost = False
+        out = out + term
+    out.lost = x.lost
+    return out
+
+
+ORACLE_SHAPES = [SHAPE, GroupShape((3,), 4, 10, P, N)]
+
+
+def rand_oracle_elem(rng, shape):
+    """Four terms with multi-digit coefficients, some of them non-units."""
+    out = GroupAlgebraElem.zero(shape)
+    for _ in range(4):
+        e = tuple(rng.randrange(3) for _ in range(shape.s))
+        q = tuple(rng.randrange(d) for d in shape.divisors)
+        c = rng.randrange(1, P ** 6) * P ** rng.randrange(3)
+        out = out + GroupAlgebraElem.monomial(shape, q, e, c)
+    return out
+
+
 def test_multiplication_by_one():
     rng = random.Random(2)
     x = rand_elem(rng)
@@ -86,6 +149,46 @@ def test_involution_is_an_involution_and_ring_map():
         if prod.lost:
             continue
         assert prod.involution().agreement(x.involution() * y.involution()) >= N
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["s2D6", "s4D10"])
+def test_closed_forms_match_the_expansion(shape):
+    rng = random.Random(13)
+    for _ in range(6):
+        x = rand_oracle_elem(rng, shape)
+        closed, ref = x.involution(), reference_involution(x)
+        assert set(closed.coeffs) == set(ref.coeffs)
+        assert closed.agreement(ref) >= N
+        assert closed.lost == ref.lost == x.lost
+    for _ in range(6):
+        q = tuple(rng.randrange(d) for d in shape.divisors)
+        a = tuple(rng.randrange(-2, 4) for _ in range(shape.s))
+        closed, ref = (GroupAlgebraElem.group_elem(shape, q, a),
+                       reference_group_elem(shape, q, a))
+        assert set(closed.coeffs) == set(ref.coeffs)
+        assert closed.agreement(ref) >= N
+        assert closed.lost == (min(a) < 0 or ref.lost)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=["s2D6", "s4D10"])
+def test_negative_exponents(shape):
+    rng = random.Random(17)
+    one = GroupAlgebraElem.one(shape)
+    for _ in range(4):
+        q = tuple(rng.randrange(d) for d in shape.divisors)
+        a = tuple(rng.randrange(-3, 4) for _ in range(shape.s))
+        neg = tuple(-x for x in a)
+        g = GroupAlgebraElem.group_elem(shape, q, a)
+        g_inv = GroupAlgebraElem.group_elem(shape, shape.q_neg(q), neg)
+        assert (g * g_inv).agreement(one) >= N
+        assert g.involution().agreement(g_inv) >= N
+
+
+def test_group_elem_needs_one_exponent_per_variable():
+    with pytest.raises(ShapeMismatch):
+        GroupAlgebraElem.group_elem(SHAPE, None, (1,))
+    with pytest.raises(ShapeMismatch):
+        GroupAlgebraElem.group_elem(SHAPE, None, (1, 0, 0))
 
 
 def test_rel_aug_degree_basics():

@@ -209,6 +209,12 @@ def test_two_is_not_a_square():
     assert padic_sqrt(mk(2)) is None
 
 
+def test_repr_shows_leading_digits_of_exact_values():
+    assert repr(mk(3, INF)) == "(3 0 0 0 0 0 0 0...)*5^0 mod 5^inf"
+    assert repr(mk(-1, INF)).startswith("(4 4 4 4 4 4 4 4...)")
+    assert repr(mk(3 + 2 * P, 2)) == "(3 2...)*5^0 mod 5^2"
+
+
 def test_division_by_zero_rejected():
     from plectic.errors import DivisionByZero
 
