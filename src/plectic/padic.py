@@ -194,9 +194,12 @@ class PadicScalar:
             return PadicScalar.one(self.p, self.prec if not self.is_zero() else INF)
         if k < 0:
             return PadicScalar.one(self.p, self.prec) / self ** (-k)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
+        out, base = PadicScalar.one(self.p, INF), self  # exact: out * base == base
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
         return out
 
     def scale_int(self, n):
@@ -365,6 +368,9 @@ class QuadExtScalar:
         a = self.a * other.a + (self.b * other.b).scale_int(self.c)
         b = self.a * other.b + self.b * other.a
         return QuadExtScalar(a, b, self.c)
+
+    def scale_int(self, n):
+        return QuadExtScalar(self.a.scale_int(n), self.b.scale_int(n), self.c)
 
     def frobenius(self):
         return QuadExtScalar(self.a, -self.b, self.c)

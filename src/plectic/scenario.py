@@ -7,7 +7,8 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     t              tower exponent, r = 2^t
     reduction_sign +1 or -1
     eps            +1 or -1 (global sign; default 1)
-    precision      base-p digits of working precision (default 40)
+    precision      base-p digits of working precision (default 40, at most
+                   MAX_PRECISION)
     trunc_degree   group-algebra truncation (default 2r + 2)
     free_rank      free rank of the group shape (default r)
     seed           RNG seed for property checks (default 0)
@@ -37,6 +38,10 @@ from .units import PointCompletion, UnitCompletion
 
 SUITES = ("units", "tate", "grpalg", "symalg", "gz", "sign",
           "factorization", "algebraicity")
+
+# every scalar computes p^precision, so an unbounded precision can hang the
+# first constructor; 1000 leaves room above the 40..640 precision grid
+MAX_PRECISION = 1000
 
 _PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?\d+)$")
 
@@ -109,8 +114,9 @@ class Scenario:
         self.reduction_sign = _number(int, raw, "reduction_sign", "1")
         self.eps = _number(int, raw, "eps", "1")
         self.precision = _number(int, raw, "precision", "40")
-        if self.precision < 10:
-            raise ValidationError("precision must be at least 10")
+        if not 10 <= self.precision <= MAX_PRECISION:
+            raise ValidationError("precision must be between 10 and %d"
+                                  % MAX_PRECISION)
         self.seed = _number(int, raw, "seed", "0")
         self.trunc_degree = _number(int, raw, "trunc_degree")
         self.free_rank = _number(int, raw, "free_rank")

@@ -9,26 +9,31 @@ from .errors import NotMultiplicativeReduction, PrecisionExhausted
 from .padic import INF, PadicScalar, QuadExtScalar
 
 
-def _series_s(q, k):
-    """s_k(q) = sum_{n>=1} n^k q^n / (1 - q^n), truncated below precision."""
-    p = q.p
-    total = PadicScalar.zero(p, q.prec)
-    one = PadicScalar.one(p, INF)
-    qn = q
-    n = 1
-    while not qn.is_zero() and n * q.v <= q.prec:
-        total = total + qn.scale_int(n ** k) / (one - qn)
-        qn = qn * q
-        n += 1
-    return total
+def _lambert(q, terms, count):
+    """Extend `terms` in place to L_n = q^n / (1 - q^n) for n = 1..count."""
+    if len(terms) < count:
+        one = PadicScalar.one(q.p, INF)
+        qn = q ** (len(terms) + 1)
+        while len(terms) < count:
+            terms.append(qn / (one - qn))
+            qn = qn * q
+    return terms
 
 
-def tate_coefficients(q):
-    """(a4, a6) of the Tate curve with period q."""
+def _power_sums(q, terms, ks):
+    """[s_k(q) for k in ks], s_k = sum_{n v(q) <= prec(q)} n^k L_n."""
+    count = int(q.prec // q.v)
+    sums = [PadicScalar.zero(q.p, q.prec) for _ in ks]
+    for n, l in enumerate(_lambert(q, terms, count)[:count], 1):
+        sums = [s + l.scale_int(n ** k) for s, k in zip(sums, ks)]
+    return sums
+
+
+def tate_coefficients(q, lambert=None):
+    """(a4, a6) of the Tate curve with period q; `lambert` caches the L_n."""
     if q.is_zero() or q.v < 1:
         raise NotMultiplicativeReduction("Tate period needs valuation >= 1")
-    s3 = _series_s(q, 3)
-    s5 = _series_s(q, 5)
+    s3, s5 = _power_sums(q, [] if lambert is None else lambert, (3, 5))
     a4 = -(s3.scale_int(5))
     a6 = -(s3.scale_int(5) + s5.scale_int(7)) / PadicScalar.from_int(12, q.p, INF)
     return a4, a6
@@ -94,16 +99,24 @@ class TateCurve:
             raise ValueError("reduction sign must be +1 or -1")
         self.q = q
         self.reduction_sign = reduction_sign
-        self.a4, self.a6 = tate_coefficients(q)
+        self._lambert = []  # L_n = q^n / (1 - q^n), extended on demand
+        self.a4, self.a6 = tate_coefficients(q, self._lambert)
+        self._s1, = _power_sums(q, self._lambert, (1,))
         self.p = q.p
 
     def on_curve_margin(self, pt):
-        """Certified agreement of the curve equation at pt."""
+        """Certified agreement of the curve equation at pt; for v(x) < 0 in
+        the chart z = x/y, w = 1/y (the equation divided by y^3), since the
+        affine form loses ~3|v(x)| digits near the origin."""
         if pt.is_infinity():
             return INF
         x, y = pt.x, pt.y
         a4 = QuadExtScalar.from_base(self.a4, x.c)
         a6 = QuadExtScalar.from_base(self.a6, x.c)
+        if x.valuation < 0:
+            w = y.inverse()
+            z = x * w
+            return (w + z * w).agreement(z * z * z + a4 * z * w * w + a6 * w * w * w)
         lhs = y * y + x * y
         rhs = x * x * x + a4 * x + a6
         return lhs.agreement(rhs)
@@ -121,27 +134,26 @@ class TateCurve:
         return u / qk
 
     def phi(self, u):
-        """The uniformization map; q^Z maps to the origin."""
+        """The uniformization map; q^Z maps to the origin.  As Lambert series:
+            X = u/(1-u)^2 + sum_m m (u^m + u^-m) L_m - 2 s_1
+            Y = u^2/(1-u)^3 + sum_m (C(m,2) u^m - C(m+1,2) u^-m) L_m + s_1
+        The m-th term has valuation >= m (v(q) - v(u)): stop past prec(u).
+        """
         u = self.reduce_to_annulus(u)
         one = QuadExtScalar.from_parts(1, 0, self.p, INF, u.c)
         if u.valuation == 0 and (u - one).is_zero():
             return CurvePoint.infinity()
-        q_ext = QuadExtScalar.from_base(self.q, u.c)
-        s1 = _series_s(self.q, 1)
-        x = _x_term(u)
-        y = _y_term(u)
-        qn = q_ext
-        n = 1
-        bound = u.prec
-        while n * self.q.v <= bound:
-            w, t = qn * u, qn * u.inverse()
-            # x-terms are symmetric under w -> 1/w; y-terms pick up -t/(1-t)^3
-            x = x + _x_term(w) + _x_term(t)
-            y = y + _y_term(w) - _neg_y_term(t)
-            qn = qn * q_ext
-            n += 1
-        x = x - QuadExtScalar.from_base(s1 + s1, u.c)
-        y = y + QuadExtScalar.from_base(s1, u.c)
+        x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1, u.c)
+        y = _y_term(u) + QuadExtScalar.from_base(self._s1, u.c)
+        count = int(u.prec // (self.q.v - u.valuation))
+        u_inv = u.inverse()
+        up, um = u, u_inv
+        for m, l in enumerate(_lambert(self.q, self._lambert, count)[:count], 1):
+            sx = (up + um).scale_int(m)
+            sy = up.scale_int(m * (m - 1) // 2) - um.scale_int(m * (m + 1) // 2)
+            x = x + QuadExtScalar(sx.a * l, sx.b * l, u.c)
+            y = y + QuadExtScalar(sy.a * l, sy.b * l, u.c)
+            up, um = up * u, um * u_inv
         return CurvePoint(x, y)
 
     # -- group law -------------------------------------------------------------
@@ -205,9 +217,3 @@ def _y_term(w):
     one = QuadExtScalar.from_parts(1, 0, w.p, INF, w.c)
     d = one - w
     return (w * w) / (d * d * d)
-
-
-def _neg_y_term(t):
-    one = QuadExtScalar.from_parts(1, 0, t.p, INF, t.c)
-    d = one - t
-    return t / (d * d * d)

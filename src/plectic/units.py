@@ -16,7 +16,6 @@ from .padic import (
     PadicScalar,
     QuadExtScalar,
     plog,
-    quad_teichmuller,
     smallest_nonsquare,
 )
 
@@ -69,11 +68,11 @@ class UnitCompletion:
             raise PrecisionExhausted("cannot complete zero")
         v = u.valuation
         p_pow = QuadExtScalar.from_base(PadicScalar(self.p, -v, 1, INF), self.c)
-        u1 = u * p_pow
-        zeta = quad_teichmuller(u1)
-        principal = u1 * zeta.inverse()
-        l = plog(principal)
-        return CompletedUnit(self.base(v), l.a, l.b)
+        # log(u1 / zeta) = log(u1^(p^2 - 1)) / (p^2 - 1): zeta^(p^2 - 1) = 1
+        # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit
+        order = PadicScalar.from_int(self.p * self.p - 1, self.p, INF)
+        l = plog((u * p_pow) ** (self.p * self.p - 1))
+        return CompletedUnit(self.base(v), l.a / order, l.b / order)
 
     def sigma(self, c):
         """Frobenius on completion coordinates: diag(1, 1, -1)."""

@@ -8,6 +8,7 @@ import random
 import time
 
 from plectic import plectic_ops as po
+from plectic.cli import main
 from plectic.errors import InconsistentSigns, NotProportional
 from plectic.grpalg import (
     GroupAlgebraElem,
@@ -26,7 +27,8 @@ P = 5
 N = 40
 C = smallest_nonsquare(P)
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
-EXPECTED_T2 = GOLDEN.parent / "bench" / "expected" / "t2-golden.kv"
+BENCH = GOLDEN.parent / "bench"
+EXPECTED_T2 = BENCH / "expected" / "t2-golden.kv"
 
 
 def _verdict(num, label, ok):
@@ -242,8 +244,15 @@ def test_criterion_11_gz_leading_term_contract():
     _verdict(11, "leading-term reconstruction contract (r = 2, 4)", ok)
 
 
-def test_criterion_12_deterministic_reports():
+def test_criterion_12_deterministic_reports(capsys):
     ok = True
+    # the other two benchmark workloads at seed 0, as `plectic verify` runs them
+    for args, expected in (
+            ([str(GOLDEN / "t1-split.kv"), "--precision", "160"], "t1-deep.kv"),
+            ([str(BENCH / "scenarios" / "t3-tower.kv")], "t3-tower.kv")):
+        main(["verify"] + args + ["--format", "kv"])
+        ok = ok and capsys.readouterr().out == \
+            (BENCH / "expected" / expected).read_text(encoding="utf-8")
     for name in ("t1-split.kv", "t2-split.kv"):
         sc = load_scenario(GOLDEN / name)
         # committed seed: identical bytes and a clean pass

@@ -1,5 +1,8 @@
 """Runner reports and the command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from plectic.scenario import load_scenario, parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
+T2 = str(GOLDEN / "t2-split.kv")
 
 FAST = ("grpalg", "symalg", "gz", "sign")
 
@@ -137,3 +141,28 @@ def test_cli_seed_reproducibility(capsys):
     first = capsys.readouterr().out
     main(["verify", T1, "--suite", "symalg", "--seed", "3", "--format", "kv"])
     assert capsys.readouterr().out == first
+
+
+def test_cli_exit_two_on_precision_above_the_cap():
+    # p^precision would hang the first scalar constructor; the cap stops
+    # the run at validation, in a child so that a hang fails the test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(GOLDEN.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plectic.cli", "verify", T1, "--suite", "sign",
+         "--precision", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: precision must be between")
+
+
+@pytest.mark.parametrize("seed", [7, 11, 41])
+def test_tate_homomorphism_passes_near_the_origin(capsys, seed):
+    # at these seeds phi(uv) lands at v(x) = -4; the affine on-curve
+    # equation certified only 26 digits there
+    rc = main(["verify", T2, "--suite", "tate", "--seed", str(seed),
+               "--format", "kv"])
+    out = capsys.readouterr().out
+    assert "tate.homomorphism=pass" in out
+    assert rc == 0

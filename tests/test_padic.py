@@ -181,6 +181,23 @@ def test_recomputing_at_higher_precision_reproduces_digits():
             assert r_hi.truncate(r_lo.prec).agreement(r_lo) >= r_lo.prec
 
 
+@pytest.mark.parametrize("base", [
+    PadicScalar(P, 0, 123456789, N),    # unit
+    PadicScalar(P, 2, 7 + 5 * 11, N),   # non-unit
+    PadicScalar(P, -1, 3, N),           # negative valuation
+    PadicScalar.zero(P, N),             # zero to precision
+], ids=["unit", "non-unit", "pole", "zero"])
+def test_pow_equals_repeated_products(base):
+    for k in range(21):
+        want = PadicScalar.one(P, INF if base.is_zero() else base.prec)
+        if k:
+            want = base
+            for _ in range(k - 1):
+                want = want * base
+        got = base ** k
+        assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
+
+
 # -- ring laws via hypothesis ------------------------------------------------------
 
 small = st.integers(min_value=-(P ** 12), max_value=P ** 12)

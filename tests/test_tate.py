@@ -182,3 +182,105 @@ def test_minus_generator_maps_to_finite_point():
     pt = CURVE.phi(u0)
     assert not pt.is_infinity()
     assert CURVE.on_curve_margin(pt) >= N - 8
+
+
+# -- Lambert-form phi against the per-n series and a 3N oracle -------------------
+
+def _reference_phi(curve, u):
+    """The bi-periodic X, Y sums term by term: one inverse of u per n."""
+    u = curve.reduce_to_annulus(u)
+    one = QuadExtScalar.from_parts(1, 0, P, INF, u.c)
+    if u.valuation == 0 and (u - one).is_zero():
+        return CurvePoint.infinity()
+
+    def x_term(w):
+        return w / ((one - w) * (one - w))
+
+    def y_term(w):
+        return (w * w) / ((one - w) * (one - w) * (one - w))
+
+    q = curve.q
+    s1 = PadicScalar.zero(P, q.prec)
+    qn, n = q, 1
+    while n * q.v <= q.prec:
+        s1 = s1 + qn.scale_int(n) / (PadicScalar.one(P, INF) - qn)
+        qn, n = qn * q, n + 1
+    q_ext = QuadExtScalar.from_base(q, u.c)
+    x, y = x_term(u), y_term(u)
+    qn, n = q_ext, 1
+    while n * q.v <= u.prec:
+        w, t = qn * u, qn * u.inverse()
+        # y(1/t) = -t/(1 - t)^3
+        x = x + x_term(w) + x_term(t)
+        y = y + y_term(w) - t / ((one - t) * (one - t) * (one - t))
+        qn, n = qn * q_ext, n + 1
+    x = x - QuadExtScalar.from_base(s1 + s1, u.c)
+    y = y + QuadExtScalar.from_base(s1, u.c)
+    return CurvePoint(x, y)
+
+
+def _digits(pt):
+    """(valuation, unit, precision) of all four coordinates of a point."""
+    if pt.is_infinity():
+        return None
+    return [(s.v, s.unit, s.prec) for z in (pt.x, pt.y) for s in (z.a, z.b)]
+
+
+def _annulus_case(rng, vq, prec):
+    """A period of valuation vq and a u with 0 <= v(u) < vq, both at prec."""
+    q = PadicScalar(P, vq, rng.randrange(1, P ** prec), prec)
+    while q.v != vq:
+        q = PadicScalar(P, vq, rng.randrange(1, P ** prec), prec)
+    vu = rng.randrange(vq)
+    while True:
+        if vu == 0 and rng.random() < 0.4:  # near 1: v(u - 1) > 0
+            d = rng.randrange(1, 3)
+            u = QuadExtScalar.from_parts(1 + P ** d * rng.randrange(P ** prec),
+                                         P ** d * rng.randrange(P ** prec),
+                                         P, prec, C)
+        else:
+            u = QuadExtScalar.from_parts(P ** vu * rng.randrange(P ** prec),
+                                         P ** vu * rng.randrange(P ** prec),
+                                         P, prec, C)
+        if u.valuation == vu and not (u - ONE).is_zero():
+            return q, u
+
+
+@pytest.mark.parametrize("prec,count", [(12, 24), (40, 18), (160, 1)])
+def test_phi_matches_the_per_term_series(prec, count):
+    rng = random.Random(prec)
+    for i in range(count):
+        vq = i % 3 + 1 if prec < 160 else 2
+        q, u = _annulus_case(rng, vq, prec)
+        curve = TateCurve(q)
+        assert _digits(curve.phi(u)) == _digits(_reference_phi(curve, u))
+        # phi extends the curve's Lambert list; the coefficients read the
+        # same first terms
+        a4, a6 = tate_coefficients(q)
+        assert [(s.v, s.unit, s.prec) for s in (curve.a4, curve.a6)] == \
+            [(s.v, s.unit, s.prec) for s in (a4, a6)]
+
+
+@pytest.mark.parametrize("prec", [12, 40])
+def test_phi_digits_survive_tripled_precision(prec):
+    rng = random.Random(prec + 1)
+    for i in range(12):
+        q_hi, u_hi = _annulus_case(rng, i % 3 + 1, 3 * prec)
+        lo = TateCurve(q_hi.truncate(prec)).phi(u_hi.truncate(prec))
+        hi = TateCurve(q_hi).phi(u_hi)
+        for z_lo, z_hi in ((lo.x, hi.x), (lo.y, hi.y)):
+            for s_lo, s_hi in ((z_lo.a, z_hi.a), (z_lo.b, z_hi.b)):
+                assert s_lo.agreement(s_hi) >= s_lo.prec
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_on_curve_margin_near_the_origin(d):
+    # v(u - 1) = d puts phi(u) at v(x) = -2d, where the affine equation
+    # loses ~3|v(x)| digits (33, 26, 19 of 40); the chart z = x/y, w = 1/y
+    # keeps them
+    rng = random.Random(d)
+    unit = QuadExtScalar.from_parts(P ** d * rng.randrange(1, P),
+                                    P ** (d + 1) * rng.randrange(P ** N), P, N, C)
+    pt = CURVE.phi(ONE + unit)
+    assert pt.x.valuation == -2 * d
+    assert CURVE.on_curve_margin(pt) >= N - 4

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from plectic.errors import ShapeMismatch
 from plectic.linalg import rank
-from plectic.padic import PadicScalar, QuadExtScalar, plog, quad_teichmuller
+from plectic.padic import INF, PadicScalar, QuadExtScalar, plog, quad_teichmuller
 from plectic.units import MinusUnit, PointCompletion, UnitCompletion
 
 P = 5
@@ -192,3 +192,51 @@ def test_completion_respects_inverses(a, b):
     assert (c + U.complete(u.inverse())).is_zero() or \
         (c + U.complete(u.inverse())).agreement(
             U.complete(U.ext(1, 0))) >= N - 5
+
+
+# -- the Teichmuller-free completion against the lifted root and a 3N oracle ----
+
+def _reference_complete(units, u):
+    """(v, log(u1 / zeta)) with zeta the Teichmuller lift of u1 = u / p^v."""
+    v = u.valuation
+    u1 = u * QuadExtScalar.from_base(PadicScalar(units.p, -v, 1, INF), units.c)
+    l = plog(u1 * quad_teichmuller(u1).inverse())
+    return [units.base(v), l.a, l.b]
+
+
+def _random_element(rng, units, prec):
+    """A nonzero element of valuation -2..2, a principal unit 2 times in 5."""
+    p = units.p
+    while True:
+        a, b = rng.randrange(p ** prec), rng.randrange(p ** prec)
+        if rng.random() < 0.4:
+            a, b = 1 + p * a, p * b
+        u = QuadExtScalar.from_parts(a, b, p, prec, units.c)
+        if u.valuation == 0:
+            v = rng.randrange(-2, 3)
+            return u * QuadExtScalar.from_base(PadicScalar(p, v, 1, INF), units.c)
+
+
+@pytest.mark.parametrize("p,prec,count", [(5, 12, 20), (7, 12, 20), (5, 40, 20),
+                                          (11, 40, 10), (5, 160, 2)])
+def test_complete_matches_the_teichmuller_lift(p, prec, count):
+    rng = random.Random(p * prec)
+    units = UnitCompletion(p, prec)
+    for _ in range(count):
+        u = _random_element(rng, units, prec)
+        got = units.complete(u)
+        want = _reference_complete(units, u)
+        assert [(s.v, s.unit, s.prec) for s in (got.val, got.log_a, got.log_b)] == \
+            [(s.v, s.unit, s.prec) for s in want]
+
+
+@pytest.mark.parametrize("p,prec", [(5, 12), (7, 40)])
+def test_complete_digits_survive_tripled_precision(p, prec):
+    rng = random.Random(p + prec)
+    lo, hi = UnitCompletion(p, prec), UnitCompletion(p, 3 * prec)
+    for _ in range(12):
+        u_hi = _random_element(rng, hi, 3 * prec)
+        c_lo, c_hi = lo.complete(u_hi.truncate(prec)), hi.complete(u_hi)
+        for s_lo, s_hi in zip((c_lo.val, c_lo.log_a, c_lo.log_b),
+                              (c_hi.val, c_hi.log_a, c_hi.log_b)):
+            assert s_lo.agreement(s_hi) >= s_lo.prec
