@@ -46,6 +46,7 @@ def main(argv=None):
                      if not ln.split("#")[0].strip().startswith("precision")]
             text = "\n".join(lines) + "\nprecision = %d\n" % args.precision
         scenario = parse_scenario(text)
+        scenario.check_suites(args.suite or scenario.suites)
     except PlecticError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -38,6 +38,11 @@ from .units import PointCompletion, UnitCompletion
 
 SUITES = ("units", "tate", "grpalg", "symalg", "gz", "sign",
           "factorization", "algebraicity")
+# suites that read the committed family u_eta, C_chi, Q_S
+FAMILY_SUITES = ("factorization", "algebraicity")
+# at t = 3 (r = 8) these suites need dense products of millions of terms and
+# do not terminate yet, so choosing one is an unusable input
+T3_OPEN_SUITES = ("grpalg", "algebraicity")
 
 # every scalar computes p^precision, so an unbounded precision can hang the
 # first constructor; 1000 leaves room above the 40..640 precision grid
@@ -190,17 +195,30 @@ class Scenario:
                 if n not in SUITES:
                     raise ValidationError("unknown suite %r" % n)
             self.suites = tuple(names)
-        else:
+            self._check_family(names)
+        elif self.has_family:
             self.suites = SUITES
+        else:
+            self.suites = tuple(s for s in SUITES if s not in FAMILY_SUITES)
 
-        needs_family = {"factorization", "algebraicity"}
-        if needs_family & set(self.suites):
-            if self.family is None or self.c_chi is None or self.invariant is None:
-                if "suites" in raw:
-                    raise ValidationError(
-                        "factorization/algebraicity need u_eta, C_chi, Q_S")
-                self.suites = tuple(s for s in self.suites
-                                    if s not in needs_family)
+    @property
+    def has_family(self):
+        return not (self.family is None or self.c_chi is None
+                    or self.invariant is None)
+
+    def check_suites(self, names):
+        """Raise ValidationError unless every suite in `names` can run on
+        this scenario and finish."""
+        stuck = [s for s in T3_OPEN_SUITES if s in names] if self.t == 3 else []
+        if stuck:
+            raise ValidationError("at t = 3 these suites do not terminate "
+                                  "yet: %s" % ", ".join(stuck))
+        self._check_family(names)
+
+    def _check_family(self, names):
+        if not self.has_family and set(FAMILY_SUITES) & set(names):
+            raise ValidationError(
+                "factorization/algebraicity need u_eta, C_chi, Q_S")
 
 
 def parse_scenario(text):

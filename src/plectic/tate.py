@@ -39,25 +39,29 @@ def tate_coefficients(q, lambert=None):
     return a4, a6
 
 
-def j_invariant(q):
-    """j(q) = c4^3 / Delta computed from the Tate coefficients."""
+def _j_c4_c6(q):
     a4, a6 = tate_coefficients(q)
     one = PadicScalar.one(q.p, INF)
     c4 = one - a4.scale_int(48)
     c6 = -one + a4.scale_int(72) - a6.scale_int(864)
     delta = (c4 ** 3 - c6 ** 2) / PadicScalar.from_int(1728, q.p, INF)
-    return c4 ** 3 / delta
+    return c4 ** 3 / delta, c4, c6
+
+
+def j_invariant(q):
+    """j(q) = c4^3 / Delta computed from the Tate coefficients."""
+    return _j_c4_c6(q)[0]
 
 
 def tate_period_from_j(j):
-    """Invert the j-series by fixed-point iteration; needs v(j) < 0."""
+    """Invert the j-series by Newton's method on j(q) - j, with the
+    derivative q dj/dq = (c6/c4) j; needs v(j) < 0."""
     if j.is_zero() or j.v >= 0:
         raise NotMultiplicativeReduction("multiplicative reduction needs v(j) < 0")
-    one = PadicScalar.one(j.p, INF)
-    q = one / j
+    q = PadicScalar.one(j.p, INF) / j
     for _ in range(int(j.prec - j.v) + 2):
-        head = j_invariant(q) - one / q  # the integral part 744 + 196884q + ...
-        q_next = one / (j - head)
+        jq, c4, c6 = _j_c4_c6(q)
+        q_next = q - (jq - j) * q * c4 / (c6 * jq)
         if q_next.agreement(q) >= q.prec:
             return q_next
         q = q_next

@@ -16,6 +16,7 @@ from plectic.scenario import load_scenario, parse_scenario
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
 T2 = str(GOLDEN / "t2-split.kv")
+T3 = GOLDEN.parent / "bench" / "scenarios" / "t3-tower.kv"
 
 FAST = ("grpalg", "symalg", "gz", "sign")
 
@@ -143,18 +144,47 @@ def test_cli_seed_reproducibility(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_exit_two_on_precision_above_the_cap():
-    # p^precision would hang the first scalar constructor; the cap stops
-    # the run at validation, in a child so that a hang fails the test
+def _verify_in_child(args):
+    """`plectic verify` in a child process, so that a hang fails the test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(GOLDEN.parent / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "plectic.cli", "verify", T1, "--suite", "sign",
-         "--precision", "1000000000"],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "plectic.cli", "verify"] + args,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_exit_two_on_precision_above_the_cap():
+    # p^precision would hang the first scalar constructor; the cap stops
+    # the run at validation
+    proc = _verify_in_child([T1, "--suite", "sign", "--precision", "1000000000"])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: precision must be between")
+
+
+@pytest.mark.parametrize("suites,named", [
+    ([], ["grpalg"]),  # the file's default suites
+    (["--suite", "grpalg", "--suite", "units"], ["grpalg"]),
+    (["--suite", "algebraicity"], ["algebraicity"]),
+], ids=["file-suites", "grpalg", "algebraicity"])
+def test_cli_exit_two_on_suites_that_do_not_terminate_at_t3(tmp_path, suites, named):
+    # at t = 3 grpalg and algebraicity run for hours; they are refused
+    text = T3.read_text()
+    scenario = tmp_path / "t3.kv"
+    scenario.write_text("\n".join(ln for ln in text.splitlines()
+                                  if not ln.startswith("suites")) + "\n")
+    proc = _verify_in_child([str(scenario)] + suites)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: at t = 3")
+    for name in named:
+        assert name in proc.stderr
+
+
+def test_cli_exit_two_on_family_suites_without_a_family(tmp_path, capsys):
+    bare = tmp_path / "bare.kv"
+    bare.write_text("tate_period = 1e1\n")
+    assert main(["verify", str(bare), "--suite", "factorization"]) == 2
+    assert capsys.readouterr().err.startswith("error: factorization/algebraicity need")
 
 
 @pytest.mark.parametrize("seed", [7, 11, 41])

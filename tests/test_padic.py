@@ -1,10 +1,13 @@
 """Base arithmetic: interval precision, Teichmuller, log/exp, Frobenius."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from plectic.errors import DivisionByZero
 
 from plectic.padic import (
     INF,
@@ -155,30 +158,230 @@ def test_norm_multiplicative_and_frobenius_invariant():
 
 # -- interval-precision soundness -------------------------------------------------
 
+def _scalar_case(rng, op, prec):
+    """One op of the oracle test applied to operands certified mod p^prec;
+    the operands are the same integers at every precision."""
+    a, b = rng.randrange(1, P ** N), rng.randrange(1, P ** N)
+    va, vb = rng.randrange(-2, 3), rng.randrange(-2, 3)
+    n = rng.choice((1, -1)) * P ** rng.randrange(3) * rng.randrange(1, 50)
+    k = rng.randrange(-3, 7)
+    x, y = PadicScalar(P, va, a, prec), PadicScalar(P, vb, b, prec)
+    if op == "qmul":
+        return QuadExtScalar(x, y, C) * QuadExtScalar(y, x, C)
+    if op == "qinv":
+        return QuadExtScalar(x, y, C).inverse()
+    if op == "plog":  # of a principal unit 1 + p(...)
+        return plog(QuadExtScalar(PadicScalar(P, 0, 1 + P * a, prec),
+                                  PadicScalar(P, 1, b, prec), C))
+    return {"add": lambda: x + y, "sub": lambda: x - y,
+            "mul": lambda: x * y, "div": lambda: x / y,
+            "neg": lambda: -x, "scale_int": lambda: x.scale_int(n),
+            "pow": lambda: x ** k}[op]()
+
+
+def _components(z):
+    return (z.a, z.b) if isinstance(z, QuadExtScalar) else (z,)
+
+
+ORACLE_CASES = {"add": 300, "sub": 300, "mul": 300, "div": 300, "neg": 100,
+                "scale_int": 300, "pow": 200, "qmul": 200, "qinv": 200,
+                "plog": 40}
+
+
 def test_recomputing_at_higher_precision_reproduces_digits():
+    # every digit certified at N must survive recomputation at 2N
     rng = random.Random(7)
-    ops = ["add", "sub", "mul", "div"]
-    for _ in range(1000):
-        a = rng.randrange(1, P ** N)
-        b = rng.randrange(1, P ** N)
-        va, vb = rng.randrange(3), rng.randrange(3)
-        op = rng.choice(ops)
-        lo = (PadicScalar(P, va, a, N), PadicScalar(P, vb, b, N))
-        hi = (PadicScalar(P, va, a, N + 10), PadicScalar(P, vb, b, N + 10))
-        def apply(x, y):
-            if op == "add":
-                return x + y
-            if op == "sub":
-                return x - y
-            if op == "mul":
-                return x * y
-            return x / y
-        r_lo = apply(*lo)
-        r_hi = apply(*hi)
-        if r_lo.is_zero():
-            assert r_hi.truncate(r_lo.prec).is_zero()
-        else:
-            assert r_hi.truncate(r_lo.prec).agreement(r_lo) >= r_lo.prec
+    for op, count in ORACLE_CASES.items():
+        for _ in range(count):
+            state = rng.getstate()
+            lo = _scalar_case(rng, op, N)
+            rng.setstate(state)
+            hi = _scalar_case(rng, op, 2 * N)
+            for r_lo, r_hi in zip(_components(lo), _components(hi)):
+                assert r_hi.prec >= r_lo.prec, op
+                assert r_hi.agreement(r_lo) >= r_lo.prec, op
+
+
+# -- fast-path constructor against the normalising one -------------------------
+
+def _reference_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class _RefScalar:
+    """The interval scalar with every result normalised by the public
+    constructor: valuation strip, second reduction, no fast paths."""
+
+    def __init__(self, p, v, unit, prec):
+        self.p = p
+        if v == INF or unit == 0:
+            self.v, self.unit, self.prec = INF, 0, prec
+            return
+        rel = prec - v
+        if rel <= 0:
+            self.v, self.unit, self.prec = INF, 0, prec
+            return
+        if not math.isinf(rel):
+            unit %= p ** int(rel)
+        if unit == 0:
+            self.v, self.unit, self.prec = INF, 0, prec
+            return
+        shift = _reference_valuation(unit, p)
+        v += shift
+        rel -= shift
+        self.v = v
+        unit //= p ** shift
+        if not math.isinf(rel):
+            unit %= p ** int(rel)
+        self.unit = unit
+        self.prec = prec
+
+    def is_zero(self):
+        return self.v == INF
+
+    def truncate(self, prec):
+        if prec >= self.prec:
+            return self
+        if self.is_zero():
+            return _RefScalar(self.p, INF, 0, prec)
+        return _RefScalar(self.p, self.v, self.unit, prec)
+
+    def __add__(self, other):
+        n = min(self.prec, other.prec)
+        if self.is_zero():
+            return other.truncate(n)
+        if other.is_zero():
+            return self.truncate(n)
+        v0 = min(self.v, other.v)
+        raw = self.unit * self.p ** (self.v - v0) + other.unit * self.p ** (other.v - v0)
+        return _RefScalar(self.p, v0, raw, n)
+
+    def __neg__(self):
+        if self.is_zero():
+            return self
+        return _RefScalar(self.p, self.v, -self.unit, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            za, zb = (self, other) if self.is_zero() else (other, self)
+            if za.prec == INF:
+                return _RefScalar(self.p, INF, 0, INF)
+            shift = 0 if zb.is_zero() else zb.v
+            return _RefScalar(self.p, INF, 0, za.prec + shift)
+        v = self.v + other.v
+        rel = min(self.prec - self.v, other.prec - other.v)
+        return _RefScalar(self.p, v, self.unit * other.unit, v + rel)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise DivisionByZero("zero divisor")
+        if self.is_zero():
+            if self.prec == INF:
+                return _RefScalar(self.p, INF, 0, INF)
+            return _RefScalar(self.p, INF, 0, self.prec - other.v)
+        v = self.v - other.v
+        rel = min(self.prec - self.v, other.prec - other.v)
+        if rel == INF:
+            raise ValueError("cannot divide two exact values")
+        rel = int(rel)
+        inv = pow(other.unit % self.p ** rel, -1, self.p ** rel)
+        return _RefScalar(self.p, v, self.unit * inv, v + rel)
+
+    def __pow__(self, k):
+        one = lambda prec: _RefScalar(self.p, 0, 1, prec)
+        if k == 0:
+            return one(self.prec if not self.is_zero() else INF)
+        if k < 0:
+            return one(self.prec) / self ** (-k)
+        out, base = one(INF), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def scale_int(self, n):
+        if n == 0:
+            return _RefScalar(self.p, INF, 0, INF)
+        if self.is_zero():
+            return _RefScalar(self.p, INF, 0, self.prec + _reference_valuation(n, self.p))
+        return _RefScalar(self.p, self.v, self.unit * n,
+                          self.prec + _reference_valuation(n, self.p))
+
+
+def _operand(rng, p):
+    """(v, unit, prec) drawn across the constructor's cases: finite and
+    exact precision, negative valuations, units divisible by p, zeros."""
+    kind = rng.randrange(10)
+    prec = INF if kind == 0 else rng.choice((3, 8, 20, 40))
+    if kind == 1:
+        return INF, 0, rng.choice((INF, 3, 8, 20))
+    v = rng.randrange(-4, 8)
+    if prec != INF and kind == 2:  # zero to precision: v >= prec
+        return prec + rng.randrange(3), rng.randrange(1, 99), prec
+    bound = p ** 30 if prec == INF else p ** (prec + 4)
+    unit = rng.randrange(-bound, bound) * p ** rng.choice((0, 0, 0, 1, 2))
+    return v, unit or 1, prec
+
+
+def _partner(rng, p, x):
+    """A second operand chosen to hit each path of + and - against x."""
+    v, unit, prec = x
+    kind = rng.randrange(6)
+    if kind == 0 and v != INF:  # equal valuation, full cancellation
+        return v, -unit, prec
+    if kind == 1 and v != INF:  # equal valuation, partial cancellation
+        return v, -unit + p ** rng.randrange(1, 12) * rng.randrange(1, 99), \
+            rng.choice((prec, INF, 5, 30))
+    if kind == 2 and prec != INF:  # v at or past the other's precision
+        return prec + rng.randrange(-1, 3), rng.randrange(1, p ** 20), \
+            rng.choice((INF, prec + 10))
+    return _operand(rng, p)
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError, DivisionByZero) as e:
+        return type(e).__name__
+    return r.v, r.unit, r.prec
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fast_paths_match_the_normalising_constructor(p):
+    rng = random.Random(p)
+    ops = [
+        ("init", lambda x, y: x),
+        ("add", lambda x, y: x + y),
+        ("sub", lambda x, y: x - y),
+        ("mul", lambda x, y: x * y),
+        ("div", lambda x, y: x / y),
+        ("neg", lambda x, y: -x),
+    ]
+    for _ in range(3000):
+        xs = _operand(rng, p)
+        ys = _partner(rng, p, xs)
+        n = rng.choice((1, -1)) * p ** rng.randrange(4) * rng.choice((1, 2, 3, 1 + p))
+        k = rng.randrange(-3, 7)
+        t = rng.choice((INF, 1, 4, 15, 35, 50)) + rng.choice((0, xs[0] if xs[0] != INF else 0))
+        cases = ops + [
+            ("scale_int", lambda x, y: x.scale_int(n)),
+            ("scale_int(0)", lambda x, y: x.scale_int(0)),
+            ("truncate", lambda x, y: x.truncate(t)),
+            ("pow", lambda x, y: x ** k),
+        ]
+        for name, op in cases:
+            got = _outcome(op, PadicScalar(p, *xs), PadicScalar(p, *ys))
+            want = _outcome(op, _RefScalar(p, *xs), _RefScalar(p, *ys))
+            assert got == want, (name, xs, ys, n, k, t)
 
 
 @pytest.mark.parametrize("base", [
@@ -233,7 +436,5 @@ def test_repr_shows_leading_digits_of_exact_values():
 
 
 def test_division_by_zero_rejected():
-    from plectic.errors import DivisionByZero
-
     with pytest.raises(DivisionByZero):
         mk(1) / PadicScalar.zero(P, N)

@@ -1,11 +1,13 @@
 """Tate curves: series coefficients against rational oracles, group law,
 uniformization, and period recovery."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from plectic import tate
 from plectic.errors import NotMultiplicativeReduction
 from plectic.padic import INF, PadicScalar, QuadExtScalar, smallest_nonsquare
 from plectic.tate import (
@@ -102,6 +104,38 @@ def test_period_round_trip():
     assert tate_period_from_j(j_invariant(Q)).agreement(Q) >= N
     q2 = PadicScalar(P, 2, 7, N)
     assert tate_period_from_j(j_invariant(q2)).agreement(q2) >= N
+
+
+def _fixed_point_period(j):
+    """The period by the fixed point q = 1/(j - (j(q) - 1/q)): one digit of
+    q per step when v(q) = 1."""
+    one = PadicScalar.one(j.p, INF)
+    q = one / j
+    for _ in range(int(j.prec - j.v) + 2):
+        head = j_invariant(q) - one / q  # the integral part 744 + 196884q + ...
+        q_next = one / (j - head)
+        if q_next.agreement(q) >= q.prec:
+            return q_next
+        q = q_next
+    return q
+
+
+@pytest.mark.parametrize("prec", [40, 160, 320])
+def test_period_from_j_matches_the_fixed_point(monkeypatch, prec):
+    rng = random.Random(prec)
+    for vq in (1, 2, 3):
+        q = PadicScalar(P, vq, rng.randrange(1, P ** prec) * P + 1, prec)
+        j = j_invariant(q)
+        calls = []
+        monkeypatch.setattr(tate, "tate_coefficients",
+                            lambda *a: calls.append(1) or tate_coefficients(*a))
+        got = tate_period_from_j(j)
+        monkeypatch.undo()
+        want = _fixed_point_period(j)
+        assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
+        assert got.agreement(q) >= prec
+        # Newton doubles the certified digits per step
+        assert len(calls) <= 2 * math.log2(prec) + 4
 
 
 def test_good_reduction_rejected():
