@@ -13,7 +13,6 @@ from plectic.padic import (
     plog,
     quad_teichmuller,
     smallest_nonsquare,
-    teichmuller,
 )
 
 P, N = 5, 20
@@ -25,12 +24,6 @@ print("y = 3/4  =", y)
 print("x*y      =", x * y)
 print("x/y      =", (x / y))
 print("agreement of x*y/y with x:", (x * y / y).agreement(x), "digits")
-
-# Teichmuller lifts are the (p-1)-st roots of unity congruent to a digit
-t = teichmuller(PadicScalar.from_int(2, P, N))
-print("\nteichmuller(2) =", t)
-print("its 4th power agrees with 1 to", (t ** 4).agreement(PadicScalar.one(P, N)),
-      "digits")
 
 # log and exp (defined on the quadratic extension) invert each other
 c = smallest_nonsquare(P)
@@ -49,7 +42,6 @@ print("sqrt(2) exists?", padic_sqrt(PadicScalar.from_int(2, P, N)) is not None)
 w = QuadExtScalar.from_parts(1, 1, P, N, c)
 print("\nw = 1 + sqrt(%d):" % c, w)
 print("norm(w)  =", w.norm())
-print("trace(w) =", w.trace())
 print("frobenius fixes the norm:",
       w.frobenius().norm().agreement(w.norm()), "digits")
 zeta = quad_teichmuller(w)

@@ -11,7 +11,6 @@ from plectic.grpalg import (
     GroupShape,
     check_lemma_free_graded_injectivity,
 )
-from plectic.padic import PadicScalar
 
 P, N = 5, 20
 shape = GroupShape((2,), 2, 6, P, N)  # Q = Z/2, free rank 2, degree cap 6

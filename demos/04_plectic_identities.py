@@ -1,7 +1,7 @@
 """End-to-end run of the plectic identity suites on a committed scenario.
 
 Loads the golden t=1 scenario, walks through the individual building blocks
-(projectors, determinant map, invariant lift), then runs the full
+(projectors, determinant map, the plectic point), then runs the full
 verification report exactly as the `plectic verify` command would.
 """
 
@@ -10,6 +10,7 @@ from pathlib import Path
 from plectic import plectic_ops as po
 from plectic.runner import run
 from plectic.scenario import load_scenario
+from plectic.symalg import FreeModule
 
 scenario_path = Path(__file__).resolve().parent.parent / "scenarios" / "t1-split.kv"
 sc = load_scenario(scenario_path)
@@ -37,12 +38,12 @@ entries = [[(v[0].scale_int(sc.config.char_value(i, sc.config.tau[j])),
 w = po.det_map(entries)
 print("determinant tensor:", w)
 
-# the invariant committed in the scenario file round-trips through the lift
+# the committed invariant's image phi^-(Q_S): the plectic point that the
+# algebraicity check compares the minus projection of the determinant with
 image = po.phi_minus(sc.invariant, sc.points, sc.config.shape)
-back = po.lift_invariant(image, sc.points, sc.config.shape)
-print("lift of the invariant agrees to",
-      back.scalar_coeff(sc.config.shape).agreement(
-          sc.invariant.scalar_coeff(sc.config.shape)), "digits")
+norm = po.norm_map(image, FreeModule(["x", "y"]))
+print("phi^-(Q_S):", image, " its norm is c*y^%d with c =" % sc.r,
+      norm.coeffs[(0, sc.r)])
 
 # the full report, as `plectic verify scenarios/t1-split.kv` would print it
 print("\nfull verification report:")

@@ -1,7 +1,7 @@
 """Verification toolkit for the p-adic algebra of plectic points."""
 
 from .errors import PlecticError
-from .padic import INF, PadicScalar, QuadExtScalar, pexp, plog, teichmuller
+from .padic import INF, PadicScalar, QuadExtScalar, pexp, plog
 from .units import CompletedPoint, CompletedUnit, MinusUnit, PointCompletion, \
     UnitCompletion
 from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
@@ -9,7 +9,7 @@ from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
 from .grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from .symalg import FreeModule, SymTensor, collapse, mu, sqrt_ratio
 from .plectic_ops import PlecticConfig, PlecticInvariant, PlecticTensor, \
-    char_table_det, det_map, drec, gz_leading_term, lift_invariant, norm_map, \
+    char_table_det, det_map, drec, gz_leading_term, norm_map, phi_minus, \
     projector
 from .scenario import Scenario, load_scenario, parse_scenario
 from .runner import Report, run

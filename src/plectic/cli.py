@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from .errors import PlecticError
-from .runner import DEFAULT_FLOOR, SUITE_ORDER, run
-from .scenario import SUITES, load_scenario
+from .runner import DEFAULT_FLOOR, run
+from .scenario import SUITES
 
 
 def build_parser():

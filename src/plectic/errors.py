@@ -49,10 +49,6 @@ class ZeroDenominator(PlecticError):
     pass
 
 
-class NotInImage(PlecticError):
-    pass
-
-
 class InconsistentSigns(PlecticError):
     """A scenario contradicts the sign constraints; not a code error."""
 

@@ -1,8 +1,8 @@
 """The two arithmetic kernels the coefficient and coordinate types share.
 
 `CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
-group-algebra elements, their graded pieces and symmetric tensors are maps
-that differ only in their key shape and product.  `CoordVector` is a fixed
+group-algebra elements, their graded pieces, symmetric tensors and plectic
+invariants are maps that differ only in their key shape and product.  `CoordVector` is a fixed
 tuple of scalars with componentwise operations: the completed units, points
 and the minus line.
 """
@@ -118,18 +118,6 @@ class CoordVector:
 
     def __add__(self, other):
         return type(self)(*self._zip(other, operator.add))
-
-    def __neg__(self):
-        return type(self)(*map(operator.neg, self._coords))
-
-    def __sub__(self, other):
-        return type(self)(*self._zip(other, operator.sub))
-
-    def scale(self, scalar):
-        return type(self)(*[c * scalar for c in self._coords])
-
-    def scale_int(self, n):
-        return type(self)(*[c.scale_int(n) for c in self._coords])
 
     def agreement(self, other):
         return min(self._zip(other, _agreement))

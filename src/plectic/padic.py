@@ -125,14 +125,6 @@ class PadicScalar:
             return PadicScalar(self.p, INF, 0, prec)
         return _unit(self.p, self.v, self.unit, prec)
 
-    def residue(self):
-        """Image in F_p; requires a p-adic integer."""
-        if self.is_zero():
-            return 0
-        if self.v < 0:
-            raise ValueError("negative valuation has no residue")
-        return self.unit % self.p if self.v == 0 else 0
-
     # -- ring operations --------------------------------------------------
     # A result whose unit is known to be prime to p (a product or quotient
     # of units, a negation, a sum of different valuations) is built by
@@ -262,23 +254,6 @@ def _inverse(unit, p, k):
         e = 2 * e if 2 * e < k else k
         y = y * (2 - unit * y) % _POW[p, e]
     return y
-
-
-def teichmuller(u):
-    """The (p-1)-st root of unity congruent to a unit u mod p."""
-    if u.is_zero() or u.v != 0:
-        raise NotAUnit("teichmuller lift needs a p-adic unit")
-    if u.prec == INF:
-        raise ValueError("teichmuller needs a finite precision input")
-    p, prec = u.p, int(u.prec)
-    mod = p ** prec
-    t = u.unit % mod
-    for _ in range(prec + 1):
-        t_next = pow(t, p, mod)
-        if t_next == t:
-            break
-        t = t_next
-    return PadicScalar(p, 0, t, prec)
 
 
 def padic_sqrt(x):
@@ -422,9 +397,6 @@ class QuadExtScalar:
     def norm(self):
         """z * sigma(z), an element of the base field."""
         return self.a * self.a - (self.b * self.b).scale_int(self.c)
-
-    def trace(self):
-        return self.a + self.a
 
     def inverse(self):
         if self.is_zero():

@@ -22,6 +22,8 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     Q_S            p-adic literal: the committed invariant coordinate
     suites         subset of the suite names (default: all)
 
+Any other key is an unusable input.
+
 p-adic literals are base-p digit lists, low digit first, joined by '.',
 followed by 'e' and the valuation: `2.1.2.1e0` means 2 + p + 2p^2 + p^3.
 Quadratic literals are `A`, `A + B w`, or `A - B w` with A, B p-adic
@@ -36,8 +38,13 @@ from .padic import PadicScalar, QuadExtScalar
 from .plectic_ops import PlecticConfig, PlecticInvariant
 from .units import PointCompletion, UnitCompletion
 
+# in run order: the arithmetic layers before the identity layers
 SUITES = ("units", "tate", "grpalg", "symalg", "gz", "sign",
           "factorization", "algebraicity")
+# the keys of the grammar above, besides u_eta.K and k_eta.K
+KEYS = ("name", "p", "t", "reduction_sign", "eps", "precision", "trunc_degree",
+        "free_rank", "seed", "tate_period", "char_table", "tau", "C_chi", "Q_S",
+        "suites")
 # suites that read the committed family u_eta, C_chi, Q_S
 FAMILY_SUITES = ("factorization", "algebraicity")
 # at t = 3 (r = 8) these suites need dense products of millions of terms and
@@ -116,6 +123,11 @@ class Scenario:
         if self.t < 0 or self.t > 3:
             raise ValidationError("t must be between 0 and 3")
         self.r = 2 ** self.t
+        family_keys = {"%s.%d" % (k, i) for k in ("u_eta", "k_eta")
+                       for i in range(1, self.r + 1)}
+        unknown = sorted(set(raw).difference(KEYS, family_keys))
+        if unknown:
+            raise ValidationError("unknown key %r" % unknown[0])
         self.reduction_sign = _number(int, raw, "reduction_sign", "1")
         self.eps = _number(int, raw, "eps", "1")
         self.precision = _number(int, raw, "precision", "40")

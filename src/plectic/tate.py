@@ -193,17 +193,6 @@ class TateCurve:
         y3 = -(lam + one) * x3 - nu
         return CurvePoint(x3, y3)
 
-    def multiply(self, n, P):
-        if n < 0:
-            return self.multiply(-n, self.negate(P))
-        out = CurvePoint.infinity()
-        while n:
-            if n & 1:
-                out = self.add(out, P)
-            P = self.add(P, P)
-            n >>= 1
-        return out
-
     def sigma(self, pt):
         """Frobenius applied coordinate-wise (the action on E_q points)."""
         if pt.is_infinity():

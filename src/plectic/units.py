@@ -9,7 +9,7 @@ eigenspace projections are exact.
 
 from fractions import Fraction
 
-from .errors import NotInImage, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .kernel import CoordVector, coordinate
 from .padic import (
     INF,
@@ -82,11 +82,6 @@ class UnitCompletion:
         """((1 - sigma)/2)(c) in the generator basis of the minus line."""
         return MinusUnit(c.log_b / (self._b0 + self._b0))
 
-    def minus_embed(self, m):
-        """The completed unit with the given minus coordinate."""
-        return CompletedUnit(self.zero_scalar(), self.zero_scalar(),
-                             m.coord * (self._b0 + self._b0))
-
     def norm_one_unit(self):
         """u0 = (1 + p*w) / sigma(1 + p*w), the pinned minus generator."""
         g = self.ext(1, self.p)
@@ -140,19 +135,3 @@ class PointCompletion:
         c = self.units.complete(u)
         t = c.val * self._vq_inv
         return CompletedPoint(c.log_a - t * self._alpha_q, c.log_b)
-
-    def sigma(self, pt):
-        """Partial Frobenius on point coordinates: diag(a, -a)."""
-        a = self.reduction_sign
-        return CompletedPoint(pt.x.scale_int(a), pt.y.scale_int(-a))
-
-    def from_minus(self, m):
-        """Image of a minus-eigenspace unit under the parametrization."""
-        return CompletedPoint(self.units.zero_scalar(),
-                              m.coord * self.units.minus_scale)
-
-    def to_minus(self, pt):
-        """Invert from_minus; the x-coordinate must vanish to precision."""
-        if not pt.x.is_zero():
-            raise NotInImage("point has a nonzero plus coordinate")
-        return MinusUnit(pt.y / self.units.minus_scale)

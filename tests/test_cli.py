@@ -1,6 +1,7 @@
 """Runner reports and the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,24 @@ def test_floor_moves_the_verdict():
     assert not report.ok
 
 
+def test_cli_human_report_lists_the_kv_checks_in_order(capsys):
+    args = ["verify", T1, "--suite", "gz", "--suite", "sign"]
+    assert main(args + ["--format", "kv"]) == 0
+    kv = capsys.readouterr().out.splitlines()[:-1]
+    assert main(args) == 0  # --format human is the default
+    human = capsys.readouterr().out.splitlines()
+    assert human[0] == "scenario t1-split (floor 30 digits)"
+    assert len(human) == len(kv) + 2
+    for line, check in zip(human[1:-1], kv):
+        head, margin = check.split(" margin=")
+        name, verdict = head.split("=")
+        assert line.split()[:3] == [name, verdict.upper(), "margin=" + margin]
+    assert human[-2].endswith("  (consistent)")
+    assert human[-2].split()[0] == "sign.consistency"
+    assert re.fullmatch(r"%d/%d checks passed in \d+\.\d\ds" % (len(kv), len(kv)),
+                        human[-1])
+
+
 def test_cli_passes_on_golden(capsys):
     rc = main(["verify", T1, "--suite", "gz", "--suite", "sign",
                "--format", "kv"])
@@ -101,6 +120,8 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     ("tate_period", "1e5"),  # valuation 5 is divisible by p = 5
     ("tau", "x; 1"),
     ("trunc_degree", "0"),
+    ("precison", "12"),  # a misspelt key is not silently ignored
+    ("k_eta.3", "1"),  # r = 2: no third unit to normalize
 ])
 def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     text = (GOLDEN / "t1-split.kv").read_text()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from plectic.errors import DegreeTooLow, RankDeficient, ShapeMismatch
+from plectic.errors import DegreeTooLow, ShapeMismatch
 from plectic.grpalg import (
     GroupAlgebraElem,
     GroupShape,

@@ -1,4 +1,4 @@
-"""Plectic operators: projectors, determinant, lifts, and the verdicts."""
+"""Plectic operators: projectors, determinant, the minus image, and the verdicts."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plectic import plectic_ops as po
-from plectic.errors import (
-    CharacterTableDegenerate,
-    IdentityFails,
-    InconsistentSigns,
-    NotInImage,
-    ValidationError,
-)
+from plectic.errors import IdentityFails, InconsistentSigns, ValidationError
 from plectic.padic import PadicScalar
 from plectic.symalg import FreeModule, linear_form
 from plectic.units import PointCompletion, UnitCompletion
@@ -23,6 +17,7 @@ U = UnitCompletion(P, N)
 Q = PadicScalar(P, 1, 1, N)
 PTS = PointCompletion(U, Q)
 CFG = po.PlecticConfig(1, P, 1, Q, 1)
+MODULE = FreeModule(["c0", "c1"])
 
 
 def mk(n):
@@ -99,7 +94,8 @@ def test_unit_sigma_projector_kills_fixed_tensor():
     vecs = tuple((mk(rng.randrange(P ** 6)), mk(rng.randrange(P ** 6)), mk(0))
                  for _ in range(2))
     x = po.PlecticTensor.pure(mk(1), vecs)
-    assert po.projector(x, "-", 1, po.sigma_unit).is_zero()
+    # Frobenius on completed-unit coordinates is diag(1, 1, -1)
+    assert po.projector(x, "-", 1, lambda v: (v[0], v[1], -v[2])).is_zero()
 
 
 # -- determinant map ----------------------------------------------------------------
@@ -110,7 +106,7 @@ def test_det_map_alternating():
     v3, v4 = (mk(7), mk(11)), (mk(13), mk(4))
     d = po.det_map([[v1, v2], [v3, v4]])
     swapped = po.det_map([[v3, v4], [v1, v2]])
-    assert d.agreement(-swapped) >= N
+    assert d.agreement(swapped.scale(mk(-1))) >= N
 
 
 def test_det_map_rank_one_case():
@@ -123,8 +119,7 @@ def test_det_map_matches_cofactor_expansion():
     v1, v2 = (mk(1), mk(2)), (mk(3), mk(5))
     v3, v4 = (mk(7), mk(11)), (mk(13), mk(4))
     d = po.det_map([[v1, v2], [v3, v4]])
-    cofactor = (po.PlecticTensor.pure(mk(1), (v1, v4))
-                + po.PlecticTensor.pure(mk(-1), (v3, v2)))
+    cofactor = po.PlecticTensor(2, 2, [(mk(1), (v1, v4)), (mk(-1), (v3, v2))])
     assert d.agreement(cofactor) >= N
 
 
@@ -133,55 +128,36 @@ def test_det_map_matches_cofactor_expansion():
 def test_norm_map_of_diagonal_tensor():
     v = (mk(3), mk(1))
     x = po.PlecticTensor.pure(mk(1), (v, v))
-    out = po.norm_map(x)
-    module = FreeModule(["c0", "c1"])
-    want = linear_form(module, list(v)) * linear_form(module, list(v))
+    out = po.norm_map(x, MODULE)
+    want = linear_form(MODULE, list(v)) * linear_form(MODULE, list(v))
     assert out.agreement(want) >= N
 
 
 def test_norm_map_symmetrizes():
     v, w = (mk(1), mk(0)), (mk(0), mk(1))
-    x = (po.PlecticTensor.pure(mk(1), (v, w))
-         + po.PlecticTensor.pure(mk(1), (w, v)))
-    out = po.norm_map(x)
+    x = po.PlecticTensor(2, 2, [(mk(1), (v, w)), (mk(1), (w, v))])
+    out = po.norm_map(x, MODULE)
     assert out.coeffs[(1, 1)].agreement(mk(2)) >= N
 
 
 def test_norm_map_injective_on_minus_line():
     m = po.phi_minus(po.PlecticInvariant.scalar(2, mk(5), (0,)), PTS, CFG.shape)
-    assert not po.norm_map(m).is_zero()
+    assert not po.norm_map(m, MODULE).is_zero()
 
 
-# -- invariant lift -----------------------------------------------------------------
-
-def test_lift_round_trip():
+def test_phi_minus_is_the_projected_base_point():
+    # the plectic point built by hand: c * (pr^- of the point of 1 + p w)^r
     rng = random.Random(41)
-    for _ in range(5):
+    base = PTS.complete(U.ext(1, P))
+    for t, a in ((1, 1), (1, -1), (2, 1), (2, -1)):
+        cfg = po.PlecticConfig(t, P, a, Q, 1)
         c = mk(rng.randrange(1, P ** 10))
-        inv = po.PlecticInvariant.scalar(2, c, (0,))
-        x = po.phi_minus(inv, PTS, CFG.shape)
-        back = po.lift_invariant(x, PTS, CFG.shape)
-        assert back.scalar_coeff(CFG.shape).agreement(c) >= N - 4
-
-
-def test_lift_of_zero():
-    z = po.PlecticTensor.zero(2, 2)
-    assert po.lift_invariant(z, PTS, CFG.shape).is_zero()
-
-
-def test_lift_recovers_per_factor_scalars():
-    a, b = mk(6), mk(35)
-    scale = U.minus_scale
-    zero = U.zero_scalar()
-    x = po.PlecticTensor.pure(mk(1), ((zero, a * scale), (zero, b * scale)))
-    got = po.lift_invariant(x, PTS, CFG.shape).scalar_coeff(CFG.shape)
-    assert got.agreement(a * b) >= N - 4
-
-
-def test_lift_rejects_plus_components():
-    x = po.PlecticTensor.pure(mk(1), ((mk(1), mk(2)), (mk(0), mk(3))))
-    with pytest.raises(NotInImage):
-        po.lift_invariant(x, PTS, CFG.shape)
+        inv = po.PlecticInvariant.scalar(cfg.r, c, cfg.shape.q_identity())
+        by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * cfg.r)
+        by_hand = po.projector(by_hand, "-", a, po.make_sigma_point(a))
+        image = po.phi_minus(inv, PTS, cfg.shape)
+        assert po.norm_map(image, MODULE).agreement(
+            po.norm_map(by_hand, MODULE)) >= N
 
 
 # -- reciprocity and leading terms ----------------------------------------------------

@@ -184,7 +184,7 @@ def test_points_stay_on_curve():
     u, v = rand_unit(rng), rand_unit(rng)
     pu, pv = CURVE.phi(u), CURVE.phi(v)
     for pt in (pu, pv, CURVE.add(pu, pv), CURVE.negate(pu),
-               CURVE.multiply(3, pv)):
+               CURVE.add(pv, CURVE.add(pv, pv))):
         assert CURVE.on_curve_margin(pt) >= N - 8
 
 
