@@ -245,6 +245,42 @@ def _unit(p, v, unit, prec):
     return x
 
 
+def _dot(p, terms):
+    """Sum k*x*y over the terms (x, y, k), for scalars x, y over p and an
+    integer k: the interval the left fold of `*`, `scale_int(k)` and `+`
+    gives, with one reduction.  A term has the precision `x * y` has,
+    raised by v_p(k) (k = 0 is an exact zero), and the sum has the least
+    of them; since every `+` returns the canonical form of the exact sum
+    at the smaller precision, the fold is the exact integer sum reduced
+    once and normalised."""
+    n = v0 = INF
+    total = 0  # the exact sum over p^v0
+    for x, y, k in terms:
+        if not k:
+            continue
+        xv, yv = x.v, y.v
+        if xv == INF or yv == INF:
+            z, o = (x, y) if xv == INF else (y, x)
+            if z.prec == INF:
+                continue  # an exact zero adds nothing and costs no digits
+            t = z.prec if o.v == INF else z.prec + o.v
+        else:
+            v = xv + yv
+            rx, ry = x.prec - xv, y.prec - yv
+            t = v + (rx if rx < ry else ry)
+            w = x.unit * y.unit * k
+            if v < v0:
+                total = w + total * _POW[p, v0 - v] if total else w
+                v0 = v
+            else:
+                total += w if v == v0 else w * _POW[p, v - v0]
+        if k % p == 0:
+            t += _int_valuation(k, p)
+        if t < n:
+            n = t
+    return PadicScalar(p, v0, total, n)
+
+
 def _inverse(unit, p, k):
     """unit^-1 mod p^k for a unit prime to p and k >= 1, by the Newton step
     y <- y(2 - unit*y), which doubles the correct digits; several times
@@ -254,6 +290,28 @@ def _inverse(unit, p, k):
         e = 2 * e if 2 * e < k else k
         y = y * (2 - unit * y) % _POW[p, e]
     return y
+
+
+class _Reciprocals(dict):
+    """1/k for an integer k > 0 to relative precision rel, by (p, k, rel)."""
+
+    def __missing__(self, key):
+        p, k, rel = key
+        vk = _int_valuation(k, p)
+        self[key] = r = _unit(p, -vk, _inverse(k // _POW[p, vk], p, rel), rel - vk)
+        return r
+
+
+_RECIP = _Reciprocals()
+
+
+def _rel(z):
+    """The largest relative precision of z's nonzero components: z's
+    components times 1/k at it are z / k."""
+    rel = max((s.prec - s.v for s in (z.a, z.b) if s.v != INF), default=1)
+    if rel == INF:
+        raise ValueError("cannot divide two exact values; truncate first")
+    return rel
 
 
 def padic_sqrt(x):
@@ -353,57 +411,44 @@ class QuadExtScalar:
         return min(self.a.prec, self.b.prec)
 
     def truncate(self, prec):
-        return QuadExtScalar(self.a.truncate(prec), self.b.truncate(prec), self.c)
+        return _quad(self.a.truncate(prec), self.b.truncate(prec), self.c)
 
     # the components' own operations reject mixed primes
     def __add__(self, other):
         if self.c != other.c:
             raise ValueError("mixed extensions")
-        return QuadExtScalar(self.a + other.a, self.b + other.b, self.c)
+        return _quad(self.a + other.a, self.b + other.b, self.c)
 
     def __neg__(self):
-        return QuadExtScalar(-self.a, -self.b, self.c)
+        return _quad(-self.a, -self.b, self.c)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.c != other.c:
+            raise ValueError("mixed extensions")
+        return _quad(self.a - other.a, self.b - other.b, self.c)
 
     def __mul__(self, other):
         if self.c != other.c:
             raise ValueError("mixed extensions")
-        a = self.a * other.a + (self.b * other.b).scale_int(self.c)
-        b = self.a * other.b + self.b * other.a
-        return QuadExtScalar(a, b, self.c)
-
-    def scale_int(self, n):
-        return QuadExtScalar(self.a.scale_int(n), self.b.scale_int(n), self.c)
-
-    def _div_int(self, k):
-        """self / k for an exact integer k != 0, with one inverse of the
-        unit part of k serving both components."""
-        p = self.a.p
-        vk = _int_valuation(k, p)
-        k //= _POW[p, vk]
-        rel = max((x.prec - x.v for x in (self.a, self.b) if x.v != INF), default=0)
-        if rel == INF:
-            raise ValueError("cannot divide two exact values; truncate first")
-        inv = _inverse(k, p, rel)
-        a, b = (_unit(p, x.v - vk, x.unit * inv, x.prec - vk) if x.v != INF
-                else PadicScalar.zero(p, x.prec - vk) for x in (self.a, self.b))
-        return QuadExtScalar(a, b, self.c)
+        p, a1, b1, a2, b2 = self.a.p, self.a, self.b, other.a, other.b
+        if a2.p != p:
+            raise ValueError("mixed primes")
+        return _quad(_dot(p, ((a1, a2, 1), (b1, b2, self.c))),
+                     _dot(p, ((a1, b2, 1), (b1, a2, 1))), self.c)
 
     def frobenius(self):
-        return QuadExtScalar(self.a, -self.b, self.c)
+        return _quad(self.a, -self.b, self.c)
 
     def norm(self):
         """z * sigma(z), an element of the base field."""
-        return self.a * self.a - (self.b * self.b).scale_int(self.c)
+        a, b = self.a, self.b
+        return _dot(a.p, ((a, a, 1), (b, b, -self.c)))
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n = self.norm()
-        conj = self.frobenius()
-        return QuadExtScalar(conj.a / n, conj.b / n, self.c)
+        return _quad(self.a / n, -self.b / n, self.c)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -435,6 +480,13 @@ class QuadExtScalar:
         return "(%r) + (%r)*w" % (self.a, self.b)
 
 
+def _quad(a, b, c):
+    """a + b*w from components that already share p."""
+    z = _new(QuadExtScalar)
+    z.a, z.b, z.c = a, b, c
+    return z
+
+
 def quad_teichmuller(u):
     """The (p^2 - 1)-st root of unity congruent to a unit u mod p."""
     if u.is_zero() or u.valuation != 0:
@@ -452,27 +504,33 @@ def quad_teichmuller(u):
 
 
 def plog(u):
-    """p-adic logarithm of a principal unit, via the alternating series."""
+    """p-adic logarithm of a principal unit, via the alternating series;
+    each component is one sum of the powers of u - 1 times 1/k."""
     one = QuadExtScalar.from_parts(1, 0, u.p, INF, u.c)
     x = u - one
     if x.is_zero():
-        return QuadExtScalar(PadicScalar.zero(u.p, x.prec), PadicScalar.zero(u.p, x.prec), u.c)
+        return _quad(PadicScalar.zero(u.p, x.prec), PadicScalar.zero(u.p, x.prec), u.c)
     if x.valuation < 1:
         raise NotPrincipalUnit("plog needs u = 1 mod p")
     p, target = u.p, u.prec
     if target == INF:
         raise ValueError("plog needs a finite precision input")
-    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target), u.c)
+    rel = _rel(x)  # no power of x has more relative precision
+    # the sums start at zero to the precision of u
+    start = (PadicScalar.zero(p, target), one.a, 1)
+    a_terms, b_terms = [start], [start]
     power = x
     k = 1
     while True:
-        total = total + power._div_int(k if k & 1 else -k)
+        r, sign = _RECIP[p, k, rel], 1 if k & 1 else -1
+        a_terms.append((power.a, r, sign))
+        b_terms.append((power.b, r, sign))
         k += 1
         power = power * x
         # remaining tail has valuation >= k*v(x) - log_p(k), beyond precision
         if power.is_zero() or k * x.valuation - math.log(k, p) > target:
             break
-    return total
+    return _quad(_dot(p, a_terms), _dot(p, b_terms), u.c)
 
 
 def pexp(x):
@@ -491,7 +549,9 @@ def pexp(x):
     while True:
         total = total + term
         k += 1
-        term = (term * x)._div_int(k)
+        term = term * x
+        r = _RECIP[p, k, _rel(term)]
+        term = _quad(term.a * r, term.b * r, x.c)
         # v(x^k/k!) >= k(v(x) - 1/(p-1)) grows linearly for p >= 5
         if term.is_zero() or k * (x.valuation - 1.0 / (p - 1)) > target:
             break

@@ -105,8 +105,8 @@ class PlecticConfig:
         s = free_rank if free_rank is not None else self.r
         if s < self.r:
             raise ValidationError("free rank must be at least r")
-        if degree < 1:
-            raise ValidationError("truncation degree must be at least 1")
+        if degree < self.r:  # the degree-r pieces the suites compare
+            raise ValidationError("truncation degree must be at least r")
         self.shape = GroupShape((2,) * max(t, 1), s, degree, p, prec)
 
     def _validate_table(self):

@@ -9,7 +9,7 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     eps            +1 or -1 (global sign; default 1)
     precision      base-p digits of working precision (default 40, at most
                    MAX_PRECISION)
-    trunc_degree   group-algebra truncation (default 2r + 2)
+    trunc_degree   group-algebra truncation, at least r (default 2r + 2)
     free_rank      free rank of the group shape (default r)
     seed           RNG seed for property checks (default 0)
     tate_period    p-adic literal (required)
@@ -74,7 +74,7 @@ def parse_quad(text, p, prec, c):
         if len(parts) == 2:  # "B w"
             a = PadicScalar.zero(p, prec)
             b = parse_padic(parts[0], p, prec)
-        elif len(parts) == 4 and parts[1] in "+-":
+        elif len(parts) == 4 and parts[1] in ("+", "-"):
             a = parse_padic(parts[0], p, prec)
             b = parse_padic(parts[2], p, prec)
             if parts[1] == "-":
@@ -172,7 +172,7 @@ class Scenario:
             char_table=table, tau=tau, prec=self.precision,
             trunc_degree=self.trunc_degree, free_rank=self.free_rank)
         self.units = UnitCompletion(self.p, self.precision)
-        self.points = PointCompletion(self.units, self.q, self.reduction_sign)
+        self.points = PointCompletion(self.units, self.q)
 
         self.family = None
         u_keys = sorted(k for k in raw if k.startswith("u_eta."))

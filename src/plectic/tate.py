@@ -6,7 +6,7 @@ X, Y series evaluated on the fundamental annulus v(q) > v(u) >= 0.
 """
 
 from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import INF, PadicScalar, QuadExtScalar
+from .padic import INF, PadicScalar, QuadExtScalar, _dot, _quad
 
 
 def _lambert(q, terms, count):
@@ -23,10 +23,10 @@ def _lambert(q, terms, count):
 def _power_sums(q, terms, ks):
     """[s_k(q) for k in ks], s_k = sum_{n v(q) <= prec(q)} n^k L_n."""
     count = int(q.prec // q.v)
-    sums = [PadicScalar.zero(q.p, q.prec) for _ in ks]
-    for n, l in enumerate(_lambert(q, terms, count)[:count], 1):
-        sums = [s + l.scale_int(n ** k) for s, k in zip(sums, ks)]
-    return sums
+    lam = _lambert(q, terms, count)[:count]
+    one = PadicScalar.one(q.p, INF)
+    # L_1 has the precision of q, the least of the sums' terms
+    return [_dot(q.p, [(l, one, n ** k) for n, l in enumerate(lam, 1)]) for k in ks]
 
 
 def tate_coefficients(q, lambert=None):
@@ -98,11 +98,8 @@ class CurvePoint:
 class TateCurve:
     """E_q with its uniformization data and chord-tangent arithmetic."""
 
-    def __init__(self, q, reduction_sign=1):
-        if reduction_sign not in (1, -1):
-            raise ValueError("reduction sign must be +1 or -1")
+    def __init__(self, q):
         self.q = q
-        self.reduction_sign = reduction_sign
         self._lambert = []  # L_n = q^n / (1 - q^n), extended on demand
         self.a4, self.a6 = tate_coefficients(q, self._lambert)
         self._s1, = _power_sums(q, self._lambert, (1,))
@@ -142,23 +139,26 @@ class TateCurve:
             X = u/(1-u)^2 + sum_m m (u^m + u^-m) L_m - 2 s_1
             Y = u^2/(1-u)^3 + sum_m (C(m,2) u^m - C(m+1,2) u^-m) L_m + s_1
         The m-th term has valuation >= m (v(q) - v(u)): stop past prec(u).
+        Each coordinate component is one sum of products, reduced once.
         """
         u = self.reduce_to_annulus(u)
-        one = QuadExtScalar.from_parts(1, 0, self.p, INF, u.c)
-        if u.valuation == 0 and (u - one).is_zero():
+        one = PadicScalar.one(self.p, INF)
+        if u.valuation == 0 and (u - QuadExtScalar.from_base(one, u.c)).is_zero():
             return CurvePoint.infinity()
         x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1, u.c)
         y = _y_term(u) + QuadExtScalar.from_base(self._s1, u.c)
         count = int(u.prec // (self.q.v - u.valuation))
         u_inv = u.inverse()
         up, um = u, u_inv
+        sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
         for m, l in enumerate(_lambert(self.q, self._lambert, count)[:count], 1):
-            sx = (up + um).scale_int(m)
-            sy = up.scale_int(m * (m - 1) // 2) - um.scale_int(m * (m + 1) // 2)
-            x = x + QuadExtScalar(sx.a * l, sx.b * l, u.c)
-            y = y + QuadExtScalar(sy.a * l, sy.b * l, u.c)
+            c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+            for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
+                xs.append((s + t, l, m))
+                ys.append((_dot(self.p, ((s, one, c2), (t, one, c3))), l, 1))
             up, um = up * u, um * u_inv
-        return CurvePoint(x, y)
+        xa, xb, ya, yb = (_dot(self.p, terms) for terms in sums)
+        return CurvePoint(_quad(xa, xb, u.c), _quad(ya, yb, u.c))
 
     # -- group law -------------------------------------------------------------
 

@@ -117,16 +117,13 @@ class PointCompletion:
     The valuation of q must be prime to p so v/v_q lands in Z_p.
     """
 
-    def __init__(self, units, q, reduction_sign=1):
+    def __init__(self, units, q):
         if q.is_zero() or q.v < 1:
             raise ValueError("period must have valuation >= 1")
         if q.v % units.p == 0:
             raise ValueError("period valuation must be prime to p")
-        if reduction_sign not in (1, -1):
-            raise ValueError("reduction sign must be +1 or -1")
         self.units = units
         self.q = q
-        self.reduction_sign = reduction_sign
         self._vq_inv = PadicScalar.from_fraction(Fraction(1, q.v), units.p, units.prec)
         q_ext = QuadExtScalar.from_base(q, units.c)
         self._alpha_q = units.complete(q_ext).log_a

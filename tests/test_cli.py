@@ -44,6 +44,17 @@ def test_margins_clamp_to_the_working_precision(monkeypatch):
                   "summary=fail checks=3\n" % (sc.precision, sc.precision))
 
 
+def test_a_diverged_check_reports_minus_one(tmp_path, capsys):
+    # Q_S = p^-300 puts the gz leading terms 260 digits below the floor
+    text = (GOLDEN / "t2-split.kv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("Q_S ")]
+    bad = tmp_path / "pole.kv"
+    bad.write_text("\n".join(lines + ["Q_S = 1e-300"]) + "\n")
+    assert main(["verify", str(bad), "--suite", "gz", "--format", "kv"]) == 1
+    assert capsys.readouterr().out == ("gz.leading_term=fail margin=-1\n"
+                                       "summary=fail checks=1\n")
+
+
 def test_kv_report_format_and_determinism():
     sc = load_scenario(GOLDEN / "t1-split.kv")
     first = run(sc, suites=FAST, floor=30, seed=7).render_kv()
@@ -120,6 +131,8 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     ("tate_period", "1e5"),  # valuation 5 is divisible by p = 5
     ("tau", "x; 1"),
     ("trunc_degree", "0"),
+    ("trunc_degree", "1"),  # below r = 2: no degree-r pieces to compare
+    ("u_eta.1", "1e0 +- 1e1 w"),  # one sign, not a run of them
     ("precison", "12"),  # a misspelt key is not silently ignored
     ("k_eta.3", "1"),  # r = 2: no third unit to normalize
 ])
@@ -199,6 +212,17 @@ def test_cli_exit_two_on_suites_that_do_not_terminate_at_t3(tmp_path, suites, na
     assert proc.stderr.startswith("error: at t = 3")
     for name in named:
         assert name in proc.stderr
+
+
+def test_a_single_factor_scenario_finishes(tmp_path):
+    # t = 0 has free rank 1, so no exponent of sum 3 or 4 exists; the
+    # diagram-sign check used to draw for one forever
+    scenario = tmp_path / "t0.kv"
+    scenario.write_text("t = 0\ntate_period = 1e1\n")
+    proc = _verify_in_child([str(scenario), "--format", "kv"])
+    assert proc.returncode == 0, proc.stderr
+    assert "grpalg.diagram_sign=pass" in proc.stdout
+    assert proc.stdout.endswith("summary=pass checks=22\n")
 
 
 def test_cli_exit_two_on_family_suites_without_a_family(tmp_path, capsys):

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plectic.errors import DivisionByZero
+from plectic.errors import DivisionByZero, NotPrincipalUnit, PlecticError
 
 from plectic.padic import (
     INF,
     PadicScalar,
     QuadExtScalar,
+    _dot,
+    _int_valuation,
+    _inverse,
     padic_sqrt,
     pexp,
     plog,
@@ -397,6 +400,148 @@ def test_pow_equals_repeated_products(base):
                 want = want * base
         got = base ** k
         assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
+
+
+# -- the sum-of-products kernel against the fold it replaces ------------------
+
+def _fold(terms, scale_first=False):
+    """Sum k*x*y as the left fold of `*`, `scale_int` and `+`."""
+    total = None
+    for x, y, k in terms:
+        t = x.scale_int(k) * y if scale_first else (x * y).scale_int(k)
+        total = t if total is None else total + t
+    return total
+
+
+def _dot_terms(rng, p):
+    """One to five terms across the scalar cases, k = 0 included; a term
+    may repeat the previous x with a partner of the previous y, so that
+    the products cancel fully or in part."""
+    terms, last = [], None
+    for _ in range(rng.randrange(1, 6)):
+        k = rng.choice((1, -1)) * p ** rng.randrange(3) * rng.choice((0, 1, 2, 3, 1 + p))
+        if last is not None and rng.random() < 0.4:
+            xs, ys, k = last[0], _partner(rng, p, last[1]), last[2]
+        else:
+            xs = _operand(rng, p)
+            ys = _partner(rng, p, xs)
+        terms.append((xs, ys, k))
+        last = (xs, ys, k)
+    return [(PadicScalar(p, *xs), PadicScalar(p, *ys), k) for xs, ys, k in terms]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dot_matches_the_fold(p):
+    rng = random.Random(100 + p)
+    for _ in range(3000):
+        terms = _dot_terms(rng, p)
+        want = _outcome(_fold, terms)
+        assert _outcome(_fold, terms, True) == want, terms
+        assert _outcome(_dot, p, terms) == want, terms
+
+
+def _ref_qmul(x, y):
+    """The quadratic product composed of scalar `*`, `scale_int` and `+`."""
+    return QuadExtScalar(x.a * y.a + (x.b * y.b).scale_int(x.c),
+                         x.a * y.b + x.b * y.a, x.c)
+
+
+def _ref_qsub(x, y):
+    return x + QuadExtScalar(-y.a, -y.b, y.c)
+
+
+def _ref_norm(x):
+    return x.a * x.a - (x.b * x.b).scale_int(x.c)
+
+
+def _ref_div_int(z, k):
+    """z / k for an integer k != 0: each component times one inverse of
+    the unit part of k, at the largest relative precision of z."""
+    p = z.a.p
+    vk = _int_valuation(k, p)
+    k //= p ** vk
+    rel = max((x.prec - x.v for x in (z.a, z.b) if x.v != INF), default=0)
+    if rel == INF:
+        raise ValueError("cannot divide two exact values; truncate first")
+    inv = _inverse(k, p, rel)
+    a, b = (PadicScalar(p, x.v - vk, x.unit * inv, x.prec - vk) if x.v != INF
+            else PadicScalar.zero(p, x.prec - vk) for x in (z.a, z.b))
+    return QuadExtScalar(a, b, z.c)
+
+
+def _ref_plog(u):
+    """The alternating series with one quadratic sum and one division per
+    term, from the composed operations above."""
+    x = _ref_qsub(u, QuadExtScalar.from_parts(1, 0, u.p, INF, u.c))
+    if x.is_zero():
+        return QuadExtScalar(PadicScalar.zero(u.p, x.prec),
+                             PadicScalar.zero(u.p, x.prec), u.c)
+    if x.valuation < 1:
+        raise NotPrincipalUnit("plog needs u = 1 mod p")
+    p, target = u.p, u.prec
+    if target == INF:
+        raise ValueError("plog needs a finite precision input")
+    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target), u.c)
+    power, k = x, 1
+    while True:
+        total = total + _ref_div_int(power, k if k & 1 else -k)
+        k += 1
+        power = _ref_qmul(power, x)
+        if power.is_zero() or k * x.valuation - math.log(k, p) > target:
+            break
+    return total
+
+
+def _quad_outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError, PlecticError) as e:
+        return type(e).__name__
+    return [(s.v, s.unit, s.prec) for s in _components(r)]
+
+
+def _quad_operand(rng, p, c, principal=False):
+    """a + b*w with components across the scalar cases; a principal unit
+    shifts a by 1 and puts p | b, keeping the components' precision."""
+    a, b = _operand(rng, p), _operand(rng, p)
+    if principal:
+        a = (0, 1, a[2]) if a[0] == INF else (0, 1 + p ** max(1, a[0] + 2) * a[1], a[2])
+        b = b if b[0] == INF else (max(1, b[0]), b[1], b[2])
+    return QuadExtScalar(PadicScalar(p, *a), PadicScalar(p, *b), c)
+
+
+def test_mixed_extensions_are_rejected():
+    other = QuadExtScalar.from_parts(1, 1, P, N, C + 1)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="mixed extensions"):
+            op(ext(1, 1), other)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_quad_operations_match_the_composed_ones(p):
+    rng = random.Random(200 + p)
+    c = smallest_nonsquare(p)
+    for _ in range(800):
+        x, y = _quad_operand(rng, p, c), _quad_operand(rng, p, c)
+        assert _quad_outcome(lambda: x * y) == _quad_outcome(_ref_qmul, x, y)
+        assert _quad_outcome(lambda: x - y) == _quad_outcome(_ref_qsub, x, y)
+        assert _quad_outcome(x.norm) == _quad_outcome(_ref_norm, x)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("prec", [12, 40, 160])
+def test_plog_matches_the_composed_series(p, prec):
+    rng = random.Random(300 + p * prec)
+    c = smallest_nonsquare(p)
+    for i in range(60 if prec < 160 else 12):
+        if i % 2:  # the scalar cases, exact and zero components included
+            u = _quad_operand(rng, p, c, principal=True)
+        else:  # a principal unit at prec, the case the suites make
+            d = rng.randrange(1, 4)
+            u = QuadExtScalar.from_parts(1 + p ** d * rng.randrange(p ** prec),
+                                         p ** rng.randrange(1, 4) * rng.randrange(p ** prec),
+                                         p, prec, c)
+        assert _quad_outcome(plog, u) == _quad_outcome(_ref_plog, u), u
 
 
 # -- ring laws via hypothesis ------------------------------------------------------

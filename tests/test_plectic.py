@@ -287,7 +287,7 @@ def test_factorization_wrong_constant_fails():
 def test_algebraicity_pipeline():
     for t, a in ((1, 1), (1, -1), (2, 1)):
         cfg = po.PlecticConfig(t, P, a, Q, 1)
-        pts = PointCompletion(U, Q, a)
+        pts = PointCompletion(U, Q)
         fam, c_chi, inv = _golden_family(t)
         res = po.algebraicity_check(fam, cfg, inv, U, pts)
         assert abs(res["c_g"]) == cfg.r ** (cfg.r // 2)
