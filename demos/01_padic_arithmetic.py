@@ -8,7 +8,7 @@ an explicit number of digits.
 from plectic.padic import (
     PadicScalar,
     QuadExtScalar,
-    padic_sqrt,
+    is_square,
     pexp,
     plog,
     quad_teichmuller,
@@ -32,11 +32,10 @@ lg = plog(u)
 print("\nplog(1+2p)       =", lg.a)
 print("pexp(plog(u)) ~ u to", pexp(lg).agreement(u), "digits")
 
-# square roots exist iff the leading digit is a square mod p
-s = padic_sqrt(PadicScalar.from_int(6, P, N))
-print("\nsqrt(6) =", s, " square check:", (s * s).agreement(
-    PadicScalar.from_int(6, P, N)), "digits")
-print("sqrt(2) exists?", padic_sqrt(PadicScalar.from_int(2, P, N)) is not None)
+# by Hensel's lemma x is a square iff v(x) is even and its unit is a
+# square mod p, which Euler's criterion decides
+for n in (6, 2, 6 * P, 6 * P * P):
+    print("is %d a square in Q_5?" % n, is_square(PadicScalar.from_int(n, P, N)))
 
 # the unramified quadratic extension: adjoin a root of the smallest nonsquare
 w = QuadExtScalar.from_parts(1, 1, P, N, c)

@@ -1,8 +1,8 @@
 """End-to-end run of the plectic identity suites on a committed scenario.
 
 Loads the golden t=1 scenario, walks through the individual building blocks
-(projectors, determinant map, the plectic point), then runs the full
-verification report exactly as the `plectic verify` command would.
+(projectors, determinant and norm maps, the plectic point), then runs the
+full verification report exactly as the `plectic verify` command would.
 """
 
 from pathlib import Path
@@ -38,10 +38,17 @@ entries = [[(v[0].scale_int(sc.config.char_value(i, sc.config.tau[j])),
 w = po.det_map(entries)
 print("determinant tensor:", w)
 
+# 1 - a*sigma = diag(0, 2), so the minus projection of the norm keeps 2^r
+# times its y^r coefficient: the norm of the factor-wise projector
+module = FreeModule(["x", "y"])
+after = po.minus_projection(po.norm_map(w, module))
+before = po.norm_map(po.projector(w, "-", sc.reduction_sign, sigma), module)
+print("projecting after the norm agrees to", after.agreement(before), "digits")
+
 # the committed invariant's image phi^-(Q_S): the plectic point that the
 # algebraicity check compares the minus projection of the determinant with
-image = po.phi_minus(sc.invariant, sc.points, sc.config.shape)
-norm = po.norm_map(image, FreeModule(["x", "y"]))
+image = po.phi_minus(sc.invariant, sc.r, sc.points)
+norm = po.norm_map(image, module)
 print("phi^-(Q_S):", image, " its norm is c*y^%d with c =" % sc.r,
       norm.coeffs[(0, sc.r)])
 

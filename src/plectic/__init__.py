@@ -2,14 +2,14 @@
 
 from .errors import PlecticError
 from .padic import INF, PadicScalar, QuadExtScalar, pexp, plog
-from .units import CompletedPoint, CompletedUnit, MinusUnit, PointCompletion, \
+from .units import CompletedPoint, CompletedUnit, PointCompletion, \
     UnitCompletion
 from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
     tate_period_from_j
 from .grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from .symalg import FreeModule, SymTensor, collapse, mu, sqrt_ratio
-from .plectic_ops import PlecticConfig, PlecticInvariant, PlecticTensor, \
-    char_table_det, det_map, drec, gz_leading_term, norm_map, phi_minus, \
+from .plectic_ops import PlecticConfig, PlecticTensor, char_table_det, \
+    det_map, drec, gz_leading_term, minus_projection, norm_map, phi_minus, \
     projector
 from .scenario import Scenario, load_scenario, parse_scenario
 from .runner import Report, run

@@ -43,12 +43,16 @@ def main(argv=None):
 
         if args.precision is not None:
             lines = [ln for ln in text.splitlines()
-                     if not ln.split("#")[0].strip().startswith("precision")]
+                     if ln.split("#")[0].split("=")[0].strip() != "precision"]
             text = "\n".join(lines) + "\nprecision = %d\n" % args.precision
         scenario = parse_scenario(text)
         scenario.check_suites(args.suite or scenario.suites)
     except PlecticError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    if args.floor < 0:
+        # a diverged check reports margin -1, which a negative floor passes
+        print("error: floor %d is negative" % args.floor, file=sys.stderr)
         return 2
     if args.floor > scenario.precision:
         # margins are capped at the precision, so no check could pass

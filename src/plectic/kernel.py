@@ -1,10 +1,10 @@
 """The two arithmetic kernels the coefficient and coordinate types share.
 
 `CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
-group-algebra elements, their graded pieces, symmetric tensors and plectic
-invariants are maps that differ only in their key shape and product.  `CoordVector` is a fixed
-tuple of scalars with componentwise operations: the completed units, points
-and the minus line.
+group-algebra elements, their graded pieces and symmetric tensors are maps
+that differ only in their key shape and product.  (A plectic invariant is a
+plain scalar, the committed Q_S.)  `CoordVector` is a fixed tuple of
+scalars with componentwise operations: the completed units and points.
 """
 
 import operator

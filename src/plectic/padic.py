@@ -314,52 +314,11 @@ def _rel(z):
     return rel
 
 
-def padic_sqrt(x):
-    """A square root in Q_p, or None when x is not a square (p odd)."""
-    if x.is_zero():
-        return PadicScalar.zero(x.p, x.prec)
-    if x.v % 2 != 0:
-        return None
-    p, rel = x.p, int(x.prec - x.v)
-    u0 = x.unit % p
-    r0 = _sqrt_mod_p(u0, p)
-    if r0 is None:
-        return None
-    # Newton iteration r <- (r + u/r)/2 doubles the certified digits
-    mod, r, k = p, r0, 1
-    while k < rel:
-        k = min(2 * k, rel)
-        mod = p ** k
-        r = (r + x.unit % mod * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    return PadicScalar(p, x.v // 2, r, x.v // 2 + rel)
-
-
-def _sqrt_mod_p(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli--Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def is_square(x):
+    """Whether x is a square in Q_p, p odd.  By Hensel's lemma a nonzero x
+    is one iff v(x) is even and its unit is a square mod p (Euler's
+    criterion); zero is a square."""
+    return x.is_zero() or (x.v % 2 == 0 and pow(x.unit, (x.p - 1) // 2, x.p) == 1)
 
 
 def smallest_nonsquare(p):

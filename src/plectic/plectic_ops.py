@@ -1,9 +1,12 @@
 """Operators on r-fold tensor products of completed local modules.
 
-This is the toolkit's core: partial-Frobenius projectors, the determinant
-map, the norm map into symmetric powers, the image of an invariant under the
-torus parametrization, the reciprocity leading term, and the verdicts for
-the sign, factorization, and algebraicity identities.
+This is the toolkit's core: the determinant map, the norm map into
+symmetric powers and the minus projection after it, the image of an
+invariant under the torus parametrization, the reciprocity leading term,
+and the verdicts for the sign, factorization, and algebraicity identities.
+The invariant is the committed scalar Q_S.  The factor-wise
+partial-Frobenius projector is kept as the tensor-side reference the
+closed-form projection is tested against.
 """
 
 import itertools
@@ -18,7 +21,7 @@ from .errors import (
 )
 from .grpalg import GroupAlgebraElem, GroupShape
 from .kernel import CoeffMap
-from .padic import INF, PadicScalar, padic_sqrt
+from .padic import INF, PadicScalar, is_square
 from .symalg import FreeModule, SymTensor, collapse, linear_form, sqrt_ratio
 
 
@@ -75,7 +78,7 @@ def char_table_det(t):
 class PlecticConfig:
     """Validated shape data for one verification scenario."""
 
-    def __init__(self, t, p, reduction_sign, q, eps, char_table=None, tau=None,
+    def __init__(self, t, p, reduction_sign, eps, char_table=None, tau=None,
                  prec=40, trunc_degree=None, free_rank=None):
         if t < 0:
             raise ValidationError("t must be >= 0")
@@ -85,7 +88,6 @@ class PlecticConfig:
         if reduction_sign not in (1, -1):
             raise ValidationError("reduction sign must be +1 or -1")
         self.a = reduction_sign
-        self.q = q
         if eps not in (1, -1):
             raise ValidationError("global sign must be +1 or -1")
         self.eps = eps
@@ -150,14 +152,9 @@ class PlecticTensor:
             raise ShapeMismatch("mixed tensor shapes")
 
     def scale(self, scalar):
+        """Every coefficient times `scalar` (a tensor-side reference)."""
         return PlecticTensor(self.r, self.dim,
                              [(c * scalar, f) for c, f in self.terms])
-
-    def map_factors(self, fn):
-        """Apply a linear map (on coordinate vectors) to every factor."""
-        return PlecticTensor(self.r, self.dim,
-                             [(c, tuple(tuple(fn(v)) for v in f))
-                              for c, f in self.terms])
 
     def coords(self):
         """Expanded coordinates: multi-index -> scalar."""
@@ -190,23 +187,24 @@ class PlecticTensor:
 
 
 def make_sigma_point(a):
-    """diag(a, -a) on point-completion coordinates."""
+    """diag(a, -a) on point-completion coordinates (a tensor-side reference)."""
     def s(v):
         return (v[0].scale_int(a), v[1].scale_int(-a))
     return s
 
 
 def projector(x, sign, a, sigma):
-    """(1 +/- a*sigma) applied to every tensor factor."""
+    """(1 +/- a*sigma) applied to every tensor factor: the reference that
+    `minus_projection` after the norm is tested against."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     mult = a if sign == "+" else -a
 
     def fn(v):
-        sv = sigma(v)
-        return tuple(c + s.scale_int(mult) for c, s in zip(v, sv))
+        return tuple(c + s.scale_int(mult) for c, s in zip(v, sigma(v)))
 
-    return x.map_factors(fn)
+    return PlecticTensor(x.r, x.dim, [(c, tuple(fn(v) for v in f))
+                                      for c, f in x.terms])
 
 
 def det_map(entries):
@@ -250,82 +248,61 @@ def norm_map(x, module):
     return collapse(module, x.terms)
 
 
+def minus_projection(n):
+    """Sym^r(1 - a*sigma) of a norm n in Sym^r of the (x, y) module.
+
+    sigma = diag(a, -a) with a = +-1, so 1 - a*sigma = diag(0, 2) for
+    either sign: only the y^r coefficient survives, times 2^r.  The norm map
+    commutes with a map applied to every factor, so this is the norm of
+    `projector(x, "-", a, sigma)` without a second pass over the terms.
+    """
+    r = n.degree
+    c = n.coeffs.get((0, r))
+    coeffs = {} if c is None else {(0, r): c.scale_int(2 ** r)}
+    return SymTensor(n.module, r, coeffs)
+
+
 # -- invariants ---------------------------------------------------------------
+# In the pinned bases an invariant is c * (u0 x ... x u0) with its whole
+# coefficient at the identity of the finite quotient: the committed scalar
+# c = Q_S, and the number r of factors.
 
-class PlecticInvariant(CoeffMap):
-    """Element of the rank-one minus tensor space, as a group-algebra coefficient.
-
-    In the pinned bases this is sum_q coeffs[q] * [q] * (u0 x ... x u0); plain
-    invariants have their whole coefficient at the identity of the finite
-    quotient.
-    """
-
-    def __init__(self, r, coeffs):
-        super().__init__(coeffs)
-        self.r = r
-
-    @classmethod
-    def scalar(cls, r, c, q_identity=()):
-        return cls(r, {tuple(q_identity): c})
-
-    def _shape(self):
-        return self.r
-
-    def scalar_coeff(self, shape):
-        z = PadicScalar.zero(shape.p, shape.prec)
-        return self.coeffs.get(shape.q_identity(), z)
-
-    def __repr__(self):
-        return "PlecticInvariant(r=%d, %d terms)" % (self.r, len(self.coeffs))
+def phi_minus(c, r, points):
+    """Image of the invariant c under the tensor of parametrizations: the
+    pure tensor with every factor the minus point (0, 2*b0), scaled by c."""
+    factor = (points.units.zero_scalar(), points.units.minus_scale)
+    return PlecticTensor.pure(c, (factor,) * r)
 
 
-def phi_minus(inv, points, shape):
-    """Image of an invariant under the tensor of parametrizations.
-
-    Returns the pure tensor with every factor the minus point (0, 2*b0)
-    scaled by the identity-component coefficient.
-    """
-    scale = points.units.minus_scale
-    zero = points.units.zero_scalar()
-    factor = (zero, scale)
-    c = inv.scalar_coeff(shape)
-    return PlecticTensor.pure(c, tuple(factor for _ in range(inv.r)))
-
-
-def theta(inv, shape):
-    """The group-algebra element sum_q coeffs[q]*[q]*t_1...t_r."""
-    if shape.s < inv.r:
+def theta(c, r, shape):
+    """The group-algebra element c*t_1...t_r."""
+    if shape.s < r:
         raise ShapeMismatch("group shape needs free rank >= r")
-    e = tuple(1 if i < inv.r else 0 for i in range(shape.s))
-    coeffs = {}
-    for q, c in inv.coeffs.items():
-        if len(q) != len(shape.divisors):
-            raise ShapeMismatch("invariant coefficient outside the finite quotient")
-        coeffs[(q, e)] = c
-    return GroupAlgebraElem(shape, coeffs)
+    e = tuple(1 if i < r else 0 for i in range(shape.s))
+    return GroupAlgebraElem.monomial(shape, None, e, c)
 
 
-def drec(inv, shape):
+def drec(c, r, shape):
     """Reciprocity image of the invariant in I^r/I^{r+1}."""
-    return theta(inv, shape).leading_term(inv.r)
+    return theta(c, r, shape).leading_term(r)
 
 
-def gz_leading_term(inv, shape):
-    """The forced degree-r leading term 2^{-r} * drec(inv)^dual."""
-    half_r = PadicScalar.from_fraction(Fraction(1, 2 ** inv.r), shape.p, shape.prec)
-    return drec(inv, shape).dual().scale(half_r)
+def gz_leading_term(c, r, shape):
+    """The forced degree-r leading term 2^{-r} * drec(c)^dual."""
+    half_r = PadicScalar.from_fraction(Fraction(1, 2 ** r), shape.p, shape.prec)
+    return drec(c, r, shape).dual().scale(half_r)
 
 
 # -- verdicts -----------------------------------------------------------------
 
-def sign_check(config, inv, chi_values=None, declared_ratio=None):
+def sign_check(config, c, chi_values=None, declared_ratio=None):
     """Consistency of a nonzero invariant with the sign constraints.
 
     For the trivial character the relation collapses to
     (-1)^r = eps * eps_S; for a nontrivial character with a declared
     ratio Q^{chi^-1}/Q^chi, some group element must explain the ratio.
     """
-    if inv.is_zero():
+    if c.is_zero():
         return {"verdict": "vacuous", "target": None}
     target = config.eps * config.eps_s * ((-1) ** config.r)
     if chi_values is None:
@@ -353,16 +330,15 @@ def minus_coordinates(family, units):
     return out
 
 
-def factorization_check(family, c_chi, inv, units, shape, floor=30):
+def factorization_check(family, c_chi, c_s, units, floor=30):
     """Verify N(Q_S)^2 = C_chi * prod Q_eta^2 and its square root.
 
     Returns margins and the extracted square root; raises IdentityFails
     when a coefficient diverges before the floor.
     """
-    r = inv.r
+    r = len(family)
     module = FreeModule(["u0"])
     coords = minus_coordinates(family, units)
-    c_s = inv.scalar_coeff(shape)
     n_qs = SymTensor(module, r, {(r,): c_s}) if not c_s.is_zero() \
         else SymTensor.zero(module, r)
     prod = SymTensor(module, 1, {(1,): coords[0]})
@@ -380,17 +356,16 @@ def factorization_check(family, c_chi, inv, units, shape, floor=30):
     nonzero = all(not c.is_zero() for c in coords)
     if (not n_qs.is_zero()) != nonzero:
         raise IdentityFails("nonvanishing equivalence violated")
-    is_square = padic_sqrt(c_chi_p) is not None
     return {
         "square_margin": sq_margin,
         "linear_margin": lin_margin,
         "root": root,
         "root_square_margin": root_sq_margin,
-        "c_chi_is_padic_square": is_square,
+        "c_chi_is_padic_square": is_square(c_chi_p),
     }
 
 
-def algebraicity_check(family, config, inv, units, points, floor=25):
+def algebraicity_check(family, config, c_s, units, points, floor=25):
     """The full determinant pipeline against the scenario's plectic point."""
     r = config.r
     vectors = [points.complete(u) for u, _ in family]
@@ -402,14 +377,13 @@ def algebraicity_check(family, config, inv, units, points, floor=25):
             s = config.char_value(i, config.tau[j])
             row.append((v.x.scale_int(s), v.y.scale_int(s)))
         entries.append(row)
-    w_tilde = det_map(entries)
     # step (ii): the norm of the determinant is C_G times the point product
     c_g = int_det([[config.char_value(i, config.tau[j]) for j in range(r)]
                    for i in range(r)])
     if c_g == 0:
         raise CharacterTableDegenerate("twist matrix is singular")
     module = FreeModule(["x", "y"])
-    n_w = norm_map(w_tilde, module)
+    n_w = norm_map(det_map(entries), module)
     prod = linear_form(module, [vectors[0].x, vectors[0].y])
     for v in vectors[1:]:
         prod = prod * linear_form(module, [v.x, v.y])
@@ -418,7 +392,8 @@ def algebraicity_check(family, config, inv, units, points, floor=25):
     if step2_margin < floor:
         raise IdentityFails("norm-of-determinant margin %s < %d"
                             % (step2_margin, floor))
-    # step (iii): rescale and compare minus projections with the plectic point
+    # step (iii): compare the rescaled minus projection of the norm with the
+    # norm of the plectic point
     k_prod = Fraction(1)
     for _, k in family:
         k_prod *= k
@@ -426,14 +401,11 @@ def algebraicity_check(family, config, inv, units, points, floor=25):
     prod_q = coords[0]
     for c in coords[1:]:
         prod_q = prod_q * c
-    c_s = inv.scalar_coeff(config.shape)
     root = c_s / prod_q  # sqrt(C_chi) recovered from the committed invariant
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod,
                                              config.p, config.prec)
-    w = w_tilde.scale(scale)
-    sigma_pt = make_sigma_point(config.a)
-    lhs = norm_map(projector(w, "-", config.a, sigma_pt), module)
-    rhs = norm_map(phi_minus(inv, points, config.shape), module)
+    lhs = minus_projection(n_w).scale(scale)
+    rhs = norm_map(phi_minus(c_s, r, points), module)
     step3_margin = lhs.agreement(rhs)
     if step3_margin < floor:
         raise IdentityFails("plectic-point margin %s < %d" % (step3_margin, floor))

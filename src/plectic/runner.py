@@ -114,7 +114,7 @@ def suite_units(sc, report, rng):
     report.add("units.sigma_involution", min(m1, m2))
 
     gen = units.norm_one_generator()
-    coord = units.minus_project(gen).coord
+    coord = units.minus_project(gen)
     report.add("units.minus_generator",
                coord.agreement(PadicScalar.one(sc.p, prec)))
 
@@ -259,25 +259,23 @@ def suite_gz(sc, report, rng):
     shape = sc.config.shape
     prec = sc.precision
     if sc.invariant is not None and not sc.invariant.is_zero():
-        inv = sc.invariant
+        c = sc.invariant
     else:
         c = PadicScalar.from_int(1 + rng.randrange(sc.p ** 6), sc.p, prec)
-        inv = po.PlecticInvariant.scalar(sc.r, c, shape.q_identity())
-    piece = po.gz_leading_term(inv, shape)
+    piece = po.gz_leading_term(c, sc.r, shape)
     ell = piece.as_elem()
     lhs = ell.leading_term(sc.r).scale(
         PadicScalar.from_int(2 ** sc.r, sc.p, INF))
-    rhs = po.theta(inv, shape).involution().leading_term(sc.r)
+    rhs = po.theta(c, sc.r, shape).involution().leading_term(sc.r)
     report.add("gz.leading_term", lhs.agreement(rhs))
 
 
 def suite_sign(sc, report, rng):
-    inv = sc.invariant
-    if inv is None:
+    c = sc.invariant
+    if c is None:
         c = PadicScalar.one(sc.p, sc.precision)
-        inv = po.PlecticInvariant.scalar(sc.r, c, sc.config.shape.q_identity())
     try:
-        verdict = po.sign_check(sc.config, inv)
+        verdict = po.sign_check(sc.config, c)
         report.add("sign.consistency", sc.precision, note=verdict["verdict"])
     except InconsistentSigns as e:
         report.add_fail("sign.consistency", "inconsistent: %s" % e)
@@ -286,8 +284,7 @@ def suite_sign(sc, report, rng):
 def suite_factorization(sc, report, rng):
     try:
         res = po.factorization_check(sc.family, sc.c_chi, sc.invariant,
-                                     sc.units, sc.config.shape,
-                                     floor=report.floor)
+                                     sc.units, floor=report.floor)
         report.add("factorization.square", res["square_margin"])
         report.add("factorization.sqrt",
                    min(res["linear_margin"], res["root_square_margin"]))

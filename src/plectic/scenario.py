@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .padic import PadicScalar, QuadExtScalar
-from .plectic_ops import PlecticConfig, PlecticInvariant
+from .plectic_ops import PlecticConfig
 from .units import PointCompletion, UnitCompletion
 
 # in run order: the arithmetic layers before the identity layers
@@ -168,7 +168,7 @@ class Scenario:
                     raise ParseError("tau entry %r must be bits" % part)
 
         self.config = PlecticConfig(
-            self.t, self.p, self.reduction_sign, self.q, self.eps,
+            self.t, self.p, self.reduction_sign, self.eps,
             char_table=table, tau=tau, prec=self.precision,
             trunc_degree=self.trunc_degree, free_rank=self.free_rank)
         self.units = UnitCompletion(self.p, self.precision)
@@ -195,11 +195,9 @@ class Scenario:
                 self.family.append((u, k))
 
         self.c_chi = _number(Fraction, raw, "C_chi")
-        self.invariant = None
+        self.invariant = None  # the committed invariant coordinate Q_S
         if "Q_S" in raw:
-            c = parse_padic(raw["Q_S"], self.p, self.precision)
-            self.invariant = PlecticInvariant.scalar(
-                self.r, c, self.config.shape.q_identity())
+            self.invariant = parse_padic(raw["Q_S"], self.p, self.precision)
 
         if "suites" in raw:
             names = raw["suites"].split()

@@ -29,13 +29,6 @@ class CompletedUnit(CoordVector):
     log_b = coordinate(2)
 
 
-class MinusUnit(CoordVector):
-    """Coordinate in the pinned generator basis of the minus eigenspace."""
-
-    __slots__ = ()
-    coord = coordinate(0)
-
-
 class UnitCompletion:
     """The completion of the units of Q_p(w) at a fixed precision."""
 
@@ -79,8 +72,9 @@ class UnitCompletion:
         return CompletedUnit(c.val, c.log_a, -c.log_b)
 
     def minus_project(self, c):
-        """((1 - sigma)/2)(c) in the generator basis of the minus line."""
-        return MinusUnit(c.log_b / (self._b0 + self._b0))
+        """((1 - sigma)/2)(c) as a scalar: its coordinate in the generator
+        basis of the minus line."""
+        return c.log_b / (self._b0 + self._b0)
 
     def norm_one_unit(self):
         """u0 = (1 + p*w) / sigma(1 + p*w), the pinned minus generator."""

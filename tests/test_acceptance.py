@@ -212,14 +212,13 @@ def test_criterion_09_algebraicity_identity():
 
 
 def test_criterion_10_sign_consistency():
-    q = PadicScalar(P, 1, 1, N)
     ok = True
     for t in (0, 1, 2):
         r = 2 ** t
-        inv = po.PlecticInvariant.scalar(r, mk(3), (0,) * max(t, 1))
+        inv = mk(3)
         for a in (1, -1):
             for eps in (1, -1):
-                cfg = po.PlecticConfig(t, P, a, q, eps)
+                cfg = po.PlecticConfig(t, P, a, eps)
                 expect = ((-1) ** r) == eps * cfg.eps_s
                 try:
                     verdict = po.sign_check(cfg, inv)["verdict"]
@@ -231,15 +230,13 @@ def test_criterion_10_sign_consistency():
 
 def test_criterion_11_gz_leading_term_contract():
     ok = True
-    q = PadicScalar(P, 1, 1, N)
     for t in (1, 2):
-        cfg = po.PlecticConfig(t, P, 1, q, 1)
+        cfg = po.PlecticConfig(t, P, 1, 1)
         r = cfg.r
-        inv = po.PlecticInvariant.scalar(r, mk(123457),
-                                         cfg.shape.q_identity())
-        ell = po.gz_leading_term(inv, cfg.shape).as_elem()
+        inv = mk(123457)
+        ell = po.gz_leading_term(inv, r, cfg.shape).as_elem()
         lhs = ell.leading_term(r).scale(PadicScalar.from_int(2 ** r, P, INF))
-        rhs = po.theta(inv, cfg.shape).involution().leading_term(r)
+        rhs = po.theta(inv, r, cfg.shape).involution().leading_term(r)
         ok = ok and lhs.agreement(rhs) >= N
     _verdict(11, "leading-term reconstruction contract (r = 2, 4)", ok)
 

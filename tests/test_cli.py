@@ -145,6 +145,31 @@ def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["precisions", "precision_digits"])
+def test_cli_precision_override_keeps_keys_that_only_start_with_precision(
+        tmp_path, capsys, key):
+    # --precision replaces the `precision` key alone; a misspelt key next
+    # to it is still an unusable input
+    bad = tmp_path / "bad.kv"
+    bad.write_text((GOLDEN / "t1-split.kv").read_text() + "%s = 12\n" % key)
+    assert main(["verify", str(bad), "--suite", "sign",
+                 "--precision", "40"]) == 2
+    assert capsys.readouterr().err == "error: unknown key %r\n" % key
+
+
+def test_cli_exit_two_on_a_negative_floor(tmp_path, capsys):
+    # a diverged check reports margin -1, which a floor of -1 would pass
+    text = (GOLDEN / "t2-split.kv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("Q_S ")]
+    bad = tmp_path / "pole.kv"
+    bad.write_text("\n".join(lines + ["Q_S = 1e-300"]) + "\n")
+    assert main(["verify", str(bad), "--suite", "gz", "--format", "kv",
+                 "--floor", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: floor -1 is negative\n"
+
+
 @pytest.mark.parametrize("extra", [["--precision", "20"], ["--floor", "50"]])
 def test_cli_exit_two_on_floor_above_precision(capsys, extra):
     assert main(["verify", T1, "--suite", "sign"] + extra) == 2

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from plectic import plectic_ops as po
 from plectic.errors import IdentityFails, InconsistentSigns, ValidationError
-from plectic.padic import PadicScalar
+from plectic.padic import INF, PadicScalar
+from plectic.scenario import parse_scenario
 from plectic.symalg import FreeModule, linear_form
 from plectic.units import PointCompletion, UnitCompletion
 
@@ -16,8 +18,9 @@ N = 40
 U = UnitCompletion(P, N)
 Q = PadicScalar(P, 1, 1, N)
 PTS = PointCompletion(U, Q)
-CFG = po.PlecticConfig(1, P, 1, Q, 1)
+CFG = po.PlecticConfig(1, P, 1, 1)
 MODULE = FreeModule(["c0", "c1"])
+GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def mk(n):
@@ -53,14 +56,14 @@ def test_default_table_is_orthogonal():
 
 def test_config_rejects_non_orthogonal_table():
     with pytest.raises(ValidationError):
-        po.PlecticConfig(1, P, 1, Q, 1, char_table=[[1, 1], [1, 1]])
+        po.PlecticConfig(1, P, 1, 1, char_table=[[1, 1], [1, 1]])
 
 
 def test_config_derives_global_sign_product():
-    assert po.PlecticConfig(1, P, 1, Q, 1).eps_s == 1
-    assert po.PlecticConfig(1, P, -1, Q, 1).eps_s == 1
-    assert po.PlecticConfig(0, P, 1, Q, 1).eps_s == -1
-    assert po.PlecticConfig(0, P, -1, Q, 1).eps_s == 1
+    assert po.PlecticConfig(1, P, 1, 1).eps_s == 1
+    assert po.PlecticConfig(1, P, -1, 1).eps_s == 1
+    assert po.PlecticConfig(0, P, 1, 1).eps_s == -1
+    assert po.PlecticConfig(0, P, -1, 1).eps_s == 1
 
 
 # -- projectors -------------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_norm_map_symmetrizes():
 
 
 def test_norm_map_injective_on_minus_line():
-    m = po.phi_minus(po.PlecticInvariant.scalar(2, mk(5), (0,)), PTS, CFG.shape)
+    m = po.phi_minus(mk(5), 2, PTS)
     assert not po.norm_map(m, MODULE).is_zero()
 
 
@@ -150,92 +153,116 @@ def test_phi_minus_is_the_projected_base_point():
     rng = random.Random(41)
     base = PTS.complete(U.ext(1, P))
     for t, a in ((1, 1), (1, -1), (2, 1), (2, -1)):
-        cfg = po.PlecticConfig(t, P, a, Q, 1)
+        cfg = po.PlecticConfig(t, P, a, 1)
         c = mk(rng.randrange(1, P ** 10))
-        inv = po.PlecticInvariant.scalar(cfg.r, c, cfg.shape.q_identity())
         by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * cfg.r)
         by_hand = po.projector(by_hand, "-", a, po.make_sigma_point(a))
-        image = po.phi_minus(inv, PTS, cfg.shape)
+        image = po.phi_minus(c, cfg.r, PTS)
         assert po.norm_map(image, MODULE).agreement(
             po.norm_map(by_hand, MODULE)) >= N
+
+
+def _rand_entry(rng):
+    """A zero-to-precision, unit or non-unit scalar of many digits, certified
+    to a few digits below N."""
+    prec = N - rng.randrange(6)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PadicScalar.zero(P, prec)
+    v = 0 if kind == 1 else rng.randrange(-2, 4)
+    return PadicScalar(P, v, rng.randrange(1, P ** 12), prec)
+
+
+def test_minus_projection_after_the_norm_matches_the_tensor_projector():
+    # 1 - a*sigma = diag(0, 2) factor-wise, so projecting every factor and
+    # then taking the norm keeps 2^r times the y^r coefficient of the norm
+    rng = random.Random(43)
+    for r in (1, 2, 4):
+        for a in (1, -1):
+            sigma = po.make_sigma_point(a)
+            for _ in range(15):
+                terms = []
+                for _ in range(3):
+                    coeff = (PadicScalar.from_int(rng.choice((1, -1)), P, INF)
+                             if rng.randrange(2) else _rand_entry(rng))
+                    terms.append((coeff, tuple(
+                        (_rand_entry(rng), _rand_entry(rng)) for _ in range(r))))
+                x = po.PlecticTensor(r, 2, terms)
+                got = po.minus_projection(po.norm_map(x, MODULE))
+                want = po.norm_map(po.projector(x, "-", a, sigma), MODULE)
+                assert set(got.coeffs) == set(want.coeffs) <= {(0, r)}
+                for k, c in want.coeffs.items():
+                    assert got.coeffs[k].prec >= c.prec
+                    assert got.coeffs[k].agreement(c) >= min(
+                        got.coeffs[k].prec, c.prec)
 
 
 # -- reciprocity and leading terms ----------------------------------------------------
 
 def test_drec_of_zero():
-    inv = po.PlecticInvariant(2, {})
-    assert po.drec(inv, CFG.shape).is_zero()
+    assert po.drec(PadicScalar.zero(P, N), 2, CFG.shape).is_zero()
 
 
 def test_drec_degree_one():
-    cfg = po.PlecticConfig(0, P, 1, Q, -1)
-    inv = po.PlecticInvariant.scalar(1, mk(9), (0,))
-    lt = po.drec(inv, cfg.shape)
+    cfg = po.PlecticConfig(0, P, 1, -1)
+    lt = po.drec(mk(9), 1, cfg.shape)
     assert set(lt.coeffs) == {((0,), (1,))}
     assert lt.coeffs[((0,), (1,))].agreement(mk(9)) >= N
 
 
 def test_drec_degree_two_monomial():
-    inv = po.PlecticInvariant.scalar(2, mk(1), (0,))
-    lt = po.drec(inv, CFG.shape)
+    lt = po.drec(mk(1), 2, CFG.shape)
     assert set(lt.coeffs) == {((0,), (1, 1))}
 
 
 def test_gz_sign_is_parity_of_degree():
     # degree 1: the involution contributes a -1; degree 2: a +1
-    cfg1 = po.PlecticConfig(0, P, 1, Q, -1)
-    inv1 = po.PlecticInvariant.scalar(1, mk(10), (0,))
-    piece = po.gz_leading_term(inv1, cfg1.shape)
+    cfg1 = po.PlecticConfig(0, P, 1, -1)
+    piece = po.gz_leading_term(mk(10), 1, cfg1.shape)
     want = PadicScalar.from_fraction(Fraction(-10, 2), P, N)
     assert piece.coeffs[((0,), (1,))].agreement(want) >= N - 2
 
-    inv2 = po.PlecticInvariant.scalar(2, mk(12), (0,))
-    piece2 = po.gz_leading_term(inv2, CFG.shape)
+    piece2 = po.gz_leading_term(mk(12), 2, CFG.shape)
     want2 = PadicScalar.from_fraction(Fraction(12, 4), P, N)
     assert piece2.coeffs[((0,), (1, 1))].agreement(want2) >= N - 2
 
 
 def test_gz_reconstruction_contract():
     for t in (1, 2):
-        cfg = po.PlecticConfig(t, P, 1, Q, 1)
+        cfg = po.PlecticConfig(t, P, 1, 1)
         r = cfg.r
-        inv = po.PlecticInvariant.scalar(r, mk(77), cfg.shape.q_identity())
-        ell = po.gz_leading_term(inv, cfg.shape).as_elem()
+        ell = po.gz_leading_term(mk(77), r, cfg.shape).as_elem()
         lhs = ell.leading_term(r).scale(mk(2 ** r))
-        rhs = po.theta(inv, cfg.shape).involution().leading_term(r)
+        rhs = po.theta(mk(77), r, cfg.shape).involution().leading_term(r)
         assert lhs.agreement(rhs) >= N - 2
 
 
 # -- sign corollary --------------------------------------------------------------------
 
 def test_sign_check_accepts_consistent_configs():
-    inv = po.PlecticInvariant.scalar(2, mk(1), (0,))
-    assert po.sign_check(CFG, inv)["verdict"] == "consistent"
+    assert po.sign_check(CFG, mk(1))["verdict"] == "consistent"
     # degenerate r = 1 case: (-1)^1 = eps * eps_S with eps_S = -a
-    cfg = po.PlecticConfig(0, P, 1, Q, 1)
-    inv1 = po.PlecticInvariant.scalar(1, mk(1), (0,))
-    assert po.sign_check(cfg, inv1)["verdict"] == "consistent"
+    cfg = po.PlecticConfig(0, P, 1, 1)
+    assert po.sign_check(cfg, mk(1))["verdict"] == "consistent"
 
 
 def test_sign_check_flags_contradictions():
-    inv = po.PlecticInvariant.scalar(2, mk(1), (0,))
-    bad = po.PlecticConfig(1, P, 1, Q, -1)
+    bad = po.PlecticConfig(1, P, 1, -1)
     with pytest.raises(InconsistentSigns):
-        po.sign_check(bad, inv)
+        po.sign_check(bad, mk(1))
 
 
 def test_sign_check_vacuous_for_zero():
-    assert po.sign_check(po.PlecticConfig(1, P, 1, Q, -1),
-                         po.PlecticInvariant(2, {}))["verdict"] == "vacuous"
+    assert po.sign_check(po.PlecticConfig(1, P, 1, -1),
+                         PadicScalar.zero(P, N))["verdict"] == "vacuous"
 
 
 def test_sign_check_existential_witness():
-    inv = po.PlecticInvariant.scalar(2, mk(1), (0,))
     chi = {(0,): 1, (1,): -1}
-    out = po.sign_check(CFG, inv, chi_values=chi, declared_ratio=-1)
+    out = po.sign_check(CFG, mk(1), chi_values=chi, declared_ratio=-1)
     assert out["witness"] == (1,)
     with pytest.raises(InconsistentSigns):
-        po.sign_check(CFG, inv, chi_values={(0,): 1}, declared_ratio=-1)
+        po.sign_check(CFG, mk(1), chi_values={(0,): 1}, declared_ratio=-1)
 
 
 # -- factorization and algebraicity ------------------------------------------------------
@@ -253,15 +280,13 @@ def _golden_family(t, seed=77):
     c_s = root
     for c in coords:
         c_s = c_s * c
-    return fam, Fraction(4), po.PlecticInvariant.scalar(
-        r, c_s, (0,) * max(t, 1))
+    return fam, Fraction(4), c_s
 
 
 def test_factorization_round_trip():
     for t in (1, 2):
-        cfg = po.PlecticConfig(t, P, 1, Q, 1)
-        fam, c_chi, inv = _golden_family(t)
-        res = po.factorization_check(fam, c_chi, inv, U, cfg.shape)
+        fam, c_chi, c_s = _golden_family(t)
+        res = po.factorization_check(fam, c_chi, c_s, U)
         assert res["square_margin"] >= 30
         assert res["linear_margin"] >= 30
         assert (res["root"] * res["root"]).agreement(
@@ -269,35 +294,51 @@ def test_factorization_round_trip():
 
 
 def test_factorization_detects_mutations():
-    cfg = po.PlecticConfig(1, P, 1, Q, 1)
-    fam, c_chi, inv = _golden_family(1)
+    fam, c_chi, c_s = _golden_family(1)
     (u1, k1), (u2, k2) = fam
     mutated = [(u1, k1), (u2 * U.ext(1, P ** 3), k2)]
     with pytest.raises(IdentityFails):
-        po.factorization_check(mutated, c_chi, inv, U, cfg.shape)
+        po.factorization_check(mutated, c_chi, c_s, U)
 
 
 def test_factorization_wrong_constant_fails():
-    cfg = po.PlecticConfig(1, P, 1, Q, 1)
-    fam, c_chi, inv = _golden_family(1)
+    fam, c_chi, c_s = _golden_family(1)
     with pytest.raises(IdentityFails):
-        po.factorization_check(fam, c_chi + 1, inv, U, cfg.shape)
+        po.factorization_check(fam, c_chi + 1, c_s, U)
 
 
 def test_algebraicity_pipeline():
     for t, a in ((1, 1), (1, -1), (2, 1)):
-        cfg = po.PlecticConfig(t, P, a, Q, 1)
+        cfg = po.PlecticConfig(t, P, a, 1)
         pts = PointCompletion(U, Q)
-        fam, c_chi, inv = _golden_family(t)
-        res = po.algebraicity_check(fam, cfg, inv, U, pts)
+        fam, c_chi, c_s = _golden_family(t)
+        res = po.algebraicity_check(fam, cfg, c_s, U, pts)
         assert abs(res["c_g"]) == cfg.r ** (cfg.r // 2)
         assert res["step2_margin"] >= 25
         assert res["step3_margin"] >= 25
 
 
+@pytest.mark.parametrize("name,prec,step2,step3", [
+    ("t1-split.kv", 40, 41, 41),
+    ("t2-split.kv", 40, 43, 42),
+    ("t1-split.kv", 160, 161, 161),
+])
+def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
+    # the uncapped margins, for both reduction signs
+    text = (GOLDEN / name).read_text()
+    for a in (1, -1):
+        lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip()
+                 not in ("precision", "reduction_sign")]
+        sc = parse_scenario("\n".join(
+            lines + ["precision = %d" % prec, "reduction_sign = %d" % a]))
+        res = po.algebraicity_check(sc.family, sc.config, sc.invariant,
+                                    sc.units, sc.points)
+        assert (res["step2_margin"], res["step3_margin"]) == (step2, step3)
+
+
 def test_algebraicity_rejects_degenerate_twists():
     # repeating a twist makes the character matrix singular
-    cfg = po.PlecticConfig(1, P, 1, Q, 1, tau=[(0,), (0,)])
-    fam, c_chi, inv = _golden_family(1)
+    cfg = po.PlecticConfig(1, P, 1, 1, tau=[(0,), (0,)])
+    fam, c_chi, c_s = _golden_family(1)
     with pytest.raises(po.CharacterTableDegenerate):
-        po.algebraicity_check(fam, cfg, inv, U, PTS)
+        po.algebraicity_check(fam, cfg, c_s, U, PTS)
