@@ -559,6 +559,19 @@ def test_quadratic_extension_ring_laws(a1, b1, a2, b2, a3, b3):
     assert ((x * y) * z).agreement(x * (y * z)) >= N
 
 
+@settings(max_examples=60, deadline=None)
+@given(small.filter(lambda n: n % P != 0))
+def test_sqrt_of_squares(n):
+    assert is_square(mk(n) * mk(n))
+    assert is_square(mk(n) * mk(n) * mk(P) * mk(P))
+    assert not is_square(mk(n) * mk(n) * mk(P))
+
+
+def test_two_is_not_a_square():
+    assert not is_square(mk(2))
+    assert not is_square(mk(2) * mk(P) * mk(P))
+
+
 def test_is_square_against_brute_force():
     # x = p^v * n/d is a square iff v is even and n/d is a square mod p^2,
     # by search over the residues mod p^2 (Hensel lifts a root mod p)
