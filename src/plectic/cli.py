@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .errors import PlecticError
+from .errors import PlecticError, ValidationError
 from .runner import DEFAULT_FLOOR, run
 from .scenario import SUITES
 
@@ -47,20 +47,15 @@ def main(argv=None):
             text = "\n".join(lines) + "\nprecision = %d\n" % args.precision
         scenario = parse_scenario(text)
         scenario.check_suites(args.suite or scenario.suites)
+        if args.floor > scenario.precision:
+            # margins are capped at the precision, so no check could pass
+            raise ValidationError("floor %d exceeds the working precision %d"
+                                  % (args.floor, scenario.precision))
+        report = run(scenario, suites=args.suite, floor=args.floor,
+                     seed=args.seed)
     except PlecticError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    if args.floor < 0:
-        # a diverged check reports margin -1, which a negative floor passes
-        print("error: floor %d is negative" % args.floor, file=sys.stderr)
-        return 2
-    if args.floor > scenario.precision:
-        # margins are capped at the precision, so no check could pass
-        print("error: floor %d exceeds the working precision %d"
-              % (args.floor, scenario.precision), file=sys.stderr)
-        return 2
-    suites = tuple(args.suite) if args.suite else None
-    report = run(scenario, suites=suites, floor=args.floor, seed=args.seed)
     rendered = report.render_kv() if args.format == "kv" else report.render_human()
     sys.stdout.write(rendered)
     if args.report:

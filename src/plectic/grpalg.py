@@ -6,9 +6,10 @@ series ring via [g_i] = t_i + 1.  Everything is truncated at a total
 degree D, with a sticky flag recording whether any nonzero term was ever
 dropped, so no identity can silently pass through a lossy product.
 
-Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling,
-agreement and the product loop live there; this module adds the key shape,
-the truncation rule and the involution.
+Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling and
+agreement live there.  This module adds the key shape, the involution and
+the product, the one place that decides truncation: it pairs terms degree
+bucket by degree bucket and never forms a pair of degree beyond D.
 """
 
 import itertools
@@ -111,17 +112,31 @@ class GroupAlgebraElem(CoeffMap):
         return self.shape
 
     def __mul__(self, other):
+        """The product truncated at degree D, one degree bucket at a time.
+
+        `other`'s terms are grouped by total degree, so a term of degree d
+        meets only the buckets of degree <= D - d.  Skipping a nonempty
+        bucket drops nonzero terms, which flags the product lossy.
+        """
         self._check(other)
         degree, divisors = self.shape.degree, self.shape.divisors
-
-        def combine(k1, k2):
-            e = tuple(map(operator.add, k1[1], k2[1]))
-            if sum(e) > degree:
-                return None
-            return tuple(map(operator.mod, map(operator.add, k1[0], k2[0]),
-                             divisors)), e
-
-        return self._like(*self._product(other, combine))
+        buckets = [[] for _ in range(degree + 1)]
+        for (q, e), c in other.coeffs.items():
+            buckets[sum(e)].append((q, e, c))
+        top = max((d for d, b in enumerate(buckets) if b), default=0)
+        out = {}
+        lost = self.lost or other.lost
+        for (q1, e1), c1 in self.coeffs.items():
+            budget = degree - sum(e1)
+            lost = lost or top > budget
+            for bucket in buckets[:budget + 1]:
+                for q2, e2, c2 in bucket:
+                    k = (tuple(map(operator.mod, map(operator.add, q1, q2),
+                                   divisors)),
+                         tuple(map(operator.add, e1, e2)))
+                    c = c1 * c2
+                    out[k] = out[k] + c if k in out else c
+        return self._like(out, lost)
 
     def involution(self):
         """[g] -> [g^{-1}]: negation on Q, t^e -> (-t)^e * prod (1+t_i)^{-e_i}.

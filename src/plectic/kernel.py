@@ -2,7 +2,8 @@
 
 `CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
 group-algebra elements, their graded pieces and symmetric tensors are maps
-that differ only in their key shape and product.  (A plectic invariant is a
+that differ only in their key shape and their product, which the subclass
+defines (`grpalg` alone decides truncation).  (A plectic invariant is a
 plain scalar, the committed Q_S.)  `CoordVector` is a fixed tuple of
 scalars with componentwise operations: the completed units and points.
 """
@@ -11,11 +12,6 @@ import operator
 
 from .errors import ShapeMismatch
 from .padic import INF
-
-
-def _add_keys(k1, k2):
-    """Componentwise sum of two exponent tuples."""
-    return tuple(map(operator.add, k1, k2))
 
 
 class CoeffMap:
@@ -43,24 +39,6 @@ class CoeffMap:
         out.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         out.lost = lost
         return out
-
-    def _product(self, other, combine=_add_keys):
-        """(coeffs, lost) of the product; `combine` maps two keys to one.
-
-        The default adds exponent tuples.  A `None` key marks a term beyond
-        the truncation: it is dropped and the result is flagged lossy.
-        """
-        out = {}
-        lost = self.lost or other.lost
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = combine(k1, k2)
-                if k is None:
-                    lost = True
-                    continue
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return out, lost
 
     def __add__(self, other):
         self._check(other)

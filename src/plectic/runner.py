@@ -5,7 +5,8 @@ import random
 import time
 
 from . import plectic_ops as po
-from .errors import InconsistentSigns, NotProportional, PlecticError
+from .errors import (InconsistentSigns, NotProportional, PlecticError,
+                     ValidationError)
 from .grpalg import GroupAlgebraElem, check_lemma_free_graded_injectivity
 from .linalg import rank
 from .padic import INF, PadicScalar, QuadExtScalar
@@ -26,6 +27,9 @@ class CheckResult:
 
 class Report:
     def __init__(self, scenario_name, floor, precision):
+        if floor < 0:
+            # a diverged check reports margin -1, which such a floor passes
+            raise ValidationError("floor %d is negative" % floor)
         self.scenario_name = scenario_name
         self.floor = floor
         self.precision = precision

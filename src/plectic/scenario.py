@@ -47,9 +47,6 @@ KEYS = ("name", "p", "t", "reduction_sign", "eps", "precision", "trunc_degree",
         "suites")
 # suites that read the committed family u_eta, C_chi, Q_S
 FAMILY_SUITES = ("factorization", "algebraicity")
-# at t = 3 (r = 8) these suites need dense products of millions of terms and
-# do not terminate yet, so choosing one is an unusable input
-T3_OPEN_SUITES = ("grpalg", "algebraicity")
 
 # every scalar computes p^precision, so an unbounded precision can hang the
 # first constructor; 1000 leaves room above the 40..640 precision grid
@@ -205,7 +202,7 @@ class Scenario:
                 if n not in SUITES:
                     raise ValidationError("unknown suite %r" % n)
             self.suites = tuple(names)
-            self._check_family(names)
+            self.check_suites(names)
         elif self.has_family:
             self.suites = SUITES
         else:
@@ -218,14 +215,7 @@ class Scenario:
 
     def check_suites(self, names):
         """Raise ValidationError unless every suite in `names` can run on
-        this scenario and finish."""
-        stuck = [s for s in T3_OPEN_SUITES if s in names] if self.t == 3 else []
-        if stuck:
-            raise ValidationError("at t = 3 these suites do not terminate "
-                                  "yet: %s" % ", ".join(stuck))
-        self._check_family(names)
-
-    def _check_family(self, names):
+        this scenario."""
         if not self.has_family and set(FAMILY_SUITES) & set(names):
             raise ValidationError(
                 "factorization/algebraicity need u_eta, C_chi, Q_S")

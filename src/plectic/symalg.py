@@ -4,8 +4,11 @@ A degree-n element is a map from exponent tuples (summing to n) to
 scalars.  Pure tensors enter through mu / collapse as products of linear
 forms, so the commutativity diagrams hold by construction and are also
 re-checked numerically in the test suite.  Tensors are `kernel.CoeffMap`s:
-addition, scaling, agreement and the product loop live there.
+addition, scaling and agreement live there; the product, which never
+truncates, adds exponent tuples pairwise.
 """
+
+import operator
 
 from .errors import NotProportional, ShapeMismatch, ZeroDenominator
 from .kernel import CoeffMap
@@ -55,7 +58,13 @@ class SymTensor(CoeffMap):
     def __mul__(self, other):
         if self.module != other.module:
             raise ShapeMismatch("products need a common module")
-        return self._like(*self._product(other),
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = tuple(map(operator.add, k1, k2))
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return self._like(out, self.lost or other.lost,
                           degree=self.degree + other.degree)
 
     def leading(self):

@@ -10,7 +10,7 @@ from plectic.grpalg import (
     GroupShape,
     check_lemma_free_graded_injectivity,
 )
-from plectic.padic import PadicScalar
+from plectic.padic import INF, PadicScalar
 
 P = 5
 N = 30
@@ -86,6 +86,55 @@ def reference_involution(x):
         out = out + term
     out.lost = x.lost
     return out
+
+
+def reference_product(x, y):
+    """(coeffs, lost) of the all-pairs product: every term times every term,
+    and a pair of degree beyond D dropped with the result flagged lossy.
+    Sums that vanish to precision stay in `coeffs`."""
+    shape = x.shape
+    out = {}
+    lost = x.lost or y.lost
+    for (q1, e1), c1 in x.coeffs.items():
+        for (q2, e2), c2 in y.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if sum(e) > shape.degree:
+                lost = True
+                continue
+            k = tuple((a + b) % d for a, b, d in zip(q1, q2, shape.divisors)), e
+            c = c1 * c2
+            out[k] = out[k] + c if k in out else c
+    return out, lost
+
+
+def rand_product_operand(rng, shape):
+    """Up to six terms of any degree <= D, sometimes lossy.
+
+    Valuations run up to N and precisions are N, N - 5 or exact.
+    """
+    coeffs = {}
+    for _ in range(rng.randrange(7)):
+        while True:
+            e = tuple(rng.randrange(shape.degree + 1) for _ in range(shape.s))
+            if sum(e) <= shape.degree:
+                break
+        q = tuple(rng.randrange(d) for d in shape.divisors)
+        unit = rng.choice([1, -1, 2, -2, rng.randrange(1, P ** 8)])
+        coeffs[q, e] = PadicScalar(P, rng.randrange(N), unit,
+                                   rng.choice([N, N - 5, INF]))
+    return GroupAlgebraElem(shape, coeffs, lost=rng.random() < 0.25)
+
+
+def times_order_two(x, sign):
+    """x * (1 + sign [g]) for g = (1, 0, ..) of order 2, without `*`:
+    (1 + [g])x * (1 - [g])y cancels to zero at every key."""
+    moved = {((q[0] ^ 1,) + q[1:], e): c.scale_int(sign)
+             for (q, e), c in x.coeffs.items()}
+    return x + GroupAlgebraElem(x.shape, moved, x.lost)
+
+
+def intervals(x):
+    return {k: (c.v, c.unit, c.prec) for k, c in x.coeffs.items()}
 
 
 ORACLE_SHAPES = [SHAPE, GroupShape((3,), 4, 10, P, N)]
@@ -182,6 +231,27 @@ def test_negative_exponents(shape):
         g_inv = GroupAlgebraElem.group_elem(shape, shape.q_neg(q), neg)
         assert (g * g_inv).agreement(one) >= N
         assert g.involution().agreement(g_inv) >= N
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("divisors", [(2,), (2, 2), (2, 2, 2)],
+                         ids=["Q2", "Q22", "Q222"])
+def test_product_matches_the_all_pairs_product(divisors, s):
+    rng = random.Random("%r:%d" % (divisors, s))
+    dropped = vanished = False
+    for degree in (1, 2, 3, 4):
+        shape = GroupShape(divisors, s, degree, P, N)
+        for _ in range(25):
+            x, y = rand_product_operand(rng, shape), rand_product_operand(rng, shape)
+            if rng.random() < 0.2:
+                x, y = times_order_two(x, 1), times_order_two(y, -1)
+            coeffs, lost = reference_product(x, y)
+            got = x * y
+            assert intervals(got) == intervals(GroupAlgebraElem(shape, coeffs))
+            assert got.lost == lost
+            dropped = dropped or (lost and not (x.lost or y.lost))
+            vanished = vanished or any(c.is_zero() for c in coeffs.values())
+    assert dropped and vanished
 
 
 def test_group_elem_needs_one_exponent_per_variable():

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is read somewhere in it, and
-every public function or class it defines is named somewhere else."""
+every function, class or constant it defines at module level is named
+somewhere other than its own definition."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,22 @@ def unused_imports(source):
                   if name not in read)
 
 
+def bound_names(stmt):
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds (the module's constants)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def definitions(source):
+    """Module-level functions, classes and constants."""
+    return [name for stmt in ast.parse(source).body
+            for name in bound_names(stmt)]
+
+
 def public_definitions(source):
     """Public module-level functions and classes."""
     return [node.name for node in ast.parse(source).body
@@ -43,7 +60,7 @@ def referenced_names(source):
     a definition's references to itself."""
     refs = set()
     for stmt in ast.parse(source).body:
-        own = getattr(stmt, "name", None)
+        own = bound_names(stmt)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -53,7 +70,7 @@ def referenced_names(source):
                 name = node.name
             else:
                 continue
-            if name != own:
+            if name not in own:
                 refs.add(name)
     return refs
 
@@ -73,15 +90,28 @@ def test_every_public_definition_is_named_elsewhere(path):
     assert [n for n in names if n not in REFERENCED] == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_and_constant_is_named_elsewhere(path):
+    source = path.read_text(encoding="utf-8")
+    public = public_definitions(source)
+    names = [n for n in definitions(source) if n not in public]
+    assert [n for n in names if n not in REFERENCED] == []
+
+
 def test_unreferenced_definition_is_found():
-    source = ("def used():\n    pass\n\n"
+    source = ("import operator\n\n"
+              "LIMIT = 3\n"
+              "UNREAD = _CACHE = {}\n\n"
+              "def used():\n    return operator.add(_CACHE, LIMIT)\n\n"
               "def recursive():\n    return recursive()\n\n"
               "class Kept:\n    pass\n\n"
-              "def _private():\n    pass\n")
+              "def _private():\n    return _private()\n")
     reader = "from m import Kept\nused()\n"
     refs = referenced_names(source) | referenced_names(reader)
     assert [n for n in public_definitions(source) if n not in refs] == \
         ["recursive"]
+    assert [n for n in definitions(source) if n not in refs] == \
+        ["UNREAD", "recursive", "_private"]
 
 
 def test_unused_import_is_found():
