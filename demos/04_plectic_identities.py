@@ -1,16 +1,20 @@
 """End-to-end run of the plectic identity suites on a committed scenario.
 
 Loads the golden t=1 scenario, walks through the individual building blocks
-(projectors, determinant and norm maps, the plectic point), then runs the
-full verification report exactly as the `plectic verify` command would.
+(projectors, the twisted determinant evaluated at a point, its y-column
+determinant, the plectic point), then runs the full verification report
+exactly as the `plectic verify` command would.
 """
 
+import math
+from fractions import Fraction
 from pathlib import Path
 
 from plectic import plectic_ops as po
+from plectic.linalg import det
+from plectic.padic import INF, PadicScalar, QuadExtScalar
 from plectic.runner import run
 from plectic.scenario import load_scenario
-from plectic.symalg import FreeModule
 
 scenario_path = Path(__file__).resolve().parent.parent / "scenarios" / "t1-split.kv"
 sc = load_scenario(scenario_path)
@@ -24,33 +28,38 @@ for i, coord in enumerate(coords):
 
 # projectors annihilate each other factor-wise
 sigma = po.make_sigma_point(sc.reduction_sign)
-vecs = [(sc.points.complete(u).x, sc.points.complete(u).y)
-        for u, _ in sc.family]
-x = po.PlecticTensor.pure(coords[0], tuple(vecs))
+points = [sc.points.complete(u) for u, _ in sc.family]
+x = po.PlecticTensor.pure(coords[0], tuple((v.x, v.y) for v in points))
 plus = po.projector(x, "+", sc.reduction_sign, sigma)
 print("\npr^- pr^+ kills the tensor:",
       po.projector(plus, "-", sc.reduction_sign, sigma).is_zero())
 
-# determinant of the twisted point matrix
-entries = [[(v[0].scale_int(sc.config.char_value(i, sc.config.tau[j])),
-             v[1].scale_int(sc.config.char_value(i, sc.config.tau[j])))
-            for j in range(sc.r)] for i, v in enumerate(vecs)]
-w = po.det_map(entries)
-print("determinant tensor:", w)
+# step 2 at one point lam = 1 + w: the twisted determinant
+# det[chi_i(tau_j) * (x_i + lam*y_i)] is C_G times the product of the values
+chi = [[sc.config.char_value(i, g) for g in sc.config.tau] for i in range(sc.r)]
+c_g = po.int_det(chi)
+values = [QuadExtScalar(v.x + v.y, v.y, sc.units.c) for v in points]
+twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
+product = math.prod(values, start=QuadExtScalar.from_base(
+    PadicScalar.from_int(c_g, sc.p, INF), sc.units.c))
+print("\nC_G =", c_g)
+print("det at lam = 1 + w:", twisted)
+print("agrees with C_G * prod(x_i + lam*y_i) to", twisted.agreement(product),
+      "digits")
 
-# 1 - a*sigma = diag(0, 2), so the minus projection of the norm keeps 2^r
-# times its y^r coefficient: the norm of the factor-wise projector
-module = FreeModule(["x", "y"])
-after = po.minus_projection(po.norm_map(w, module))
-before = po.norm_map(po.projector(w, "-", sc.reduction_sign, sigma), module)
-print("projecting after the norm agrees to", after.agreement(before), "digits")
-
-# the committed invariant's image phi^-(Q_S): the plectic point that the
-# algebraicity check compares the minus projection of the determinant with
-image = po.phi_minus(sc.invariant, sc.r, sc.points)
-norm = po.norm_map(image, module)
-print("phi^-(Q_S):", image, " its norm is c*y^%d with c =" % sc.r,
-      norm.coeffs[(0, sc.r)])
+# step 3: 1 - a*sigma = diag(0, 2) keeps the y^r coefficient of the norm,
+# its value at (0, 1): the determinant of the y-coordinates
+# times 2^r, rescaled by sqrt(C_chi) / (C_G * prod k_eta) with the root
+# recovered as Q_S / prod Q_eta, it is the plectic point Q_S * (2*b0)^r
+y_det = det([[v.y.scale_int(s) for s in row] for v, row in zip(points, chi)])
+root = sc.invariant / math.prod(coords[1:], start=coords[0])
+k_prod = math.prod((k for _, k in sc.family), start=Fraction(1))
+minus = y_det.scale_int(2 ** sc.r) * root * PadicScalar.from_fraction(
+    Fraction(1, c_g) / k_prod, sc.p, sc.precision)
+point = sc.invariant * sc.units.minus_scale ** sc.r
+print("y-column determinant:", y_det)
+print("its rescaled minus part agrees with the plectic point", point, "to",
+      minus.agreement(point), "digits")
 
 # the full report, as `plectic verify scenarios/t1-split.kv` would print it
 print("\nfull verification report:")

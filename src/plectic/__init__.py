@@ -9,8 +9,7 @@ from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
 from .grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from .symalg import FreeModule, SymTensor, collapse, mu, sqrt_ratio
 from .plectic_ops import PlecticConfig, PlecticTensor, char_table_det, \
-    det_map, drec, gz_leading_term, minus_projection, norm_map, phi_minus, \
-    projector
+    drec, gz_leading_term, projector
 from .scenario import Scenario, load_scenario, parse_scenario
 from .runner import Report, run
 

@@ -57,6 +57,10 @@ class IdentityFails(PlecticError):
     """A verified identity diverges; carries the first bad coefficient."""
 
 
+class WorkLimitExceeded(PlecticError):
+    """An operation past `grpalg.WORK_LIMIT` steps, refused before it runs."""
+
+
 class CharacterTableDegenerate(PlecticError):
     pass
 

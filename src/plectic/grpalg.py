@@ -9,16 +9,23 @@ dropped, so no identity can silently pass through a lossy product.
 Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling and
 agreement live there.  This module adds the key shape, the involution and
 the product, the one place that decides truncation: it pairs terms degree
-bucket by degree bucket and never forms a pair of degree beyond D.
+bucket by degree bucket and never forms a pair of degree beyond D.  Work
+past `WORK_LIMIT` is counted and refused before it starts.
 """
 
 import itertools
+import math
 import operator
 
-from .errors import DegreeTooLow, ShapeMismatch
+from .errors import DegreeTooLow, ShapeMismatch, WorkLimitExceeded
 from .kernel import CoeffMap
 from .padic import PadicScalar
 from .linalg import assert_full_column_rank
+
+# The most steps one operation may take: the series terms of an involution,
+# the pairs of a product, the cells of an injectivity matrix, or the expected
+# draws of the grpalg suite's samples.  scenarios/t3-split.kv needs 1.45 M.
+WORK_LIMIT = 16_000_000
 
 
 class GroupShape:
@@ -123,12 +130,16 @@ class GroupAlgebraElem(CoeffMap):
         buckets = [[] for _ in range(degree + 1)]
         for (q, e), c in other.coeffs.items():
             buckets[sum(e)].append((q, e, c))
-        top = max((d for d, b in enumerate(buckets) if b), default=0)
+        upto = list(itertools.accumulate(map(len, buckets)))  # degree <= d
+        pairs = sum(upto[degree - sum(e)] for _, e in self.coeffs)
+        if pairs > WORK_LIMIT:
+            raise WorkLimitExceeded(
+                "a product of %d pairs is past the work limit" % pairs)
         out = {}
         lost = self.lost or other.lost
         for (q1, e1), c1 in self.coeffs.items():
             budget = degree - sum(e1)
-            lost = lost or top > budget
+            lost = lost or upto[budget] < upto[-1]
             for bucket in buckets[:budget + 1]:
                 for q2, e2, c2 in bucket:
                     k = (tuple(map(operator.mod, map(operator.add, q1, q2),
@@ -141,9 +152,16 @@ class GroupAlgebraElem(CoeffMap):
     def involution(self):
         """[g] -> [g^{-1}]: negation on Q, t^e -> (-t)^e * prod (1+t_i)^{-e_i}.
 
-        Filtration-preserving, hence exact on the truncated quotient.
+        Filtration-preserving, hence exact on the truncated quotient.  A term
+        t^e with m nonzero exponents emits C(D - |e| + m, m) series terms.
         """
         shape = self.shape
+        emitted = itertools.accumulate(  # any() stops at the first past it
+            math.comb(shape.degree - sum(e) + m, m)
+            for _, e in self.coeffs for m in [len(e) - e.count(0)])
+        if any(n > WORK_LIMIT for n in emitted):
+            raise WorkLimitExceeded("an involution of over %d series terms is "
+                                    "past the work limit" % WORK_LIMIT)
         out = {}
         for (q, e), c in self.coeffs.items():
             _add_binomial_series(shape, out, -c if sum(e) % 2 else c,
@@ -234,6 +252,10 @@ def check_lemma_free_graded_injectivity(shape, n):
     Columns are images in monomial coordinates; full column rank certifies
     injectivity at working precision.
     """
+    size = math.comb(shape.s + n - 1, n) * len(shape.q_elements())
+    if size * size > WORK_LIMIT:  # the square matrix built and reduced below
+        raise WorkLimitExceeded(
+            "an injectivity matrix of %d^2 cells is past the work limit" % size)
     monos = shape.monomials(n)
     qs = shape.q_elements()
     columns = []

@@ -1,15 +1,14 @@
 """Operators on r-fold tensor products of completed local modules.
 
-This is the toolkit's core: the determinant map, the norm map into
-symmetric powers and the minus projection after it, the image of an
-invariant under the torus parametrization, the reciprocity leading term,
-and the verdicts for the sign, factorization, and algebraicity identities.
-The invariant is the committed scalar Q_S.  The factor-wise
-partial-Frobenius projector is kept as the tensor-side reference the
-closed-form projection is tested against.
+This is the toolkit's core: the image of an invariant (the committed
+scalar Q_S) under the reciprocity map and its leading term, and the
+verdicts for the sign, factorization and algebraicity identities; the
+algebraicity check is scalar linear algebra over Q_p(w).  The factor-wise
+partial-Frobenius projector on `PlecticTensor`s is kept as a reference.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -21,8 +20,9 @@ from .errors import (
 )
 from .grpalg import GroupAlgebraElem, GroupShape
 from .kernel import CoeffMap
-from .padic import INF, PadicScalar, is_square
-from .symalg import FreeModule, SymTensor, collapse, linear_form, sqrt_ratio
+from .linalg import det
+from .padic import INF, PadicScalar, QuadExtScalar, is_square
+from .symalg import FreeModule, SymTensor, sqrt_ratio
 
 
 # -- characters of (Z/2)^t ----------------------------------------------------
@@ -161,16 +161,10 @@ class PlecticTensor:
         out = {}
         for coeff, factors in self.terms:
             for idx in itertools.product(range(self.dim), repeat=self.r):
-                c = coeff
-                dead = False
-                for k, i in enumerate(idx):
-                    e = factors[k][i]
-                    if e.is_zero():
-                        dead = True
-                        break
-                    c = c * e
-                if dead:
+                entries = [factors[k][i] for k, i in enumerate(idx)]
+                if any(e.is_zero() for e in entries):
                     continue
+                c = math.prod(entries, start=coeff)
                 out[idx] = out[idx] + c if idx in out else c
         return {k: v for k, v in out.items() if not v.is_zero()}
 
@@ -194,8 +188,8 @@ def make_sigma_point(a):
 
 
 def projector(x, sign, a, sigma):
-    """(1 +/- a*sigma) applied to every tensor factor: the reference that
-    `minus_projection` after the norm is tested against."""
+    """(1 +/- a*sigma) applied to every tensor factor (a tensor-side
+    reference for the y^r coefficient step 3 of `algebraicity_check` reads)."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     mult = a if sign == "+" else -a
@@ -207,72 +201,8 @@ def projector(x, sign, a, sigma):
                                       for c, f in x.terms])
 
 
-def det_map(entries):
-    """Alternating sum over permutations of an r x r matrix of vectors.
-
-    entries[i][j] is the coordinate vector of point i at prime j.
-    """
-    r = len(entries)
-    if any(len(row) != r for row in entries):
-        raise ShapeMismatch("determinant needs a square matrix of vectors")
-    p = entries[0][0][0].p
-    return PlecticTensor(r, len(entries[0][0]), [
-        (PadicScalar.from_int(perm_sign(perm), p, INF),
-         tuple(entries[perm[j]][j] for j in range(r)))
-        for perm in itertools.permutations(range(r))])
-
-
-def perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def norm_map(x, module):
-    """Collapse the r-fold tensor product into Sym^r of the local module."""
-    if module.rank != x.dim:
-        raise ShapeMismatch("module rank != factor dimension")
-    if not x.terms:
-        return SymTensor.zero(module, x.r)
-    return collapse(module, x.terms)
-
-
-def minus_projection(n):
-    """Sym^r(1 - a*sigma) of a norm n in Sym^r of the (x, y) module.
-
-    sigma = diag(a, -a) with a = +-1, so 1 - a*sigma = diag(0, 2) for
-    either sign: only the y^r coefficient survives, times 2^r.  The norm map
-    commutes with a map applied to every factor, so this is the norm of
-    `projector(x, "-", a, sigma)` without a second pass over the terms.
-    """
-    r = n.degree
-    c = n.coeffs.get((0, r))
-    coeffs = {} if c is None else {(0, r): c.scale_int(2 ** r)}
-    return SymTensor(n.module, r, coeffs)
-
-
 # -- invariants ---------------------------------------------------------------
-# In the pinned bases an invariant is c * (u0 x ... x u0) with its whole
-# coefficient at the identity of the finite quotient: the committed scalar
-# c = Q_S, and the number r of factors.
-
-def phi_minus(c, r, points):
-    """Image of the invariant c under the tensor of parametrizations: the
-    pure tensor with every factor the minus point (0, 2*b0), scaled by c."""
-    factor = (points.units.zero_scalar(), points.units.minus_scale)
-    return PlecticTensor.pure(c, (factor,) * r)
-
+# An invariant is the committed scalar c = Q_S, with its number r of factors.
 
 def theta(c, r, shape):
     """The group-algebra element c*t_1...t_r."""
@@ -366,51 +296,44 @@ def factorization_check(family, c_chi, c_s, units, floor=30):
 
 
 def algebraicity_check(family, config, c_s, units, points, floor=25):
-    """The full determinant pipeline against the scenario's plectic point."""
-    r = config.r
+    """Steps 2 and 3 of the algebraicity theorem on the scenario's points.
+
+    Step 2: N(det W) = C_G * prod L(v_i), W_ij = chi_i(tau_j) * L(v_i) and
+    L(v) = v.x*x + v.y*y, as binary forms of degree r.  Evaluation at
+    (1, lam) is a ring map, so both sides are compared at lam = a + b*w for
+    the first r + 1 pairs (a, b) of range(p)^2; their residues in F_{p^2}
+    differ, so the Vandermonde matrix is a unit and the values agree as far
+    as the coefficients do.  Step 3: 1 - a*sigma = diag(0, 2) keeps 2^r times
+    the value at (0, 1); rescaled, it is the plectic point Q_S * (2*b0)^r.
+    """
+    r, p = config.r, config.p
     vectors = [points.complete(u) for u, _ in family]
-    entries = []
-    for i in range(r):
-        row = []
-        v = vectors[i]
-        for j in range(r):
-            s = config.char_value(i, config.tau[j])
-            row.append((v.x.scale_int(s), v.y.scale_int(s)))
-        entries.append(row)
-    # step (ii): the norm of the determinant is C_G times the point product
-    c_g = int_det([[config.char_value(i, config.tau[j]) for j in range(r)]
-                   for i in range(r)])
+    chi = [[config.char_value(i, g) for g in config.tau] for i in range(r)]
+    c_g = int_det(chi)
     if c_g == 0:
         raise CharacterTableDegenerate("twist matrix is singular")
-    module = FreeModule(["x", "y"])
-    n_w = norm_map(det_map(entries), module)
-    prod = linear_form(module, [vectors[0].x, vectors[0].y])
-    for v in vectors[1:]:
-        prod = prod * linear_form(module, [v.x, v.y])
-    step2_margin = n_w.agreement(prod.scale(
-        PadicScalar.from_int(c_g, config.p, INF)))
+    step2_margin = INF
+    for a, b in itertools.islice(itertools.product(range(p), repeat=2), r + 1):
+        values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b),
+                                units.c) for v in vectors]
+        lhs = det([[z if s > 0 else -z for s in row]
+                   for z, row in zip(values, chi)])
+        rhs = math.prod(values, start=QuadExtScalar.from_base(
+            PadicScalar.from_int(c_g, p, INF), units.c))
+        step2_margin = min(step2_margin, lhs.agreement(rhs))
     if step2_margin < floor:
         raise IdentityFails("norm-of-determinant margin %s < %d"
                             % (step2_margin, floor))
-    # step (iii): compare the rescaled minus projection of the norm with the
-    # norm of the plectic point
-    k_prod = Fraction(1)
-    for _, k in family:
-        k_prod *= k
     coords = minus_coordinates(family, units)
-    prod_q = coords[0]
-    for c in coords[1:]:
-        prod_q = prod_q * c
-    root = c_s / prod_q  # sqrt(C_chi) recovered from the committed invariant
-    scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod,
-                                             config.p, config.prec)
-    lhs = minus_projection(n_w).scale(scale)
-    rhs = norm_map(phi_minus(c_s, r, points), module)
-    step3_margin = lhs.agreement(rhs)
+    root = c_s / math.prod(coords[1:], start=coords[0])  # sqrt(C_chi)
+    k_prod = math.prod((k for _, k in family), start=Fraction(1))
+    scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
+                                             config.prec)
+    y_det = det([[v.y.scale_int(s) for s in row]
+                 for v, row in zip(vectors, chi)])
+    step3_margin = (y_det.scale_int(2 ** r) * scale).agreement(
+        c_s * units.minus_scale ** r)
     if step3_margin < floor:
         raise IdentityFails("plectic-point margin %s < %d" % (step3_margin, floor))
-    return {
-        "c_g": c_g,
-        "step2_margin": step2_margin,
-        "step3_margin": step3_margin,
-    }
+    return {"c_g": c_g, "step2_margin": step2_margin,
+            "step3_margin": step3_margin}

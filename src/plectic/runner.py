@@ -3,11 +3,13 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 from . import plectic_ops as po
 from .errors import (InconsistentSigns, NotProportional, PlecticError,
-                     ValidationError)
-from .grpalg import GroupAlgebraElem, check_lemma_free_graded_injectivity
+                     ValidationError, WorkLimitExceeded)
+from .grpalg import (WORK_LIMIT, GroupAlgebraElem,
+                     check_lemma_free_graded_injectivity)
 from .linalg import rank
 from .padic import INF, PadicScalar, QuadExtScalar
 from .scenario import SUITES
@@ -85,6 +87,15 @@ def _random_unit(rng, units):
         u = QuadExtScalar.from_parts(a, b, p, prec, units.c)
         if u.valuation == 0 and (u - one).valuation <= 2:
             return u
+
+
+def _exponents_with_sum(s, lo, hi):
+    """How many exponents in {0, 1, 2}^s have lo <= sum <= hi."""
+    counts = [1]  # counts[k]: exponents of sum k, one entry at a time
+    for _ in range(s):
+        counts = [sum(counts[max(k - 2, 0):k + 1])
+                  for k in range(min(len(counts) + 2, hi + 1))]
+    return sum(counts[lo:])
 
 
 # -- individual suites --------------------------------------------------------
@@ -178,7 +189,14 @@ def suite_grpalg(sc, report, rng):
         rhs = gh - g - h + one
         report.add("grpalg.expansion", lhs.agreement(rhs))
 
+    drawn = 0  # expected exponent entries drawn by the samples so far
     def rand_elem(min_deg):
+        nonlocal drawn  # four exponents of s entries, 3^s / hits tries each
+        hits = _exponents_with_sum(shape.s, min_deg, shape.degree)
+        drawn += Fraction(4 * shape.s * 3 ** shape.s, hits)
+        if drawn > WORK_LIMIT:
+            raise WorkLimitExceeded("random exponents would take draws past "
+                                    "the work limit")
         out = GroupAlgebraElem.zero(shape)
         for _ in range(4):
             while True:
@@ -209,6 +227,8 @@ def suite_grpalg(sc, report, rng):
         n = min(sc.r, shape.degree - 1, 3)
         check_lemma_free_graded_injectivity(shape, n)
         report.add("grpalg.injectivity", prec)
+    except WorkLimitExceeded:
+        raise  # an unusable input, not a failed certificate
     except PlecticError as e:
         report.add_fail("grpalg.injectivity", str(e))
 

@@ -1,0 +1,120 @@
+"""The r!-term tensor expansion of the algebraicity steps, kept as the test
+oracle for the evaluation-based `plectic_ops.algebraicity_check`.
+
+`det_map` expands the determinant of an r x r matrix of coordinate vectors
+over all r! permutations, `norm_map` collapses it into Sym^r of the (x, y)
+module, and `algebraicity_by_expansion` is the algebraicity check built
+from them: it compares whole binary forms of degree r coefficient-wise.
+"""
+
+import itertools
+from fractions import Fraction
+
+from plectic.errors import CharacterTableDegenerate, ShapeMismatch
+from plectic.padic import INF, PadicScalar
+from plectic.plectic_ops import PlecticTensor, int_det, minus_coordinates
+from plectic.symalg import FreeModule, SymTensor, collapse, linear_form
+
+
+def det_map(entries):
+    """Alternating sum over permutations of an r x r matrix of vectors.
+
+    entries[i][j] is the coordinate vector of point i at prime j.
+    """
+    r = len(entries)
+    if any(len(row) != r for row in entries):
+        raise ShapeMismatch("determinant needs a square matrix of vectors")
+    p = entries[0][0][0].p
+    return PlecticTensor(r, len(entries[0][0]), [
+        (PadicScalar.from_int(perm_sign(perm), p, INF),
+         tuple(entries[perm[j]][j] for j in range(r)))
+        for perm in itertools.permutations(range(r))])
+
+
+def perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def norm_map(x, module):
+    """Collapse the r-fold tensor product into Sym^r of the local module."""
+    if module.rank != x.dim:
+        raise ShapeMismatch("module rank != factor dimension")
+    if not x.terms:
+        return SymTensor.zero(module, x.r)
+    return collapse(module, x.terms)
+
+
+def minus_projection(n):
+    """Sym^r(1 - a*sigma) of a norm n in Sym^r of the (x, y) module.
+
+    sigma = diag(a, -a) with a = +-1, so 1 - a*sigma = diag(0, 2) for
+    either sign: only the y^r coefficient survives, times 2^r.  The norm map
+    commutes with a map applied to every factor, so this is the norm of
+    `projector(x, "-", a, sigma)` without a second pass over the terms.
+    """
+    r = n.degree
+    c = n.coeffs.get((0, r))
+    coeffs = {} if c is None else {(0, r): c.scale_int(2 ** r)}
+    return SymTensor(n.module, r, coeffs)
+
+
+def phi_minus(c, r, points):
+    """Image of the invariant c under the tensor of parametrizations: the
+    pure tensor with every factor the minus point (0, 2*b0), scaled by c."""
+    factor = (points.units.zero_scalar(), points.units.minus_scale)
+    return PlecticTensor.pure(c, (factor,) * r)
+
+
+def algebraicity_by_expansion(family, config, c_s, units, points):
+    """(C_G, step-2 margin, step-3 margin) of the algebraicity check, by the
+    r!-term expansion; the floor is left to the caller."""
+    r = config.r
+    vectors = [points.complete(u) for u, _ in family]
+    entries = []
+    for i in range(r):
+        row = []
+        v = vectors[i]
+        for j in range(r):
+            s = config.char_value(i, config.tau[j])
+            row.append((v.x.scale_int(s), v.y.scale_int(s)))
+        entries.append(row)
+    # step (ii): the norm of the determinant is C_G times the point product
+    c_g = int_det([[config.char_value(i, config.tau[j]) for j in range(r)]
+                   for i in range(r)])
+    if c_g == 0:
+        raise CharacterTableDegenerate("twist matrix is singular")
+    module = FreeModule(["x", "y"])
+    n_w = norm_map(det_map(entries), module)
+    prod = linear_form(module, [vectors[0].x, vectors[0].y])
+    for v in vectors[1:]:
+        prod = prod * linear_form(module, [v.x, v.y])
+    step2_margin = n_w.agreement(prod.scale(
+        PadicScalar.from_int(c_g, config.p, INF)))
+    # step (iii): compare the rescaled minus projection of the norm with the
+    # norm of the plectic point
+    k_prod = Fraction(1)
+    for _, k in family:
+        k_prod *= k
+    coords = minus_coordinates(family, units)
+    prod_q = coords[0]
+    for c in coords[1:]:
+        prod_q = prod_q * c
+    root = c_s / prod_q
+    scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod,
+                                             config.p, config.prec)
+    lhs = minus_projection(n_w).scale(scale)
+    rhs = norm_map(phi_minus(c_s, r, points), module)
+    return c_g, step2_margin, lhs.agreement(rhs)

@@ -236,6 +236,19 @@ def test_t3_split_passes_every_suite():
     assert proc.stdout.endswith("summary=pass checks=29\n")
 
 
+@pytest.mark.parametrize("key", ["free_rank = 100", "trunc_degree = 30",
+                                 "trunc_degree = 100"])
+def test_cli_exit_two_past_the_grpalg_work_limit(tmp_path, key):
+    # the random samples' rejection loop, and the involution of the
+    # involution (18 M and 2.6e11 series terms), are refused before they run
+    scenario = tmp_path / "heavy.kv"
+    scenario.write_text((GOLDEN / "t2-split.kv").read_text() + key + "\n")
+    proc = _verify_in_child([str(scenario), "--suite", "grpalg"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_single_factor_scenario_finishes(tmp_path):
     # t = 0 has free rank 1, so no exponent of sum 3 or 4 exists; the
     # diagram-sign check used to draw for one forever

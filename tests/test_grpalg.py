@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from plectic.errors import DegreeTooLow, ShapeMismatch
+from plectic import grpalg
+from plectic.errors import DegreeTooLow, ShapeMismatch, WorkLimitExceeded
 from plectic.grpalg import (
     GroupAlgebraElem,
     GroupShape,
@@ -344,3 +345,23 @@ def test_injectivity_certificates():
 def test_trivial_quotient_rank_one():
     shape = GroupShape((), 1, 3, P, N)
     assert check_lemma_free_graded_injectivity(shape, 1) == 1
+
+
+def test_work_is_counted_before_it_is_done(monkeypatch):
+    # each count is the work itself, so the limit admits exactly that much
+    t1 = GroupAlgebraElem.monomial(SHAPE, None, (1, 0), 1)
+    x = ONE + t1
+    y = GroupAlgebraElem.monomial(SHAPE, None, (5, 0), 1) \
+        + GroupAlgebraElem.monomial(SHAPE, None, (0, 1), 1)
+    cases = [
+        (6, lambda: t1.involution(), 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
+        (4, lambda: x * y, 4),  # 1 meets both terms, t_1 meets both up to D
+        (36, lambda: check_lemma_free_graded_injectivity(SHAPE, 2), None),
+    ]
+    for work, op, terms in cases:
+        monkeypatch.setattr(grpalg, "WORK_LIMIT", work)
+        out = op()
+        assert terms is None or len(out.coeffs) == terms
+        monkeypatch.setattr(grpalg, "WORK_LIMIT", work - 1)
+        with pytest.raises(WorkLimitExceeded):
+            op()

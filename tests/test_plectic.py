@@ -1,4 +1,4 @@
-"""Plectic operators: projectors, determinant, the minus image, and the verdicts."""
+"""Plectic operators: projectors, the r!-term expansion oracle, and the verdicts."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import expansion_oracle as oracle
 from plectic import plectic_ops as po
+from plectic.cli import main
 from plectic.errors import IdentityFails, InconsistentSigns, ValidationError
 from plectic.padic import INF, PadicScalar
 from plectic.scenario import parse_scenario
@@ -101,37 +103,37 @@ def test_unit_sigma_projector_kills_fixed_tensor():
     assert po.projector(x, "-", 1, lambda v: (v[0], v[1], -v[2])).is_zero()
 
 
-# -- determinant map ----------------------------------------------------------------
+# -- determinant map (the test oracle) ---------------------------------------------
 
 def test_det_map_alternating():
     v1, v2 = (mk(1), mk(2)), (mk(3), mk(5))
-    assert po.det_map([[v1, v2], [v1, v2]]).is_zero()
+    assert oracle.det_map([[v1, v2], [v1, v2]]).is_zero()
     v3, v4 = (mk(7), mk(11)), (mk(13), mk(4))
-    d = po.det_map([[v1, v2], [v3, v4]])
-    swapped = po.det_map([[v3, v4], [v1, v2]])
+    d = oracle.det_map([[v1, v2], [v3, v4]])
+    swapped = oracle.det_map([[v3, v4], [v1, v2]])
     assert d.agreement(swapped.scale(mk(-1))) >= N
 
 
 def test_det_map_rank_one_case():
     v = (mk(9), mk(2))
-    out = po.det_map([[v]])
+    out = oracle.det_map([[v]])
     assert out.agreement(po.PlecticTensor.pure(mk(1), (v,))) >= N
 
 
 def test_det_map_matches_cofactor_expansion():
     v1, v2 = (mk(1), mk(2)), (mk(3), mk(5))
     v3, v4 = (mk(7), mk(11)), (mk(13), mk(4))
-    d = po.det_map([[v1, v2], [v3, v4]])
+    d = oracle.det_map([[v1, v2], [v3, v4]])
     cofactor = po.PlecticTensor(2, 2, [(mk(1), (v1, v4)), (mk(-1), (v3, v2))])
     assert d.agreement(cofactor) >= N
 
 
-# -- norm map -----------------------------------------------------------------------
+# -- norm map (the test oracle) ----------------------------------------------------
 
 def test_norm_map_of_diagonal_tensor():
     v = (mk(3), mk(1))
     x = po.PlecticTensor.pure(mk(1), (v, v))
-    out = po.norm_map(x, MODULE)
+    out = oracle.norm_map(x, MODULE)
     want = linear_form(MODULE, list(v)) * linear_form(MODULE, list(v))
     assert out.agreement(want) >= N
 
@@ -139,13 +141,13 @@ def test_norm_map_of_diagonal_tensor():
 def test_norm_map_symmetrizes():
     v, w = (mk(1), mk(0)), (mk(0), mk(1))
     x = po.PlecticTensor(2, 2, [(mk(1), (v, w)), (mk(1), (w, v))])
-    out = po.norm_map(x, MODULE)
+    out = oracle.norm_map(x, MODULE)
     assert out.coeffs[(1, 1)].agreement(mk(2)) >= N
 
 
 def test_norm_map_injective_on_minus_line():
-    m = po.phi_minus(mk(5), 2, PTS)
-    assert not po.norm_map(m, MODULE).is_zero()
+    m = oracle.phi_minus(mk(5), 2, PTS)
+    assert not oracle.norm_map(m, MODULE).is_zero()
 
 
 def test_phi_minus_is_the_projected_base_point():
@@ -157,9 +159,9 @@ def test_phi_minus_is_the_projected_base_point():
         c = mk(rng.randrange(1, P ** 10))
         by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * cfg.r)
         by_hand = po.projector(by_hand, "-", a, po.make_sigma_point(a))
-        image = po.phi_minus(c, cfg.r, PTS)
-        assert po.norm_map(image, MODULE).agreement(
-            po.norm_map(by_hand, MODULE)) >= N
+        image = oracle.phi_minus(c, cfg.r, PTS)
+        assert oracle.norm_map(image, MODULE).agreement(
+            oracle.norm_map(by_hand, MODULE)) >= N
 
 
 def _rand_entry(rng):
@@ -188,8 +190,8 @@ def test_minus_projection_after_the_norm_matches_the_tensor_projector():
                     terms.append((coeff, tuple(
                         (_rand_entry(rng), _rand_entry(rng)) for _ in range(r))))
                 x = po.PlecticTensor(r, 2, terms)
-                got = po.minus_projection(po.norm_map(x, MODULE))
-                want = po.norm_map(po.projector(x, "-", a, sigma), MODULE)
+                got = oracle.minus_projection(oracle.norm_map(x, MODULE))
+                want = oracle.norm_map(po.projector(x, "-", a, sigma), MODULE)
                 assert set(got.coeffs) == set(want.coeffs) <= {(0, r)}
                 for k, c in want.coeffs.items():
                     assert got.coeffs[k].prec >= c.prec
@@ -322,6 +324,8 @@ def test_algebraicity_pipeline():
     ("t1-split.kv", 40, 41, 41),
     ("t2-split.kv", 40, 43, 42),
     ("t1-split.kv", 160, 161, 161),
+    ("t2-split.kv", 160, 163, 162),
+    ("t3-split.kv", 40, 47, 47),
 ])
 def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
     # the uncapped margins, for both reduction signs
@@ -334,6 +338,51 @@ def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
         res = po.algebraicity_check(sc.family, sc.config, sc.invariant,
                                     sc.units, sc.points)
         assert (res["step2_margin"], res["step3_margin"]) == (step2, step3)
+
+
+def _seeded_family(rng, r):
+    """r units with v(b) from 1 to 5, some with a = 1 exactly, and an
+    invariant root * prod Q_eta certified to 36..39 relative digits, like a
+    committed Q_S."""
+    ks = [Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(5, 7),
+          Fraction(2, 5)]
+    fam = []
+    for _ in range(r):
+        b = P ** rng.randint(1, 5) * rng.choice(
+            (rng.randrange(1, P), P * rng.randrange(P ** 7) + rng.randrange(1, P)))
+        a = rng.choice((1, rng.randrange(1, P) + P * rng.randrange(P ** 8)))
+        fam.append((U.ext(a, b), rng.choice(ks)))
+    c_s = mk(rng.choice((2, 3)))
+    for c in po.minus_coordinates(fam, U):
+        c_s = c_s * c
+    return fam, c_s.truncate(c_s.v + N - 1 - rng.randrange(4))
+
+
+def test_algebraicity_check_matches_the_expansion_oracle():
+    # evaluation at r + 1 points and the y-column determinant against the
+    # r!-term expansion, uncapped margins included
+    margins = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        cfg = po.PlecticConfig(1 + seed % 2, P, (1, -1)[seed // 2 % 2], 1)
+        fam, c_s = _seeded_family(rng, cfg.r)
+        got = po.algebraicity_check(fam, cfg, c_s, U, PTS, floor=0)
+        got = (got["c_g"], got["step2_margin"], got["step3_margin"])
+        assert got == oracle.algebraicity_by_expansion(fam, cfg, c_s, U, PTS)
+        margins += got[1:]
+    # the families reach below the working precision and above it
+    assert min(margins) < N < max(margins)
+
+
+def test_algebraicity_keeps_its_margin_on_a_lossy_unit(tmp_path, capsys):
+    # v(b) = 5 in u_eta.1 costs step 3 two digits, as the expansion did
+    text = (GOLDEN / "t2-split.kv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("u_eta.1 ")]
+    lossy = tmp_path / "lossy.kv"
+    lossy.write_text("\n".join(lines + ["u_eta.1 = 1e0 + 1e5 w"]) + "\n")
+    assert main(["verify", str(lossy), "--suite", "algebraicity",
+                 "--format", "kv"]) == 0
+    assert "algebraicity.plectic_point=pass margin=38\n" in capsys.readouterr().out
 
 
 def test_algebraicity_rejects_degenerate_twists():
