@@ -54,7 +54,8 @@ class InconsistentSigns(PlecticError):
 
 
 class IdentityFails(PlecticError):
-    """A verified identity diverges; carries the first bad coefficient."""
+    """No margin exists: Q_S = 0 while prod Q_eta != 0 (diverging margins
+    are returned, and the report fails them)."""
 
 
 class WorkLimitExceeded(PlecticError):

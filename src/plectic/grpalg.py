@@ -245,6 +245,14 @@ class GradedPiece(CoeffMap):
         return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
 
 
+def count_injectivity_work(shape, n):
+    """Refuse a degree-n injectivity matrix of cells past the work limit."""
+    size = math.comb(shape.s + n - 1, n) * len(shape.q_elements())
+    if size * size > WORK_LIMIT:  # the square matrix built and reduced
+        raise WorkLimitExceeded(
+            "an injectivity matrix of %d^2 cells is past the work limit" % size)
+
+
 def check_lemma_free_graded_injectivity(shape, n):
     """Certify I(H)^n/I(H)^{n+1} tensor Q_p[Q] -> I_Q(G)^n/I_Q(G)^{n+1} injective.
 
@@ -252,10 +260,7 @@ def check_lemma_free_graded_injectivity(shape, n):
     Columns are images in monomial coordinates; full column rank certifies
     injectivity at working precision.
     """
-    size = math.comb(shape.s + n - 1, n) * len(shape.q_elements())
-    if size * size > WORK_LIMIT:  # the square matrix built and reduced below
-        raise WorkLimitExceeded(
-            "an injectivity matrix of %d^2 cells is past the work limit" % size)
+    count_injectivity_work(shape, n)
     monos = shape.monomials(n)
     qs = shape.q_elements()
     columns = []

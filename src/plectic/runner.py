@@ -8,7 +8,7 @@ from fractions import Fraction
 from . import plectic_ops as po
 from .errors import (InconsistentSigns, NotProportional, PlecticError,
                      ValidationError, WorkLimitExceeded)
-from .grpalg import (WORK_LIMIT, GroupAlgebraElem,
+from .grpalg import (WORK_LIMIT, GroupAlgebraElem, count_injectivity_work,
                      check_lemma_free_graded_injectivity)
 from .linalg import rank
 from .padic import INF, PadicScalar, QuadExtScalar
@@ -179,7 +179,18 @@ def suite_tate(sc, report, rng):
 
 def suite_grpalg(sc, report, rng):
     shape = sc.config.shape
-    prec = sc.precision
+    # the shape alone fixes the work, so it is counted before anything is
+    # built or drawn: the injectivity matrix, and 2 + 6 * top samples of four
+    # exponents in {0, 1, 2}^s, 3^s / hits tries each and at least one
+    inj_degree = min(sc.r, shape.degree - 1, 3)
+    count_injectivity_work(shape, inj_degree)
+    top = min(4, shape.degree - 1, 2 * shape.s)
+    if 4 * shape.s * (2 + 6 * top) > WORK_LIMIT or sum(
+            Fraction(4 * shape.s * 3 ** shape.s * (6 if n else 2),
+                     _exponents_with_sum(shape.s, n, shape.degree))
+            for n in range(top + 1)) > WORK_LIMIT:
+        raise WorkLimitExceeded("random exponents would take draws past "
+                                "the work limit")
     one = GroupAlgebraElem.one(shape)
     if shape.s >= 2:
         g = GroupAlgebraElem.group_elem(shape, None, (1,) + (0,) * (shape.s - 1))
@@ -189,14 +200,7 @@ def suite_grpalg(sc, report, rng):
         rhs = gh - g - h + one
         report.add("grpalg.expansion", lhs.agreement(rhs))
 
-    drawn = 0  # expected exponent entries drawn by the samples so far
     def rand_elem(min_deg):
-        nonlocal drawn  # four exponents of s entries, 3^s / hits tries each
-        hits = _exponents_with_sum(shape.s, min_deg, shape.degree)
-        drawn += Fraction(4 * shape.s * 3 ** shape.s, hits)
-        if drawn > WORK_LIMIT:
-            raise WorkLimitExceeded("random exponents would take draws past "
-                                    "the work limit")
         out = GroupAlgebraElem.zero(shape)
         for _ in range(4):
             while True:
@@ -215,8 +219,7 @@ def suite_grpalg(sc, report, rng):
     report.add("grpalg.involution", m)
 
     margin = INF
-    # rand_elem(n) needs an exponent sum of n, and its entries are below 3
-    for n in range(1, min(4, shape.degree - 1, 2 * shape.s) + 1):
+    for n in range(1, top + 1):
         for _ in range(6):
             z = rand_elem(n)
             margin = min(margin, z.involution().leading_term(n).agreement(
@@ -224,11 +227,8 @@ def suite_grpalg(sc, report, rng):
     report.add("grpalg.diagram_sign", margin)
 
     try:
-        n = min(sc.r, shape.degree - 1, 3)
-        check_lemma_free_graded_injectivity(shape, n)
-        report.add("grpalg.injectivity", prec)
-    except WorkLimitExceeded:
-        raise  # an unusable input, not a failed certificate
+        check_lemma_free_graded_injectivity(shape, inj_degree)
+        report.add("grpalg.injectivity", sc.precision)
     except PlecticError as e:
         report.add_fail("grpalg.injectivity", str(e))
 
@@ -308,13 +308,13 @@ def suite_sign(sc, report, rng):
 def suite_factorization(sc, report, rng):
     try:
         res = po.factorization_check(sc.family, sc.c_chi, sc.invariant,
-                                     sc.units, floor=report.floor)
+                                     sc.units)
         report.add("factorization.square", res["square_margin"])
         report.add("factorization.sqrt",
                    min(res["linear_margin"], res["root_square_margin"]))
-        report.add("factorization.c_chi_square", sc.precision,
-                   note="square in Z_p" if res["c_chi_is_padic_square"]
-                   else "not a square in Z_p")
+        square = res["c_chi_is_padic_square"]
+        report.add("factorization.c_chi_square", sc.precision if square else -1,
+                   note="square in Z_p" if square else "not a square in Z_p")
     except PlecticError as e:
         report.add_fail("factorization.identity", str(e))
 
@@ -322,7 +322,7 @@ def suite_factorization(sc, report, rng):
 def suite_algebraicity(sc, report, rng):
     try:
         res = po.algebraicity_check(sc.family, sc.config, sc.invariant,
-                                    sc.units, sc.points, floor=min(report.floor, 25))
+                                    sc.units, sc.points)
         want = sc.r ** (sc.r // 2)
         report.add("algebraicity.char_det",
                    sc.precision if abs(res["c_g"]) == want else -1,

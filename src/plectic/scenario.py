@@ -3,7 +3,7 @@
 Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
 
     name           string
-    p              odd prime >= 5
+    p              prime, 5 <= p <= MAX_P
     t              tower exponent, r = 2^t
     reduction_sign +1 or -1
     eps            +1 or -1 (global sign; default 1)
@@ -51,6 +51,8 @@ FAMILY_SUITES = ("factorization", "algebraicity")
 # every scalar computes p^precision, so an unbounded precision can hang the
 # first constructor; 1000 leaves room above the 40..640 precision grid
 MAX_PRECISION = 1000
+# `_is_prime` trial-divides up to sqrt(p): under 50 k steps below 2^31
+MAX_P = 2 ** 31
 
 _PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?\d+)$")
 
@@ -114,8 +116,8 @@ class Scenario:
     def __init__(self, raw):
         self.name = raw.get("name", "unnamed")
         self.p = _number(int, raw, "p", "5")
-        if not _is_prime(self.p) or self.p < 5:
-            raise ValidationError("p must be a prime >= 5")
+        if not 5 <= self.p <= MAX_P or not _is_prime(self.p):
+            raise ValidationError("p must be a prime between 5 and %d" % MAX_P)
         self.t = _number(int, raw, "t", "1")
         if self.t < 0 or self.t > 3:
             raise ValidationError("t must be between 0 and 3")

@@ -1,19 +1,23 @@
-"""The r!-term tensor expansion of the algebraicity steps, kept as the test
-oracle for the evaluation-based `plectic_ops.algebraicity_check`.
+"""Tensor references for the scalar identity checks of `plectic_ops`.
 
 `det_map` expands the determinant of an r x r matrix of coordinate vectors
 over all r! permutations, `norm_map` collapses it into Sym^r of the (x, y)
 module, and `algebraicity_by_expansion` is the algebraicity check built
 from them: it compares whole binary forms of degree r coefficient-wise.
+`factorization_by_tensor` is the factorization check over rank-one
+`SymTensor`s, with `sqrt_ratio`'s squaring test, for the scalar
+`plectic_ops.factorization_check`.
 """
 
 import itertools
 from fractions import Fraction
 
-from plectic.errors import CharacterTableDegenerate, ShapeMismatch
-from plectic.padic import INF, PadicScalar
+from plectic.errors import (CharacterTableDegenerate, IdentityFails,
+                            ShapeMismatch)
+from plectic.padic import INF, PadicScalar, is_square
 from plectic.plectic_ops import PlecticTensor, int_det, minus_coordinates
-from plectic.symalg import FreeModule, SymTensor, collapse, linear_form
+from plectic.symalg import (FreeModule, SymTensor, collapse, linear_form,
+                            sqrt_ratio)
 
 
 def det_map(entries):
@@ -118,3 +122,31 @@ def algebraicity_by_expansion(family, config, c_s, units, points):
     lhs = minus_projection(n_w).scale(scale)
     rhs = norm_map(phi_minus(c_s, r, points), module)
     return c_g, step2_margin, lhs.agreement(rhs)
+
+
+def factorization_by_tensor(family, c_chi, c_s, units):
+    """The factorization margins over rank-one tensors, uncapped: the floor
+    is left to the caller, so `sqrt_ratio` certifies at -INF."""
+    r = len(family)
+    module = FreeModule(["u0"])
+    coords = minus_coordinates(family, units)
+    n_qs = SymTensor(module, r, {(r,): c_s}) if not c_s.is_zero() \
+        else SymTensor.zero(module, r)
+    prod = SymTensor(module, 1, {(1,): coords[0]})
+    for c in coords[1:]:
+        prod = prod * SymTensor(module, 1, {(1,): c})
+    c_chi_p = PadicScalar.from_fraction(c_chi, units.p, units.prec)
+    sq_margin = (n_qs * n_qs).agreement((prod * prod).scale(c_chi_p))
+    root = sqrt_ratio(n_qs, prod, -INF)
+    lin_margin = n_qs.agreement(prod.scale(root))
+    root_sq_margin = (root * root).agreement(c_chi_p)
+    nonzero = all(not c.is_zero() for c in coords)
+    if (not n_qs.is_zero()) != nonzero:
+        raise IdentityFails("nonvanishing equivalence violated")
+    return {
+        "square_margin": sq_margin,
+        "linear_margin": lin_margin,
+        "root": root,
+        "root_square_margin": root_sq_margin,
+        "c_chi_is_padic_square": is_square(c_chi_p),
+    }

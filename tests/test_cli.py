@@ -13,7 +13,7 @@ from plectic.cli import main
 from plectic.errors import ValidationError
 from plectic.padic import INF
 from plectic.runner import run
-from plectic.scenario import load_scenario, parse_scenario
+from plectic.scenario import MAX_P, load_scenario, parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
@@ -237,16 +237,30 @@ def test_t3_split_passes_every_suite():
 
 
 @pytest.mark.parametrize("key", ["free_rank = 100", "trunc_degree = 30",
-                                 "trunc_degree = 100"])
+                                 "trunc_degree = 100", "free_rank = 100000",
+                                 "free_rank = 1000000"])
 def test_cli_exit_two_past_the_grpalg_work_limit(tmp_path, key):
     # the random samples' rejection loop, and the involution of the
-    # involution (18 M and 2.6e11 series terms), are refused before they run
+    # involution (18 M and 2.6e11 series terms), are refused before they run;
+    # a huge free rank before the first group element, O(s^2), is built
     scenario = tmp_path / "heavy.kv"
     scenario.write_text((GOLDEN / "t2-split.kv").read_text() + key + "\n")
     proc = _verify_in_child([str(scenario), "--suite", "grpalg"])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_exit_two_on_a_prime_past_the_cap(tmp_path):
+    # trial division to sqrt(p) ~ 1e9 would take minutes; 2^31 - 1 is used
+    scenario = tmp_path / "huge-p.kv"
+    scenario.write_text("p = 1000000000000000003\ntate_period = 1e1\n")
+    proc = _verify_in_child([str(scenario), "--suite", "sign"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: p must be a prime between 5 and %d\n" % MAX_P
+    scenario.write_text("p = %d\ntate_period = 1e1\n" % (2 ** 31 - 1))
+    proc = _verify_in_child([str(scenario), "--suite", "sign"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_single_factor_scenario_finishes(tmp_path):
@@ -276,3 +290,37 @@ def test_tate_homomorphism_passes_near_the_origin(capsys, seed):
     out = capsys.readouterr().out
     assert "tate.homomorphism=pass" in out
     assert rc == 0
+
+
+
+STEPS = ["algebraicity.char_det=pass margin=40",
+         "algebraicity.norm_det=pass margin=40",
+         "algebraicity.plectic_point=pass margin=40"]
+
+
+@pytest.mark.parametrize("line,checks", [
+    ("C_chi = 2", ["factorization.square=fail margin=-1",
+                   "factorization.sqrt=fail margin=0",
+                   "factorization.c_chi_square=fail margin=-1"] + STEPS),
+    ("u_eta.2 = 1.1e0 + 2.0.0.1e1 w", ["factorization.square=fail margin=1",
+                                       "factorization.sqrt=fail margin=3",
+                                       "factorization.c_chi_square=pass margin=40"]
+     + STEPS),
+    ("u_eta.1 = 1e0 + 1e39 w", ["factorization.square=fail margin=-1",
+                                "factorization.sqrt=fail margin=-1",
+                                "factorization.c_chi_square=pass margin=40"]
+     + STEPS[:2] + ["algebraicity.plectic_point=fail margin=4"]),
+    ("Q_S = 0e0", ["factorization.identity=fail margin=-1"] + STEPS),
+])
+def test_a_failing_identity_reports_its_margins(tmp_path, capsys, line, checks):
+    # the report alone applies the floor, so a failing identity prints its
+    # own checks; only Q_S = 0, which has no margin, prints an identity line
+    key = line.split("=")[0]
+    text = "".join(ln + "\n" for ln in Path(T2).read_text().splitlines()
+                   if not ln.startswith(key))
+    scenario = tmp_path / "failing.kv"
+    scenario.write_text(text + line + "\n")
+    assert main(["verify", str(scenario), "--suite", "factorization",
+                 "--suite", "algebraicity", "--format", "kv"]) == 1
+    assert capsys.readouterr().out == "".join(ln + "\n" for ln in checks) \
+        + "summary=fail checks=%d\n" % len(checks)
