@@ -23,8 +23,8 @@ from .padic import PadicScalar
 from .linalg import assert_full_column_rank
 
 # The most steps one operation may take: the series terms of an involution,
-# the pairs of a product, the cells of an injectivity matrix, or the expected
-# draws of the grpalg suite's samples.  scenarios/t3-split.kv needs 1.45 M.
+# the pairs of a product, or the cells of an injectivity matrix.
+# scenarios/t3-split.kv needs 1.45 M.
 WORK_LIMIT = 16_000_000
 
 
@@ -245,14 +245,6 @@ class GradedPiece(CoeffMap):
         return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
 
 
-def count_injectivity_work(shape, n):
-    """Refuse a degree-n injectivity matrix of cells past the work limit."""
-    size = math.comb(shape.s + n - 1, n) * len(shape.q_elements())
-    if size * size > WORK_LIMIT:  # the square matrix built and reduced
-        raise WorkLimitExceeded(
-            "an injectivity matrix of %d^2 cells is past the work limit" % size)
-
-
 def check_lemma_free_graded_injectivity(shape, n):
     """Certify I(H)^n/I(H)^{n+1} tensor Q_p[Q] -> I_Q(G)^n/I_Q(G)^{n+1} injective.
 
@@ -260,9 +252,12 @@ def check_lemma_free_graded_injectivity(shape, n):
     Columns are images in monomial coordinates; full column rank certifies
     injectivity at working precision.
     """
-    count_injectivity_work(shape, n)
-    monos = shape.monomials(n)
     qs = shape.q_elements()
+    size = math.comb(shape.s + n - 1, n) * len(qs)
+    if size * size > WORK_LIMIT:  # the square matrix built and reduced
+        raise WorkLimitExceeded(
+            "an injectivity matrix of %d^2 cells is past the work limit" % size)
+    monos = shape.monomials(n)
     columns = []
     for e in monos:
         base = GroupAlgebraElem.monomial(shape, None, e, 1)

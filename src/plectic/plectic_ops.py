@@ -78,7 +78,7 @@ class PlecticConfig:
     """Validated shape data for one verification scenario."""
 
     def __init__(self, t, p, reduction_sign, eps, char_table=None, tau=None,
-                 prec=40, trunc_degree=None, free_rank=None):
+                 prec=40):
         if t < 0:
             raise ValidationError("t must be >= 0")
         self.t = t
@@ -102,13 +102,10 @@ class PlecticConfig:
             if tuple(g) not in self.elems:
                 raise ValidationError("twist %r outside the group" % (g,))
         self.tau = [tuple(g) for g in self.tau]
-        degree = trunc_degree if trunc_degree is not None else 2 * self.r + 2
-        s = free_rank if free_rank is not None else self.r
-        if s < self.r:
-            raise ValidationError("free rank must be at least r")
-        if degree < self.r:  # the degree-r pieces the suites compare
-            raise ValidationError("truncation degree must be at least r")
-        self.shape = GroupShape((2,) * max(t, 1), s, degree, p, prec)
+        # the suites compare degree-r graded pieces: r free variables, and
+        # a truncation D = 2r + 2 above them
+        self.shape = GroupShape((2,) * max(t, 1), self.r, 2 * self.r + 2, p,
+                                prec)
 
     def _validate_table(self):
         r = self.r

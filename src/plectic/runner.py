@@ -3,13 +3,11 @@
 import math
 import random
 import time
-from fractions import Fraction
 
 from . import plectic_ops as po
 from .errors import (InconsistentSigns, NotProportional, PlecticError,
-                     ValidationError, WorkLimitExceeded)
-from .grpalg import (WORK_LIMIT, GroupAlgebraElem, count_injectivity_work,
-                     check_lemma_free_graded_injectivity)
+                     ValidationError)
+from .grpalg import GroupAlgebraElem, check_lemma_free_graded_injectivity
 from .linalg import rank
 from .padic import INF, PadicScalar, QuadExtScalar
 from .scenario import SUITES
@@ -44,9 +42,6 @@ class Report:
             margin = -1 if margin < 0 else self.precision
         margin = max(-1, min(int(margin), self.precision))
         self.checks.append(CheckResult(name, margin >= self.floor, margin, note))
-
-    def add_fail(self, name, note):
-        self.checks.append(CheckResult(name, False, -1, note))
 
     @property
     def ok(self):
@@ -87,15 +82,6 @@ def _random_unit(rng, units):
         u = QuadExtScalar.from_parts(a, b, p, prec, units.c)
         if u.valuation == 0 and (u - one).valuation <= 2:
             return u
-
-
-def _exponents_with_sum(s, lo, hi):
-    """How many exponents in {0, 1, 2}^s have lo <= sum <= hi."""
-    counts = [1]  # counts[k]: exponents of sum k, one entry at a time
-    for _ in range(s):
-        counts = [sum(counts[max(k - 2, 0):k + 1])
-                  for k in range(min(len(counts) + 2, hi + 1))]
-    return sum(counts[lo:])
 
 
 # -- individual suites --------------------------------------------------------
@@ -179,18 +165,8 @@ def suite_tate(sc, report, rng):
 
 def suite_grpalg(sc, report, rng):
     shape = sc.config.shape
-    # the shape alone fixes the work, so it is counted before anything is
-    # built or drawn: the injectivity matrix, and 2 + 6 * top samples of four
-    # exponents in {0, 1, 2}^s, 3^s / hits tries each and at least one
-    inj_degree = min(sc.r, shape.degree - 1, 3)
-    count_injectivity_work(shape, inj_degree)
-    top = min(4, shape.degree - 1, 2 * shape.s)
-    if 4 * shape.s * (2 + 6 * top) > WORK_LIMIT or sum(
-            Fraction(4 * shape.s * 3 ** shape.s * (6 if n else 2),
-                     _exponents_with_sum(shape.s, n, shape.degree))
-            for n in range(top + 1)) > WORK_LIMIT:
-        raise WorkLimitExceeded("random exponents would take draws past "
-                                "the work limit")
+    inj_degree = min(sc.r, 3)
+    top = min(4, 2 * sc.r)  # an exponent in {0, 1, 2}^r has sum <= 2r
     one = GroupAlgebraElem.one(shape)
     if shape.s >= 2:
         g = GroupAlgebraElem.group_elem(shape, None, (1,) + (0,) * (shape.s - 1))
@@ -205,7 +181,7 @@ def suite_grpalg(sc, report, rng):
         for _ in range(4):
             while True:
                 e = tuple(rng.randrange(3) for _ in range(shape.s))
-                if min_deg <= sum(e) <= shape.degree:
+                if sum(e) >= min_deg:
                     break
             q = tuple(rng.randrange(d) for d in shape.divisors)
             out = out + GroupAlgebraElem.monomial(shape, q, e,
@@ -230,7 +206,7 @@ def suite_grpalg(sc, report, rng):
         check_lemma_free_graded_injectivity(shape, inj_degree)
         report.add("grpalg.injectivity", sc.precision)
     except PlecticError as e:
-        report.add_fail("grpalg.injectivity", str(e))
+        report.add("grpalg.injectivity", -INF, str(e))
 
 
 def suite_symalg(sc, report, rng):
@@ -302,7 +278,7 @@ def suite_sign(sc, report, rng):
         verdict = po.sign_check(sc.config, c)
         report.add("sign.consistency", sc.precision, note=verdict["verdict"])
     except InconsistentSigns as e:
-        report.add_fail("sign.consistency", "inconsistent: %s" % e)
+        report.add("sign.consistency", -INF, "inconsistent: %s" % e)
 
 
 def suite_factorization(sc, report, rng):
@@ -316,7 +292,7 @@ def suite_factorization(sc, report, rng):
         report.add("factorization.c_chi_square", sc.precision if square else -1,
                    note="square in Z_p" if square else "not a square in Z_p")
     except PlecticError as e:
-        report.add_fail("factorization.identity", str(e))
+        report.add("factorization.identity", -INF, str(e))
 
 
 def suite_algebraicity(sc, report, rng):
@@ -330,7 +306,7 @@ def suite_algebraicity(sc, report, rng):
         report.add("algebraicity.norm_det", res["step2_margin"])
         report.add("algebraicity.plectic_point", res["step3_margin"])
     except PlecticError as e:
-        report.add_fail("algebraicity.identity", str(e))
+        report.add("algebraicity.identity", -INF, str(e))
 
 
 SUITE_FUNCS = {

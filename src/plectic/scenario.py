@@ -8,9 +8,7 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     reduction_sign +1 or -1
     eps            +1 or -1 (global sign; default 1)
     precision      base-p digits of working precision (default 40, at most
-                   MAX_PRECISION)
-    trunc_degree   group-algebra truncation, at least r (default 2r + 2)
-    free_rank      free rank of the group shape (default r)
+                   MAX_PRECISION, and p^precision at most 5^MAX_PRECISION)
     seed           RNG seed for property checks (default 0)
     tate_period    p-adic literal (required)
     char_table     rows of +-1 separated by ';' (default: canonical table)
@@ -42,14 +40,15 @@ from .units import PointCompletion, UnitCompletion
 SUITES = ("units", "tate", "grpalg", "symalg", "gz", "sign",
           "factorization", "algebraicity")
 # the keys of the grammar above, besides u_eta.K and k_eta.K
-KEYS = ("name", "p", "t", "reduction_sign", "eps", "precision", "trunc_degree",
-        "free_rank", "seed", "tate_period", "char_table", "tau", "C_chi", "Q_S",
-        "suites")
+KEYS = ("name", "p", "t", "reduction_sign", "eps", "precision", "seed",
+        "tate_period", "char_table", "tau", "C_chi", "Q_S", "suites")
 # suites that read the committed family u_eta, C_chi, Q_S
 FAMILY_SUITES = ("factorization", "algebraicity")
 
 # every scalar computes p^precision, so an unbounded precision can hang the
-# first constructor; 1000 leaves room above the 40..640 precision grid
+# first constructor; 1000 leaves room above the 40..640 precision grid.  The
+# cost of a run grows with the size of the modulus p^precision, not with the
+# digit count, so the modulus is bounded too, by the largest one at p = 5.
 MAX_PRECISION = 1000
 # `_is_prime` trial-divides up to sqrt(p): under 50 k steps below 2^31
 MAX_P = 2 ** 31
@@ -133,9 +132,10 @@ class Scenario:
         if not 10 <= self.precision <= MAX_PRECISION:
             raise ValidationError("precision must be between 10 and %d"
                                   % MAX_PRECISION)
+        if self.p ** self.precision > 5 ** MAX_PRECISION:
+            raise ValidationError("p^precision must be at most 5^%d"
+                                  % MAX_PRECISION)
         self.seed = _number(int, raw, "seed", "0")
-        self.trunc_degree = _number(int, raw, "trunc_degree")
-        self.free_rank = _number(int, raw, "free_rank")
 
         if "tate_period" not in raw:
             raise ValidationError("tate_period required")
@@ -168,8 +168,7 @@ class Scenario:
 
         self.config = PlecticConfig(
             self.t, self.p, self.reduction_sign, self.eps,
-            char_table=table, tau=tau, prec=self.precision,
-            trunc_degree=self.trunc_degree, free_rank=self.free_rank)
+            char_table=table, tau=tau, prec=self.precision)
         self.units = UnitCompletion(self.p, self.precision)
         self.points = PointCompletion(self.units, self.q)
 

@@ -1,5 +1,7 @@
 """Runner reports and the command-line interface."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -7,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plectic import runner
+from plectic import grpalg, runner
 from plectic.cli import main
 from plectic.errors import ValidationError
 from plectic.padic import INF
@@ -139,8 +142,10 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     ("k_eta.1", "1/0"),
     ("tate_period", "1e5"),  # valuation 5 is divisible by p = 5
     ("tau", "x; 1"),
-    ("trunc_degree", "0"),
-    ("trunc_degree", "1"),  # below r = 2: no degree-r pieces to compare
+    ("trunc_degree", "0"),  # the group shape is fixed by t: an unknown key
+    ("trunc_degree", "1"),
+    ("trunc_degree", "100"),
+    ("free_rank", "100"),
     ("u_eta.1", "1e0 +- 1e1 w"),  # one sign, not a run of them
     ("precison", "12"),  # a misspelt key is not silently ignored
     ("k_eta.3", "1"),  # r = 2: no third unit to normalize
@@ -236,19 +241,14 @@ def test_t3_split_passes_every_suite():
     assert proc.stdout.endswith("summary=pass checks=29\n")
 
 
-@pytest.mark.parametrize("key", ["free_rank = 100", "trunc_degree = 30",
-                                 "trunc_degree = 100", "free_rank = 100000",
-                                 "free_rank = 1000000"])
-def test_cli_exit_two_past_the_grpalg_work_limit(tmp_path, key):
-    # the random samples' rejection loop, and the involution of the
-    # involution (18 M and 2.6e11 series terms), are refused before they run;
-    # a huge free rank before the first group element, O(s^2), is built
-    scenario = tmp_path / "heavy.kv"
-    scenario.write_text((GOLDEN / "t2-split.kv").read_text() + key + "\n")
-    proc = _verify_in_child([str(scenario), "--suite", "grpalg"])
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and "limit" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_cli_exit_two_past_the_grpalg_work_limit(monkeypatch, capsys):
+    # the involution of the involution is refused before it runs
+    monkeypatch.setattr(grpalg, "WORK_LIMIT", 1000)
+    assert main(["verify", T2, "--suite", "grpalg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .* work limit\n", captured.err)
+    assert "Traceback" not in captured.err
 
 
 def test_cli_exit_two_on_a_prime_past_the_cap(tmp_path):
@@ -324,3 +324,45 @@ def test_a_failing_identity_reports_its_margins(tmp_path, capsys, line, checks):
                  "--suite", "algebraicity", "--format", "kv"]) == 1
     assert capsys.readouterr().out == "".join(ln + "\n" for ln in checks) \
         + "summary=fail checks=%d\n" % len(checks)
+
+
+_FUZZ_KEYS = ("name", "p", "t", "reduction_sign", "eps", "seed", "tate_period",
+              "char_table", "tau", "u_eta.1", "u_eta.2", "u_eta.3", "k_eta.1",
+              "k_eta.2", "C_chi", "Q_S", "suites", "free_rank", "trunc_degree",
+              "precison")
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["7", "1009", "2147483647", "x", "1/0", "-2/3", "1e1",
+                     "2.1e0", "3e-1", "0e0", "1e0 + 1e1 w", "1e1 w",
+                     "1 1; 1 -1", "1 0; 0 1", "0; 1", "01; 10", "sign gz",
+                     "grpalg units", "algebraicity"]),
+    st.text("0123456789.e-+w/; ", min_size=1, max_size=12)
+    .map(str.strip).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(["t1-split.kv", "t2-split.kv"]),
+       edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
+                                st.none() | _FUZZ_VALUES),
+                      min_size=1, max_size=3, unique_by=lambda kv: kv[0]),
+       precision=st.integers(10, 20))
+def test_the_exit_code_contract_holds_under_mutated_scenarios(
+        tmp_path_factory, base, edits, precision):
+    # each edit sets a key (None deletes it); the run exits 0, 1 or 2, and
+    # every error reaches the user as `error: ...`, never as a traceback
+    keys = {key for key, _ in edits}
+    lines = [ln for ln in (GOLDEN / base).read_text().splitlines()
+             if ln.split("=")[0].strip() not in keys]
+    lines += ["%s = %s" % kv for kv in edits if kv[1] is not None]
+    scenario = tmp_path_factory.mktemp("fuzz") / "mutated.kv"
+    scenario.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(scenario), "--precision", str(precision),
+                   "--floor", "10", "--format", "kv"])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert out.getvalue().endswith("checks=%d\n" % out.getvalue().count(
+            " margin="))

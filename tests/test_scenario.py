@@ -100,6 +100,23 @@ def test_parameter_validation():
         parse_scenario("precision = 5\ntate_period = 1e1\n")
 
 
+def test_modulus_is_bounded_not_only_the_digit_count():
+    # a run costs by the size of p^precision: the bound is 5^MAX_PRECISION
+    with pytest.raises(ValidationError, match=r"p\^precision must be at most"):
+        parse_scenario("p = 1009\nprecision = 1000\ntate_period = 1e1\n")
+    with pytest.raises(ValidationError, match=r"p\^precision must be at most"):
+        parse_scenario("p = 1009\nprecision = 233\ntate_period = 1e1\n")
+    sc = parse_scenario("p = 1009\nprecision = 232\ntate_period = 1e1\n")
+    assert sc.precision == 232
+
+
+@pytest.mark.parametrize("key", ["free_rank", "trunc_degree"])
+def test_the_group_shape_is_fixed_by_t(key):
+    # s = r and D = 2r + 2: the suites read the degree-r graded pieces
+    with pytest.raises(ValidationError, match="unknown key '%s'" % key):
+        parse_scenario("%s = 100\ntate_period = 1e1\n" % key)
+
+
 def test_line_grammar():
     with pytest.raises(ParseError, match="duplicate"):
         parse_scenario("p = 5\np = 7\ntate_period = 1e1\n")
