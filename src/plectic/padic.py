@@ -292,6 +292,24 @@ def _inverse(unit, p, k):
     return y
 
 
+def _qmul(x, y, c, mod):
+    """(a1 + b1 w)(a2 + b2 w) mod `mod` for integer pairs (a, b), w^2 = c."""
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + c * b1 * b2) % mod, (a1 * b2 + b1 * a2) % mod
+
+
+def _qpow(x, k, c, mod):
+    """x^k mod `mod` for an integer pair x and k >= 0, by squaring."""
+    out = (1, 0)
+    while True:
+        if k & 1:
+            out = _qmul(out, x, c, mod)
+        k >>= 1
+        if not k:
+            return out
+        x = _qmul(x, x, c, mod)
+
+
 class _Reciprocals(dict):
     """1/k for an integer k > 0 to relative precision rel, by (p, k, rel)."""
 
@@ -463,8 +481,17 @@ def quad_teichmuller(u):
 
 
 def plog(u):
-    """p-adic logarithm of a principal unit, via the alternating series;
-    each component is one sum of the powers of u - 1 times 1/k."""
+    """p-adic logarithm of a principal unit.
+
+    Precision rule: on intervals, each term x^k/k of the alternating series
+    in x = u - 1 has precision >= prec(u) (the powers of x gain a digit at
+    least every second step, more than v_p(k) loses), and the sum starts at
+    zero to prec(u); so the result is (prec(u), log(rep) mod p^prec(u)) for
+    the representative rep of u, whatever exact method computes it.  Here:
+    log u = p^-j log(u^(p^j)) on integer pairs modulo p^(prec + j + g),
+    where u^(p^j) - 1 has j more digits of valuation, so the series needs
+    fewer terms, and the g guard digits hold every 1/k as p^(g - v_p(k))
+    times a unit."""
     one = QuadExtScalar.from_parts(1, 0, u.p, INF, u.c)
     x = u - one
     if x.is_zero():
@@ -474,22 +501,30 @@ def plog(u):
     p, target = u.p, u.prec
     if target == INF:
         raise ValueError("plog needs a finite precision input")
-    rel = _rel(x)  # no power of x has more relative precision
-    # the sums start at zero to the precision of u
-    start = (PadicScalar.zero(p, target), one.a, 1)
-    a_terms, b_terms = [start], [start]
-    power = x
-    k = 1
-    while True:
-        r, sign = _RECIP[p, k, rel], 1 if k & 1 else -1
-        a_terms.append((power.a, r, sign))
-        b_terms.append((power.b, r, sign))
-        k += 1
-        power = power * x
-        # remaining tail has valuation >= k*v(x) - log_p(k), beyond precision
-        if power.is_zero() or k * x.valuation - math.log(k, p) > target:
-            break
-    return _quad(_dot(p, a_terms), _dot(p, b_terms), u.c)
+    _rel(x)  # an exact x: the series' 1/k would divide two exact values
+    target = int(target)  # <= 0 when a zero component is that coarse: a zero result
+    # j balances j p-th powers against the series' terms
+    j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
+    d, n = x.valuation + j, max(target, 1) + j  # v(z) >= d; log z wanted mod p^n
+    # the terms k = 1..terms are those with k*d - floor(log_p k) < n, a bound
+    # that grows with k; guard = floor(log_p terms) >= v_p(k) for each
+    terms = guard = 0
+    while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
+        terms += 1
+        guard += _POW[p, guard + 1] <= terms
+    mod = _POW[p, n + guard]
+    z = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
+              p ** j, u.c, mod)
+    z = ((z[0] - 1) % mod, z[1])
+    # Horner in z over the coefficients p^guard (-1)^(k+1) / k
+    acc = (0, 0)
+    for k in range(terms, 0, -1):
+        vk = _int_valuation(k, p)
+        coef = _inverse(k // _POW[p, vk], p, n + guard) * _POW[p, guard - vk]
+        acc = _qmul((acc[0] + (coef if k & 1 else -coef), acc[1]), z, u.c, mod)
+    scale = _POW[p, guard + j]
+    return _quad(PadicScalar(p, 0, acc[0] // scale, target),
+                 PadicScalar(p, 0, acc[1] // scale, target), u.c)
 
 
 def pexp(x):

@@ -291,7 +291,7 @@ def algebraicity_check(family, config, c_s, units, points):
     if c_g == 0:
         raise CharacterTableDegenerate("twist matrix is singular")
     step2_margin = INF
-    for a, b in itertools.islice(itertools.product(range(p), repeat=2), r + 1):
+    for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
         values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b),
                                 units.c) for v in vectors]
         lhs = det([[z if s > 0 else -z for s in row]

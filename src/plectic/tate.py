@@ -6,7 +6,7 @@ X, Y series evaluated on the fundamental annulus v(q) > v(u) >= 0.
 """
 
 from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import INF, PadicScalar, QuadExtScalar, _dot, _quad
+from .padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow, _quad
 
 
 def _lambert(q, terms, count):
@@ -139,7 +139,17 @@ class TateCurve:
             X = u/(1-u)^2 + sum_m m (u^m + u^-m) L_m - 2 s_1
             Y = u^2/(1-u)^3 + sum_m (C(m,2) u^m - C(m+1,2) u^-m) L_m + s_1
         The m-th term has valuation >= m (v(q) - v(u)): stop past prec(u).
-        Each coordinate component is one sum of products, reduced once.
+
+        Precision rule: each coordinate component is the interval sum of
+        the closed-form part and the terms, so its precision is the least
+        of theirs.  On intervals, term m has precision at least
+            min(min(P(u), P(u^-1) - (m-1) v(u)) + v(L_m), prec(L_m) - m v(u)),
+        P the least component precision, and that bound grows with m.  The
+        head (the closed-form part and the terms below the first m whose
+        bound reaches `top`, the largest precision of the closed-form
+        part's components) is summed on intervals and fixes each
+        component's precision; the tail cannot lower it, so it is summed
+        on the integer powers of p^v(u) u and p^v(u) u^-1 modulo p^top.
         """
         u = self.reduce_to_annulus(u)
         one = PadicScalar.one(self.p, INF)
@@ -147,11 +157,20 @@ class TateCurve:
             return CurvePoint.infinity()
         x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1, u.c)
         y = _y_term(u) + QuadExtScalar.from_base(self._s1, u.c)
-        count = int(u.prec // (self.q.v - u.valuation))
+        vu = u.valuation
+        count = int(u.prec // (self.q.v - vu))
         u_inv = u.inverse()
         up, um = u, u_inv
         sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
-        for m, l in enumerate(_lambert(self.q, self._lambert, count)[:count], 1):
+        top = max(s.prec for s in (x.a, x.b, y.a, y.b))
+        lam = _lambert(self.q, self._lambert, count)[:count]
+        for m, l in enumerate(lam, 1):
+            if min(min(u.prec, u_inv.prec - (m - 1) * vu) + l.v,
+                   l.prec - m * vu) >= top:
+                tail = _tail(u, u_inv, lam, m, top)
+                for terms, t in zip(sums, tail):
+                    terms.append((one, one, t))
+                break
             c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
             for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
                 xs.append((s + t, l, m))
@@ -198,6 +217,39 @@ class TateCurve:
         if pt.is_infinity():
             return pt
         return CurvePoint(pt.x.frobenius(), pt.y.frobenius())
+
+
+def _tail(u, u_inv, lam, first, n):
+    """The X and Y Lambert sums over the terms m >= first (L_m = lam[m-1]),
+    as integers (X_a, X_b, Y_a, Y_b) modulo p^n.  With v = v(u), term m of
+    X is m L_m p^(-mv) ((p^v u)^m + (p^v u^-1)^m), of Y
+    L_m p^(-mv) (C(m,2) (p^v u)^m - C(m+1,2) (p^v u^-1)^m), on integers.
+    Term m has valuation e_m = v(L_m) - mv, so its factors and the powers
+    carried on to later terms are kept modulo p^(n - e_m) only."""
+    p, c, v = u.p, u.c, u.valuation
+    shift = lam[first - 1].v - first * v  # the valuation of term `first`
+    if shift >= n:
+        return 0, 0, 0, 0
+    mod = _POW[p, n - shift]
+    step, inv = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
+                 for z in (u, u_inv))
+    up, um = _qpow(step, first, c, mod), _qpow(inv, first, c, mod)
+    xa = xb = ya = yb = 0
+    for m in range(first, len(lam) + 1):
+        l = lam[m - 1]
+        e = l.v - m * v - shift
+        if e >= n - shift:
+            break
+        grade = _POW[p, n - shift - e]  # the digits term m and later ones need
+        f = l.unit % grade * _POW[p, e]
+        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+        xa += f * m * (up[0] + um[0])
+        xb += f * m * (up[1] + um[1])
+        ya += f * (c2 * up[0] + c3 * um[0])
+        yb += f * (c2 * up[1] + c3 * um[1])
+        up, um = _qmul(up, step, c, grade), _qmul(um, inv, c, grade)
+    scale = _POW[p, shift]
+    return tuple(t % mod * scale for t in (xa, xb, ya, yb))
 
 
 def _x_term(w):

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plectic import grpalg, runner
 from plectic.cli import main
@@ -341,6 +341,7 @@ _FUZZ_VALUES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
+@example(base="t1-split.kv", edits=[("p", "2147483647")], precision=10)
 @given(base=st.sampled_from(["t1-split.kv", "t2-split.kv"]),
        edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
                                 st.none() | _FUZZ_VALUES),

@@ -528,9 +528,12 @@ def test_quad_operations_match_the_composed_ones(p):
         assert _quad_outcome(x.norm) == _quad_outcome(_ref_norm, x)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
-@pytest.mark.parametrize("prec", [12, 40, 160])
+@pytest.mark.parametrize("prec,p", [(prec, p) for p in (5, 7, 11) for prec in (12, 40, 160)]
+                         + [(640, 5), (100, 1009)])
 def test_plog_matches_the_composed_series(p, prec):
+    # at 160 and 640 (p = 5) the argument is raised to p^j, j = 5 and 10,
+    # and k = 25 is a series term, so two guard digits hold 1/k; p = 1009
+    # sums fewer than p terms and needs none
     rng = random.Random(300 + p * prec)
     c = smallest_nonsquare(p)
     for i in range(60 if prec < 160 else 12):

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from plectic import tate
-from plectic.errors import NotMultiplicativeReduction
-from plectic.padic import INF, PadicScalar, QuadExtScalar, smallest_nonsquare
+from plectic.errors import NotMultiplicativeReduction, PlecticError
+from plectic.padic import INF, PadicScalar, QuadExtScalar, _dot, smallest_nonsquare
 from plectic.tate import (
     CurvePoint,
     TateCurve,
@@ -305,6 +305,84 @@ def test_phi_digits_survive_tripled_precision(prec):
         for z_lo, z_hi in ((lo.x, hi.x), (lo.y, hi.y)):
             for s_lo, s_hi in ((z_lo.a, z_hi.a), (z_lo.b, z_hi.b)):
                 assert s_lo.agreement(s_hi) >= s_lo.prec
+
+
+# -- phi against the interval loop it replaced, on lossy operands ---------------
+
+def _object_phi(curve, u):
+    """phi with every Lambert term summed on intervals: u^m and u^-m as
+    interval products, one sum of products per coordinate component."""
+    u = curve.reduce_to_annulus(u)
+    one = PadicScalar.one(curve.p, INF)
+    if u.valuation == 0 and (u - QuadExtScalar.from_base(one, u.c)).is_zero():
+        return CurvePoint.infinity()
+    x = tate._x_term(u) - QuadExtScalar.from_base(curve._s1 + curve._s1, u.c)
+    y = tate._y_term(u) + QuadExtScalar.from_base(curve._s1, u.c)
+    count = int(u.prec // (curve.q.v - u.valuation))
+    u_inv = u.inverse()
+    up, um = u, u_inv
+    sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
+    for m, l in enumerate(tate._lambert(curve.q, curve._lambert, count)[:count], 1):
+        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+        for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
+            xs.append((s + t, l, m))
+            ys.append((_dot(curve.p, ((s, one, c2), (t, one, c3))), l, 1))
+        up, um = up * u, um * u_inv
+    xa, xb, ya, yb = (_dot(curve.p, terms) for terms in sums)
+    return CurvePoint(QuadExtScalar(xa, xb, u.c), QuadExtScalar(ya, yb, u.c))
+
+
+def _phi_outcome(fn, u):
+    try:
+        return _digits(fn(u))
+    except (ArithmeticError, PlecticError) as e:
+        return type(e).__name__
+
+
+def _lossy_unit(rng, p, n):
+    unit = rng.randrange(1, p ** n)
+    return unit if unit % p else unit + 1
+
+
+def _lossy_component(rng, p, prec, lo, hi):
+    """A scalar of valuation lo..hi at prec - {0..3}, now and then zero."""
+    n = prec - rng.randrange(4)
+    if rng.random() < 0.05:
+        return PadicScalar.zero(p, n)
+    return PadicScalar(p, rng.randint(lo, hi), _lossy_unit(rng, p, n), n)
+
+
+def _lossy_case(rng, p, prec):
+    """A period of valuation 1..3 at prec - {0, 1, 2} and a u whose
+    components have their own valuations and precisions: anywhere in
+    -3..5, a multiple of q (v(u) >= v(q) before reduction) or near 1."""
+    c = smallest_nonsquare(p)
+    vq = rng.randint(1, 3)
+    q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec - rng.randrange(3))
+    kind = rng.randrange(4)
+    if kind == 0:  # near 1
+        d = rng.randint(1, 3)
+        a = PadicScalar.one(p, INF) + _lossy_component(rng, p, prec, d, d + 2)
+        u = QuadExtScalar(a.truncate(prec - rng.randrange(4)),
+                          _lossy_component(rng, p, prec, d, d + 3), c)
+    elif kind == 1:  # a multiple of q
+        lo = vq * rng.randint(1, 2)
+        u = QuadExtScalar(_lossy_component(rng, p, prec, lo, lo + 2),
+                          _lossy_component(rng, p, prec, lo, lo + 3), c)
+    else:
+        u = QuadExtScalar(_lossy_component(rng, p, prec, -3, 5),
+                          _lossy_component(rng, p, prec, -3, 5), c)
+    return q, u
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_phi_matches_the_interval_loop_on_lossy_operands(p):
+    rng = random.Random(400 + p)
+    for _ in range(300):
+        q, u = _lossy_case(rng, p, 24)
+        curve = TateCurve(q)
+        assert _phi_outcome(curve.phi, u) == \
+            _phi_outcome(lambda z: _object_phi(curve, z), u), (q, u)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
