@@ -36,8 +36,8 @@ print("\npr^- pr^+ kills the tensor:",
 
 # step 2 at one point lam = 1 + w: the twisted determinant
 # det[chi_i(tau_j) * (x_i + lam*y_i)] is C_G times the product of the values
-chi = [[sc.config.char_value(i, g) for g in sc.config.tau] for i in range(sc.r)]
-c_g = po.int_det(chi)
+chi = po.character_table(sc.t)
+c_g = po.char_table_det(sc.t)
 values = [QuadExtScalar(v.x + v.y, v.y, sc.units.c) for v in points]
 twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
 product = math.prod(values, start=QuadExtScalar.from_base(

@@ -33,18 +33,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        from .scenario import override_precision, parse_scenario
+
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    try:
-        from .scenario import parse_scenario
-
         if args.precision is not None:
-            lines = [ln for ln in text.splitlines()
-                     if ln.split("#")[0].split("=")[0].strip() != "precision"]
-            text = "\n".join(lines) + "\nprecision = %d\n" % args.precision
+            text = override_precision(text, args.precision)
         scenario = parse_scenario(text)
         scenario.check_suites(args.suite or scenario.suites)
         if args.floor > scenario.precision:
@@ -53,14 +47,15 @@ def main(argv=None):
                                   % (args.floor, scenario.precision))
         report = run(scenario, suites=args.suite, floor=args.floor,
                      seed=args.seed)
-    except PlecticError as e:
+        rendered = (report.render_kv() if args.format == "kv"
+                    else report.render_human())
+        if args.report:  # before stdout, so a failed write prints nothing
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+    except (OSError, UnicodeDecodeError, PlecticError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    rendered = report.render_kv() if args.format == "kv" else report.render_human()
     sys.stdout.write(rendered)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
     return 0 if report.ok else 1
 
 

@@ -8,9 +8,10 @@ dropped, so no identity can silently pass through a lossy product.
 
 Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling and
 agreement live there.  This module adds the key shape, the involution and
-the product, the one place that decides truncation: it pairs terms degree
-bucket by degree bucket and never forms a pair of degree beyond D.  Work
-past `WORK_LIMIT` is counted and refused before it starts.
+the product.  Two places truncate at D: the binomial series behind group
+elements and the involution stops at degree D, and the product pairs terms
+degree bucket by degree bucket and never forms a pair past D.  Work past
+`WORK_LIMIT` is counted and refused before it starts.
 """
 
 import itertools

@@ -159,11 +159,7 @@ class PadicScalar:
         if self.p != other.p:
             raise ValueError("mixed primes")
         if self.v == INF or other.v == INF:
-            za, zb = (self, other) if self.v == INF else (other, self)
-            if za.prec == INF:
-                return PadicScalar.zero(self.p)
-            shift = 0 if zb.v == INF else zb.v
-            return PadicScalar.zero(self.p, za.prec + shift)
+            return PadicScalar.zero(self.p, _zero_product_prec(self, other))
         v = self.v + other.v
         rel = min(self.prec - self.v, other.prec - other.v)
         return _unit(self.p, v, self.unit * other.unit, v + rel)
@@ -245,6 +241,14 @@ def _unit(p, v, unit, prec):
     return x
 
 
+def _zero_product_prec(x, y):
+    """The precision of x*y when x or y is zero.  A zero mod p^a lies in
+    p^a Z_p and a nonzero value in p^v Z_p, v its valuation, so the product
+    vanishes mod p^(a + b), b the other factor's exponent of the two; an
+    exact zero (a = INF) on either side gives an exact zero."""
+    return (x.prec if x.v == INF else x.v) + (y.prec if y.v == INF else y.v)
+
+
 def _dot(p, terms):
     """Sum k*x*y over the terms (x, y, k), for scalars x, y over p and an
     integer k: the interval the left fold of `*`, `scale_int(k)` and `+`
@@ -260,10 +264,9 @@ def _dot(p, terms):
             continue
         xv, yv = x.v, y.v
         if xv == INF or yv == INF:
-            z, o = (x, y) if xv == INF else (y, x)
-            if z.prec == INF:
+            t = _zero_product_prec(x, y)
+            if t == INF:
                 continue  # an exact zero adds nothing and costs no digits
-            t = z.prec if o.v == INF else z.prec + o.v
         else:
             v = xv + yv
             rx, ry = x.prec - xv, y.prec - yv

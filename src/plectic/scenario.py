@@ -11,16 +11,14 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
                    MAX_PRECISION, and p^precision at most 5^MAX_PRECISION)
     seed           RNG seed for property checks (default 0)
     tate_period    p-adic literal (required)
-    char_table     rows of +-1 separated by ';' (default: canonical table)
-    tau            r group elements as bit strings, ';'-separated (default:
-                   the group elements in order)
     u_eta.K        quadratic-extension literal, K = 1..r
     k_eta.K        rational (default 1)
     C_chi          rational factorization constant
     Q_S            p-adic literal: the committed invariant coordinate
     suites         subset of the suite names (default: all)
 
-Any other key is an unusable input.
+Any other key is an unusable input.  The character table and the twists
+it is read at are those of (Z/2)^t, so neither is a key.
 
 p-adic literals are base-p digit lists, low digit first, joined by '.',
 followed by 'e' and the valuation: `2.1.2.1e0` means 2 + p + 2p^2 + p^3.
@@ -41,7 +39,7 @@ SUITES = ("units", "tate", "grpalg", "symalg", "gz", "sign",
           "factorization", "algebraicity")
 # the keys of the grammar above, besides u_eta.K and k_eta.K
 KEYS = ("name", "p", "t", "reduction_sign", "eps", "precision", "seed",
-        "tate_period", "char_table", "tau", "C_chi", "Q_S", "suites")
+        "tate_period", "C_chi", "Q_S", "suites")
 # suites that read the committed family u_eta, C_chi, Q_S
 FAMILY_SUITES = ("factorization", "algebraicity")
 
@@ -145,30 +143,8 @@ class Scenario:
         if self.q.v % self.p == 0:
             raise ValidationError("tate_period valuation must be prime to p")
 
-        table = None
-        if "char_table" in raw:
-            try:
-                table = [[int(v) for v in row.split()]
-                         for row in raw["char_table"].split(";")]
-            except ValueError:
-                raise ParseError("char_table entries must be integers")
-        tau = None
-        if "tau" in raw:
-            tau = []
-            for part in raw["tau"].split(";"):
-                bits = part.split()
-                if len(bits) == 1 and len(bits[0]) == self.t:
-                    bits = list(bits[0])
-                if len(bits) != self.t:
-                    raise ParseError("tau entry %r needs %d bits" % (part, self.t))
-                try:
-                    tau.append(tuple(int(b) for b in bits))
-                except ValueError:
-                    raise ParseError("tau entry %r must be bits" % part)
-
-        self.config = PlecticConfig(
-            self.t, self.p, self.reduction_sign, self.eps,
-            char_table=table, tau=tau, prec=self.precision)
+        self.config = PlecticConfig(self.t, self.p, self.reduction_sign,
+                                    self.eps, prec=self.precision)
         self.units = UnitCompletion(self.p, self.precision)
         self.points = PointCompletion(self.units, self.q)
 
@@ -222,7 +198,8 @@ class Scenario:
                 "factorization/algebraicity need u_eta, C_chi, Q_S")
 
 
-def parse_scenario(text):
+def _key_values(text):
+    """The key = value pairs of a scenario text, by the line grammar."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -238,7 +215,19 @@ def parse_scenario(text):
         if key in raw:
             raise ParseError("line %d: duplicate key %r" % (lineno, key))
         raw[key] = value
-    return Scenario(raw)
+    return raw
+
+
+def parse_scenario(text):
+    return Scenario(_key_values(text))
+
+
+def override_precision(text, precision):
+    """`text` with its precision set to `precision`, as a scenario text.  The
+    override comes after the line grammar, so a malformed or repeated line
+    is still an unusable input."""
+    raw = dict(_key_values(text), precision=str(precision))
+    return "".join("%s = %s\n" % kv for kv in raw.items())
 
 
 def load_scenario(path):

@@ -12,10 +12,10 @@ from them: it compares whole binary forms of degree r coefficient-wise.
 import itertools
 from fractions import Fraction
 
-from plectic.errors import (CharacterTableDegenerate, IdentityFails,
-                            ShapeMismatch)
+from plectic.errors import IdentityFails, ShapeMismatch
 from plectic.padic import INF, PadicScalar, is_square
-from plectic.plectic_ops import PlecticTensor, int_det, minus_coordinates
+from plectic.plectic_ops import (PlecticTensor, char_table_det,
+                                 character_table, minus_coordinates)
 from plectic.symalg import (FreeModule, SymTensor, collapse, linear_form,
                             sqrt_ratio)
 
@@ -87,19 +87,11 @@ def algebraicity_by_expansion(family, config, c_s, units, points):
     r!-term expansion; the floor is left to the caller."""
     r = config.r
     vectors = [points.complete(u) for u, _ in family]
-    entries = []
-    for i in range(r):
-        row = []
-        v = vectors[i]
-        for j in range(r):
-            s = config.char_value(i, config.tau[j])
-            row.append((v.x.scale_int(s), v.y.scale_int(s)))
-        entries.append(row)
+    chi = character_table(config.t)
+    entries = [[(v.x.scale_int(s), v.y.scale_int(s)) for s in row]
+               for v, row in zip(vectors, chi)]
     # step (ii): the norm of the determinant is C_G times the point product
-    c_g = int_det([[config.char_value(i, config.tau[j]) for j in range(r)]
-                   for i in range(r)])
-    if c_g == 0:
-        raise CharacterTableDegenerate("twist matrix is singular")
+    c_g = char_table_det(config.t)
     module = FreeModule(["x", "y"])
     n_w = norm_map(det_map(entries), module)
     prod = linear_form(module, [vectors[0].x, vectors[0].y])

@@ -16,7 +16,7 @@ from plectic.cli import main
 from plectic.errors import ValidationError
 from plectic.padic import INF
 from plectic.runner import run
-from plectic.scenario import MAX_P, load_scenario, parse_scenario
+from plectic.scenario import MAX_P, SUITES, load_scenario, parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
@@ -141,7 +141,8 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     ("t", "x"),
     ("k_eta.1", "1/0"),
     ("tate_period", "1e5"),  # valuation 5 is divisible by p = 5
-    ("tau", "x; 1"),
+    ("tau", "x; 1"),  # the twists are fixed by t: an unknown key
+    ("char_table", "1 1; 1 -1"),  # so is the table, even the canonical one
     ("trunc_degree", "0"),  # the group shape is fixed by t: an unknown key
     ("trunc_degree", "1"),
     ("trunc_degree", "100"),
@@ -169,6 +170,42 @@ def test_cli_precision_override_keeps_keys_that_only_start_with_precision(
     assert main(["verify", str(bad), "--suite", "sign",
                  "--precision", "40"]) == 2
     assert capsys.readouterr().err == "error: unknown key %r\n" % key
+
+
+@pytest.mark.parametrize("flag", [[], ["--precision", "12"]])
+@pytest.mark.parametrize("line", ["precision", "precision = 20\nprecision = 30"],
+                         ids=["no-equals", "repeated"])
+def test_cli_precision_override_keeps_the_line_grammar(tmp_path, capsys, flag,
+                                                       line):
+    # the override applies after the line grammar: a `precision` line with
+    # no `=`, or a repeated key, is unusable with the flag as without it
+    bad = tmp_path / "bad.kv"
+    bad.write_text((GOLDEN / "t1-split.kv").read_text() + line + "\n")
+    assert main(["verify", str(bad), "--suite", "sign", "--floor", "10"]
+                + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.kv", "."])
+def test_cli_exit_two_on_an_unwritable_report(tmp_path, capsys, target):
+    # the report file is written before stdout, so a failed write prints
+    # nothing but the error
+    assert main(["verify", T1, "--suite", "sign", "--format", "kv",
+                 "--report", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_exit_two_on_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    binary = tmp_path / "binary.kv"
+    binary.write_bytes(b"tate_period = 1e1\nname = \xff\n")
+    assert main(["verify", str(binary), "--suite", "sign"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec")
 
 
 def test_cli_exit_two_on_a_negative_floor(tmp_path, capsys):
@@ -208,6 +245,16 @@ def test_cli_precision_override(tmp_path, capsys):
     # margins are capped by the working precision
     margin = int(out.splitlines()[0].split("margin=")[1])
     assert margin <= 30
+
+
+@pytest.mark.parametrize("base", ["t1-split.kv", "t2-split.kv"])
+@pytest.mark.parametrize("floor", ["0", "5"])
+def test_sqrt_rejects_holds_at_the_minimum_precision(capsys, base, floor):
+    # the certification floor comes from the precision: at 0 a tensor off
+    # by a unit passed, and so the check failed
+    assert main(["verify", str(GOLDEN / base), "--suite", "symalg", "--precision", "10",
+                 "--floor", floor, "--format", "kv"]) == 0
+    assert "symalg.sqrt_rejects=pass margin=10\n" in capsys.readouterr().out
 
 
 def test_cli_seed_reproducibility(capsys):
@@ -367,3 +414,41 @@ def test_the_exit_code_contract_holds_under_mutated_scenarios(
     else:
         assert out.getvalue().endswith("checks=%d\n" % out.getvalue().count(
             " margin="))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(["t1-split.kv", "t2-split.kv"]),
+       precision=st.integers(10, 20),
+       seed=st.none() | st.integers(-5, 2 ** 40),
+       suites=st.lists(st.sampled_from(SUITES), unique=True, max_size=3),
+       report=st.sampled_from([None, "file", "directory", "missing"]),
+       data=st.data())
+def test_the_exit_code_contract_holds_under_drawn_flags(
+        tmp_path_factory, base, precision, seed, suites, report, data):
+    # the flags, not the scenario, vary: the run exits 0, 1 or 2, an error
+    # reaches the user as `error: ...` alone, and a report file written
+    # holds what stdout shows
+    floor = data.draw(st.integers(-2, precision + 2), label="floor")
+    argv = ["verify", str(GOLDEN / base), "--precision", str(precision),
+            "--floor", str(floor), "--format", "kv"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    for name in suites:
+        argv += ["--suite", name]
+    tmp = tmp_path_factory.mktemp("flags")
+    path = {None: None, "file": tmp / "report.kv", "directory": tmp,
+            "missing": tmp / "missing" / "report.kv"}[report]
+    if path is not None:
+        argv += ["--report", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert out.getvalue().endswith("checks=%d\n" % out.getvalue().count(
+            " margin="))
+        assert report in (None, "file")
+        if path is not None:
+            assert path.read_text() == out.getvalue()

@@ -271,11 +271,11 @@ class _RefScalar:
 
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
-            za, zb = (self, other) if self.is_zero() else (other, self)
-            if za.prec == INF:
-                return _RefScalar(self.p, INF, 0, INF)
-            shift = 0 if zb.is_zero() else zb.v
-            return _RefScalar(self.p, INF, 0, za.prec + shift)
+            # a zero mod p^a times p^b Z_p vanishes mod p^(a + b), with b the
+            # valuation of a nonzero factor; an exact zero makes it exact
+            a = self.prec if self.is_zero() else self.v
+            b = other.prec if other.is_zero() else other.v
+            return _RefScalar(self.p, INF, 0, a + b)
         v = self.v + other.v
         rel = min(self.prec - self.v, other.prec - other.v)
         return _RefScalar(self.p, v, self.unit * other.unit, v + rel)
@@ -400,6 +400,27 @@ def test_pow_equals_repeated_products(base):
                 want = want * base
         got = base ** k
         assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
+
+
+def test_product_of_two_zero_intervals():
+    # p^3 Z_p times p^5 Z_p lies in p^8 Z_p; an exact zero makes it exact
+    for x, y, prec in [(PadicScalar.zero(P, 3), PadicScalar.zero(P, 5), 8),
+                       (PadicScalar.zero(P, -2), PadicScalar.zero(P, 5), 3),
+                       (PadicScalar.zero(P), PadicScalar.zero(P, 5), INF)]:
+        for a, b in ((x, y), (y, x)):
+            assert (a * b).is_zero() and (a * b).prec == prec
+            assert _dot(P, [(a, b, 1)]).prec == prec
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_products_are_symmetric_intervals(p):
+    rng = random.Random(200 + p)
+    for _ in range(3000):
+        xs = _operand(rng, p)
+        x, y = PadicScalar(p, *xs), PadicScalar(p, *_partner(rng, p, xs))
+        assert _outcome(lambda a, b: a * b, x, y) \
+            == _outcome(lambda a, b: a * b, y, x)
+        assert _outcome(_dot, p, [(x, y, 1)]) == _outcome(_dot, p, [(y, x, 1)])
 
 
 # -- the sum-of-products kernel against the fold it replaces ------------------

@@ -9,7 +9,7 @@ import pytest
 import expansion_oracle as oracle
 from plectic import plectic_ops as po
 from plectic.cli import main
-from plectic.errors import IdentityFails, InconsistentSigns, ValidationError
+from plectic.errors import IdentityFails, InconsistentSigns
 from plectic.padic import INF, PadicScalar
 from plectic.scenario import parse_scenario
 from plectic.symalg import FreeModule, linear_form
@@ -47,18 +47,15 @@ def test_character_table_determinants():
 
 
 def test_default_table_is_orthogonal():
-    for t in (1, 2, 3):
-        tab = po.default_character_table(t)
+    for t in (0, 1, 2, 3):
+        tab = po.character_table(t)
         r = 2 ** t
+        assert len(tab) == r and all(len(row) == r for row in tab)
+        assert all(v in (1, -1) for row in tab for v in row)
         for i in range(r):
             for j in range(r):
                 dot = sum(tab[i][k] * tab[j][k] for k in range(r))
                 assert dot == (r if i == j else 0)
-
-
-def test_config_rejects_non_orthogonal_table():
-    with pytest.raises(ValidationError):
-        po.PlecticConfig(1, P, 1, 1, char_table=[[1, 1], [1, 1]])
 
 
 def test_config_derives_global_sign_product():
@@ -418,10 +415,3 @@ def test_algebraicity_keeps_its_margin_on_a_lossy_unit(tmp_path, capsys):
                  "--format", "kv"]) == 0
     assert "algebraicity.plectic_point=pass margin=38\n" in capsys.readouterr().out
 
-
-def test_algebraicity_rejects_degenerate_twists():
-    # repeating a twist makes the character matrix singular
-    cfg = po.PlecticConfig(1, P, 1, 1, tau=[(0,), (0,)])
-    fam, c_chi, c_s = _golden_family(1)
-    with pytest.raises(po.CharacterTableDegenerate):
-        po.algebraicity_check(fam, cfg, c_s, U, PTS)
