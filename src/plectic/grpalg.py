@@ -8,10 +8,11 @@ dropped, so no identity can silently pass through a lossy product.
 
 Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling and
 agreement live there.  This module adds the key shape, the involution and
-the product.  Two places truncate at D: the binomial series behind group
-elements and the involution stops at degree D, and the product pairs terms
-degree bucket by degree bucket and never forms a pair past D.  Work past
-`WORK_LIMIT` is counted and refused before it starts.
+the product.  Two places truncate: group elements and the involution are
+substituted one variable per pass and form no term past D (past n for a
+degree-n leading term), and the product pairs terms degree bucket by degree
+bucket and never forms a pair past D.  Work past `WORK_LIMIT` is counted
+and refused before it starts.
 """
 
 import itertools
@@ -23,9 +24,9 @@ from .kernel import CoeffMap
 from .padic import PadicScalar
 from .linalg import assert_full_column_rank
 
-# The most steps one operation may take: the series terms of an involution,
-# the pairs of a product, or the cells of an injectivity matrix.
-# scenarios/t3-split.kv needs 1.45 M.
+# The most steps one operation may take: the series terms one substitution
+# pass emits, the pairs of a product, or the cells of an injectivity matrix.
+# scenarios/t3-split.kv needs 0.92 M at seed 0, for its injectivity matrix.
 WORK_LIMIT = 16_000_000
 
 
@@ -111,10 +112,10 @@ class GroupAlgebraElem(CoeffMap):
         a = (0,) * shape.s if free_exponent is None else tuple(free_exponent)
         if len(a) != shape.s:
             raise ShapeMismatch("free exponent %r needs %d entries" % (a, shape.s))
-        coeffs = {}
-        one = PadicScalar.one(shape.p, shape.prec)
-        lost = _add_binomial_series(shape, coeffs, one, q, (0,) * shape.s, a)
-        return cls(shape, coeffs, lost)
+        one = {(q, (0,) * shape.s): PadicScalar.one(shape.p, shape.prec)}
+        coeffs = _substitute(one, shape.s, shape.degree,
+                             lambda i, k: _binomials(a[i], shape.degree))
+        return cls(shape, coeffs, min(a, default=0) < 0 or sum(a) > shape.degree)
 
     def _shape(self):
         return self.shape
@@ -153,21 +154,24 @@ class GroupAlgebraElem(CoeffMap):
     def involution(self):
         """[g] -> [g^{-1}]: negation on Q, t^e -> (-t)^e * prod (1+t_i)^{-e_i}.
 
-        Filtration-preserving, hence exact on the truncated quotient.  A term
-        t^e with m nonzero exponents emits C(D - |e| + m, m) series terms.
+        Filtration-preserving, hence exact on the truncated quotient: the
+        ring map t_i -> -t_i/(1+t_i), one counted `_substitute` pass per
+        variable (`involution_leading_term` stops at a degree).
         """
-        shape = self.shape
-        emitted = itertools.accumulate(  # any() stops at the first past it
-            math.comb(shape.degree - sum(e) + m, m)
-            for _, e in self.coeffs for m in [len(e) - e.count(0)])
-        if any(n > WORK_LIMIT for n in emitted):
-            raise WorkLimitExceeded("an involution of over %d series terms is "
-                                    "past the work limit" % WORK_LIMIT)
-        out = {}
-        for (q, e), c in self.coeffs.items():
-            _add_binomial_series(shape, out, -c if sum(e) % 2 else c,
-                                 shape.q_neg(q), e, tuple(-x for x in e))
-        return self._like(out, self.lost)
+        return self._like(self._dual_series(self.shape.degree), self.lost)
+
+    def involution_leading_term(self, n):
+        """`involution().leading_term(n)`, forming no term past degree n; the
+        involution keeps `lost` and the lowest degree (its lowest piece is the
+        dual of this one), so the same cases raise `DegreeTooLow`."""
+        self.leading_term(n)
+        return GradedPiece(self.shape, n, self._dual_series(n))
+
+    def _dual_series(self, budget):
+        q_neg = self.shape.q_neg
+        return _substitute({(q_neg(q), e): c for (q, e), c in self.coeffs.items()
+                            if sum(e) <= budget}, self.shape.s, budget,
+                           lambda i, k: _dual_row(k, budget))
 
     def rel_aug_degree(self):
         """Largest n <= D with the element in I_Q^n (D+1 for zero)."""
@@ -198,23 +202,33 @@ def _binomials(a, n):
     return out
 
 
-def _add_binomial_series(shape, coeffs, scalar, q, b, a):
-    """Add scalar * [q] * prod t_i^{b_i} (1+t_i)^{a_i} into `coeffs`.
+def _dual_row(k, n):
+    """t^k -> (-t)^k (1+t)^{-k}: [(-1)^k C(-k, m) for m = 0..n]."""
+    return [b if k % 2 == 0 else -b for b in _binomials(-k, n)]
 
-    Terms beyond total degree D are dropped; the return value says whether
-    any nonzero one was (always, when some a_i < 0).
-    """
-    budget = shape.degree - sum(b)
-    terms = [((), 1, budget)]
-    for bi, ai in zip(b, a):
-        row = _binomials(ai, budget)
-        terms = [(e + (bi + k,), n * ck, left - k)
-                 for e, n, left in terms for k, ck in enumerate(row[:left + 1])]
-    for e, n, _ in terms:
-        key = (q, e)
-        c = scalar.scale_int(n)
-        coeffs[key] = coeffs[key] + c if key in coeffs else c
-    return min(a, default=0) < 0 or sum(b) + sum(a) > shape.degree
+
+def _substitute(coeffs, s, budget, row):
+    """Map t_i^k to t_i^k * sum_m row(i, k)[m] t_i^m, one variable i per pass,
+    forming no term past total degree `budget`.  Each term emits c * row[m]
+    by `scale_int` and `+` (a row [1] passes it through, as no work), so a
+    coefficient is the interval the per-term expansion gives; a sum that
+    vanishes to precision stays, as its precision bounds the later passes.
+    A pass's emitted terms are counted, and refused past `WORK_LIMIT`."""
+    for i in range(s):
+        rows = {k: row(i, k) for k in {e[i] for _, e in coeffs}}
+        work = sum(min(len(rows[e[i]]), budget + 1 - sum(e))
+                   for _, e in coeffs if rows[e[i]] != [1])
+        if work > WORK_LIMIT:
+            raise WorkLimitExceeded("a substitution pass of %d series terms "
+                                    "is past the work limit" % work)
+        out = {}
+        for (q, e), c in coeffs.items():
+            head, k, tail = e[:i], e[i], e[i + 1:]
+            for m, n in enumerate(rows[k][:budget + 1 - sum(e)]):
+                key, d = (q, head + (k + m,) + tail), c if n == 1 else c.scale_int(n)
+                out[key] = out[key] + d if key in out else d
+        coeffs = out
+    return coeffs
 
 
 class GradedPiece(CoeffMap):

@@ -198,7 +198,7 @@ def suite_grpalg(sc, report, rng):
     for n in range(1, top + 1):
         for _ in range(6):
             z = rand_elem(n)
-            margin = min(margin, z.involution().leading_term(n).agreement(
+            margin = min(margin, z.involution_leading_term(n).agreement(
                 z.leading_term(n).dual()))
     report.add("grpalg.diagram_sign", margin)
 
@@ -268,7 +268,7 @@ def suite_gz(sc, report, rng):
     ell = piece.as_elem()
     lhs = ell.leading_term(sc.r).scale(
         PadicScalar.from_int(2 ** sc.r, sc.p, INF))
-    rhs = po.theta(c, sc.r, shape).involution().leading_term(sc.r)
+    rhs = po.theta(c, sc.r, shape).involution_leading_term(sc.r)
     report.add("gz.leading_term", lhs.agreement(rhs))
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -288,8 +289,59 @@ def test_t3_split_passes_every_suite():
     assert proc.stdout.endswith("summary=pass checks=29\n")
 
 
+IOTA_CHECKS = ("grpalg.involution", "grpalg.diagram_sign", "gz.leading_term")
+
+
+def _iota_failures(sc):
+    report = run(sc, suites=("grpalg", "gz"), floor=30)
+    return {c.name for c in report.checks if c.name in IOTA_CHECKS
+            and not c.passed}
+
+
+def _unnegated_dual_series(self, budget):
+    # the involution's passes without the negation on Q
+    return grpalg._substitute(
+        {k: c for k, c in self.coeffs.items() if sum(k[1]) <= budget},
+        self.shape.s, budget, lambda i, k: grpalg._dual_row(k, budget))
+
+
+MUTANTS = {
+    # t^k -> t^k (1+t)^(-k): no (-1)^k
+    "sign": ("_dual_row", lambda k, n: grpalg._binomials(-k, n)),
+    # C(k, m) in place of C(-k, m)
+    "row": ("_dual_row", lambda k, n: [b if k % 2 == 0 else -b
+                                       for b in grpalg._binomials(k, n)]),
+    "q_negation": ("_dual_series", _unnegated_dual_series),
+}
+
+
+@pytest.mark.parametrize("mutant,caught", [
+    ("sign", {"grpalg.involution", "grpalg.diagram_sign"}),
+    ("row", {"grpalg.involution"}),
+    ("q_negation", {"grpalg.diagram_sign"}),
+])
+def test_an_involution_mutant_fails_a_check(monkeypatch, mutant, caught):
+    # the checks read the involution only to the degree they compare, and
+    # still see each of its three parts break; r is even in every scenario,
+    # so gz.leading_term alone cannot see the sign
+    sc = load_scenario(T2)
+    if mutant == "q_negation":
+        # on Q = (Z/2)^t negation is the identity, so this mutant is the
+        # involution itself there; it shows once Q has an element of order 3
+        shape = sc.config.shape
+        sc.config.shape = grpalg.GroupShape((3,) + shape.divisors, shape.s,
+                                            shape.degree, shape.p, shape.prec)
+    assert _iota_failures(sc) == set()
+    attr, fn = MUTANTS[mutant]
+    monkeypatch.setattr(grpalg if attr == "_dual_row"
+                        else grpalg.GroupAlgebraElem, attr, fn)
+    assert _iota_failures(sc) == caught
+    if mutant == "q_negation":
+        assert _iota_failures(load_scenario(T2)) == set()
+
+
 def test_cli_exit_two_past_the_grpalg_work_limit(monkeypatch, capsys):
-    # the involution of the involution is refused before it runs
+    # the product of the involutions, 1029 pairs, is refused before it runs
     monkeypatch.setattr(grpalg, "WORK_LIMIT", 1000)
     assert main(["verify", T2, "--suite", "grpalg"]) == 2
     captured = capsys.readouterr()
@@ -373,6 +425,30 @@ def test_a_failing_identity_reports_its_margins(tmp_path, capsys, line, checks):
         + "summary=fail checks=%d\n" % len(checks)
 
 
+# a fuzz example takes well under a second; one past this limit hangs
+EXAMPLE_LIMIT_S = 5
+
+
+class ExampleHung(BaseException):
+    """An example past EXAMPLE_LIMIT_S.  Not an Exception, so neither
+    `main`'s error handling nor hypothesis's shrinking (which would rerun
+    the hang) catches it: the test fails at once and names the example."""
+
+
+@contextlib.contextmanager
+def wall_clock_limit(example):
+    def expire(signum, frame):
+        raise ExampleHung("ran past %d s: %s" % (EXAMPLE_LIMIT_S, example))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 _FUZZ_KEYS = ("name", "p", "t", "reduction_sign", "eps", "seed", "tate_period",
               "char_table", "tau", "u_eta.1", "u_eta.2", "u_eta.3", "k_eta.1",
               "k_eta.2", "C_chi", "Q_S", "suites", "free_rank", "trunc_degree",
@@ -404,10 +480,12 @@ def test_the_exit_code_contract_holds_under_mutated_scenarios(
     lines += ["%s = %s" % kv for kv in edits if kv[1] is not None]
     scenario = tmp_path_factory.mktemp("fuzz") / "mutated.kv"
     scenario.write_text("\n".join(lines) + "\n")
+    argv = ["verify", str(scenario), "--precision", str(precision),
+            "--floor", "10", "--format", "kv"]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["verify", str(scenario), "--precision", str(precision),
-                   "--floor", "10", "--format", "kv"])
+    with wall_clock_limit((argv, lines)), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
@@ -441,7 +519,8 @@ def test_the_exit_code_contract_holds_under_drawn_flags(
     if path is not None:
         argv += ["--report", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with wall_clock_limit(argv), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc == 2:

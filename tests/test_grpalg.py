@@ -152,6 +152,132 @@ def rand_oracle_elem(rng, shape):
     return out
 
 
+# -- the per-term expansion the substitution passes replace -----------------
+
+def binomial(a, k):
+    """C(a, k) for any integer a."""
+    out = 1
+    for j in range(k):
+        out = out * (a - j) // (j + 1)
+    return out
+
+
+def add_per_term_series(shape, coeffs, scalar, q, b, a):
+    """Add scalar * [q] * prod t_i^{b_i} (1+t_i)^{a_i} into `coeffs`, this
+    one term's series on its own: one `scale_int` of the product of the
+    binomials and one `+` per emitted term, none past degree D."""
+    budget = shape.degree - sum(b)
+    terms = [((), 1, budget)]
+    for bi, ai in zip(b, a):
+        row = [binomial(ai, k) for k in range(budget + 1 if ai < 0
+                                              else min(ai, budget) + 1)]
+        terms = [(e + (bi + k,), n * ck, left - k)
+                 for e, n, left in terms for k, ck in enumerate(row[:left + 1])]
+    for e, n, _ in terms:
+        c = scalar.scale_int(n)
+        coeffs[q, e] = coeffs[q, e] + c if (q, e) in coeffs else c
+
+
+def per_term_involution(x):
+    shape, out = x.shape, {}
+    for (q, e), c in x.coeffs.items():
+        add_per_term_series(shape, out, -c if sum(e) % 2 else c,
+                            shape.q_neg(q), e, tuple(-k for k in e))
+    return GroupAlgebraElem(shape, out, x.lost)
+
+
+def per_term_group_elem(shape, q, a):
+    out = {}
+    add_per_term_series(shape, out, PadicScalar.one(shape.p, shape.prec), q,
+                        (0,) * shape.s, a)
+    return GroupAlgebraElem(shape, out, min(a, default=0) < 0
+                            or sum(a) > shape.degree)
+
+
+def rand_coefficient(rng, p, prec=None):
+    """p^v * unit with v in [-3, 10] and the precision N, N - 7 or exact."""
+    prec = rng.choice([N, N - 7, INF]) if prec is None else prec
+    return PadicScalar(p, rng.randrange(-3, 11), rng.randrange(1, p ** 8), prec)
+
+
+def rand_exponent(rng, shape, low, high, support):
+    """A multi-exponent of degree in [low, high] on at most `support` variables."""
+    while True:
+        e = [0] * shape.s
+        for i in rng.sample(range(shape.s), min(support, shape.s)):
+            e[i] = rng.randrange(high + 1)
+        if low <= sum(e) <= high:
+            return tuple(e)
+
+
+def rand_series_operand(rng, shape):
+    """Up to five terms, often all of some least degree, sometimes lossy.
+
+    Input maps hold no zero, so half the elements also carry a pair a*t_1^k*m + b*t_1^(k+1)*m, m = t_2*t^e, with
+    b = -k*a exactly and at lower precision, which the first pass sums to
+    zero at t_1^(k+1)*m, beside an exact term t_1^(k+1)*t_2*m whose output
+    coefficient that zero's precision bounds.  Returns the element and
+    whether it carries the pair."""
+    p, degree = shape.p, shape.degree
+    low = rng.choice([0, 0, 1, 2, degree // 2])
+    coeffs = {}
+    for _ in range(rng.randrange(6)):
+        e = rand_exponent(rng, shape, low, degree, rng.randrange(1, 4))
+        coeffs[tuple(rng.randrange(d) for d in shape.divisors), e] = \
+            rand_coefficient(rng, p)
+    pair = shape.s >= 2 and degree >= 4 and rng.random() < 0.5
+    if pair:
+        e = rand_exponent(rng, shape, 0, degree - 4, 2)
+        q = tuple(rng.randrange(d) for d in shape.divisors)
+        a, k = rand_coefficient(rng, p, N), e[0] + 1
+
+        def at(d1, d2):
+            return q, (e[0] + d1, e[1] + 1 + d2) + e[2:]
+        coeffs[at(1, 0)] = a
+        coeffs[at(2, 0)] = PadicScalar(p, a.v, -k * a.unit, N - 9)
+        coeffs[at(2, 1)] = rand_coefficient(rng, p, INF)
+    return GroupAlgebraElem(shape, coeffs, lost=rng.random() < 0.2), pair
+
+
+def leading_or_raise(fn):
+    try:
+        return intervals(fn())
+    except DegreeTooLow:
+        return DegreeTooLow
+
+
+# (divisors, s, D): s = 1..8, the t = 3 shape last, at a smaller sample
+SERIES_SHAPES = [((2,), 1, 9), ((3,), 2, 7), ((2, 2), 3, 6), ((), 4, 6),
+                 ((2, 3), 5, 5), ((2,), 6, 5), ((3,), 7, 4), ((2, 2, 2), 8, 18)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("divisors,s,degree", SERIES_SHAPES,
+                         ids=["s%dD%d" % (s, d) for _, s, d in SERIES_SHAPES])
+def test_substitution_matches_the_per_term_expansion(p, divisors, s, degree):
+    # same keys, `lost` and (v, unit, prec) as each term's own series, and
+    # the degree-bounded leading term is the full involution's, raising alike
+    shape = GroupShape(divisors, s, degree, p, N)
+    rng = random.Random("%d:%d:%d" % (p, s, degree))
+    samples = 6 if s == 8 else 28
+    pairs = 0
+    for _ in range(samples):
+        x, pair = rand_series_operand(rng, shape)
+        pairs += pair
+        got, ref = x.involution(), per_term_involution(x)
+        assert intervals(got) == intervals(ref) and got.lost == ref.lost
+        for n in range(degree + 1):
+            assert leading_or_raise(lambda: x.involution_leading_term(n)) \
+                == leading_or_raise(lambda: got.leading_term(n))
+    for _ in range(samples // 4):
+        q = tuple(rng.randrange(d) for d in divisors)
+        a = tuple(rng.randrange(-3, 5) for _ in range(s))
+        got, ref = (GroupAlgebraElem.group_elem(shape, q, a),
+                    per_term_group_elem(shape, q, a))
+        assert intervals(got) == intervals(ref) and got.lost == ref.lost
+    assert pairs > 0 or s == 1
+
+
 def test_multiplication_by_one():
     rng = random.Random(2)
     x = rand_elem(rng)
@@ -353,8 +479,13 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
     x = ONE + t1
     y = GroupAlgebraElem.monomial(SHAPE, None, (5, 0), 1) \
         + GroupAlgebraElem.monomial(SHAPE, None, (0, 1), 1)
+    # a pass counts the terms it emits; t_i^0 passes through at no cost,
+    # and the leading term forms none past its degree
+    z = GroupAlgebraElem(SHAPE, {((0,), e): mk(1)
+                                 for e in [(2, 0), (1, 1), (0, 2), (3, 0)]})
     cases = [
         (6, lambda: t1.involution(), 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
+        (2, lambda: z.involution_leading_term(2), 3),  # two terms per pass
         (4, lambda: x * y, 4),  # 1 meets both terms, t_1 meets both up to D
         (36, lambda: check_lemma_free_graded_injectivity(SHAPE, 2), None),
     ]
