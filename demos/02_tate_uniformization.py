@@ -27,7 +27,8 @@ u = QuadExtScalar.from_parts(1 + P, 2 * P, P, N, c)
 v = QuadExtScalar.from_parts(3, P, P, N, c)
 pu, pv = curve.phi(u), curve.phi(v)
 print("\nphi(u) =", pu)
-print("on-curve margin:", curve.on_curve_margin(pu), "digits")
+eq_lhs, eq_rhs = curve.curve_equation(pu)
+print("the curve equation holds at phi(u) to", eq_lhs.agreement(eq_rhs), "digits")
 
 lhs = curve.phi(u * v)
 rhs = curve.add(pu, pv)

@@ -54,16 +54,12 @@ class InconsistentSigns(PlecticError):
 
 
 class IdentityFails(PlecticError):
-    """No margin exists: Q_S = 0 while prod Q_eta != 0 (diverging margins
-    are returned, and the report fails them)."""
+    """No margin exists: Q_S = 0 while prod Q_eta != 0 (diverging pairs are
+    returned, and the report fails them)."""
 
 
 class WorkLimitExceeded(PlecticError):
     """An operation past `grpalg.WORK_LIMIT` steps, refused before it runs."""
-
-
-class CharacterTableDegenerate(PlecticError):
-    pass
 
 
 class ParseError(PlecticError):

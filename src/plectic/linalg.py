@@ -7,7 +7,6 @@ the signed product of the pivots an honest determinant.  The entries may
 be scalars of Q_p or of Q_p(w).
 """
 
-from .errors import RankDeficient
 from .padic import PadicScalar, QuadExtScalar
 
 
@@ -77,14 +76,3 @@ def rank(rows):
     """Number of pivots certified nonzero at working precision."""
     _, pivots, _ = eliminate(rows)
     return len(pivots)
-
-
-def assert_full_column_rank(rows):
-    """Certify that the columns are linearly independent; returns the rank."""
-    if not rows:
-        raise RankDeficient("empty matrix")
-    ncols = len(rows[0])
-    r = rank(rows)
-    if r != ncols:
-        raise RankDeficient("rank %d < %d columns" % (r, ncols))
-    return r

@@ -2,7 +2,7 @@
 
 This is the toolkit's core: the image of an invariant (the committed
 scalar Q_S) under the reciprocity map and its leading term, and the
-sign verdict and the margins of the factorization and algebraicity
+sign verdict and the compared values of the factorization and algebraicity
 identities, scalar arithmetic over Q_p and Q_p(w).  The factor-wise
 partial-Frobenius projector on `PlecticTensor`s is kept as a reference.
 """
@@ -11,13 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (
-    CharacterTableDegenerate,
-    IdentityFails,
-    InconsistentSigns,
-    ShapeMismatch,
-    ValidationError,
-)
+from .errors import (IdentityFails, InconsistentSigns, ShapeMismatch,
+                     ValidationError)
 from .grpalg import GroupAlgebraElem, GroupShape
 from .kernel import CoeffMap
 from .linalg import det
@@ -57,11 +52,9 @@ def int_det(matrix):
 
 
 def char_table_det(t):
-    """Determinant of the character table of (Z/2)^t; |det| = r^{r/2}."""
-    det = int_det(character_table(t))
-    if det == 0:
-        raise CharacterTableDegenerate("orthogonal rows cannot be dependent")
-    return det
+    """Determinant of the character table of (Z/2)^t, a Sylvester-Hadamard
+    matrix: |det| = r^{r/2}."""
+    return int_det(character_table(t))
 
 
 # -- configuration ------------------------------------------------------------
@@ -188,14 +181,15 @@ def gz_leading_term(c, r, shape):
 
 def sign_check(config, c):
     """Consistency of a nonzero invariant with the sign constraints: for the
-    trivial character the relation collapses to (-1)^r = eps * eps_S."""
+    trivial character the relation collapses to (-1)^r = eps * eps_S.
+    Returns the verdict, "vacuous" or "consistent"."""
     if c.is_zero():
-        return {"verdict": "vacuous", "target": None}
+        return "vacuous"
     target = config.eps * config.eps_s * ((-1) ** config.r)
     if target != 1:
         raise InconsistentSigns(
             "nonzero invariant with eps*eps_S*(-1)^r = %d" % target)
-    return {"verdict": "consistent", "target": target}
+    return "consistent"
 
 
 def minus_coordinates(family, units):
@@ -218,8 +212,9 @@ def _root(family, c_s, units):
 
 
 def factorization_check(family, c_chi, c_s, units):
-    """Margins of N(Q_S)^2 = C_chi * prod Q_eta^2 and of its square root
-    root = Q_S / prod, scalars on the rank-one minus line.
+    """N(Q_S)^2 = C_chi * prod Q_eta^2 and its square root root = Q_S / prod,
+    scalars on the rank-one minus line, as named checks: name -> (verdict,
+    note), a verdict being (lhs, rhs) pairs or an exact predicate.
 
     If Q_S = prod * root to k digits, the squares agree to k digits too, so
     no squaring test runs.  The report decides pass or fail; the one raise
@@ -229,12 +224,12 @@ def factorization_check(family, c_chi, c_s, units):
     if c_s.is_zero() != prod.is_zero():
         raise IdentityFails("nonvanishing equivalence violated")
     c_chi_p = PadicScalar.from_fraction(c_chi, units.p, units.prec)
+    square = is_square(c_chi_p)
     return {
-        "square_margin": (c_s * c_s).agreement(prod * prod * c_chi_p),
-        "linear_margin": c_s.agreement(prod * root),
-        "root": root,
-        "root_square_margin": (root * root).agreement(c_chi_p),
-        "c_chi_is_padic_square": is_square(c_chi_p),
+        "square": ([(c_s * c_s, prod * prod * c_chi_p)], ""),
+        "sqrt": ([(c_s, prod * root), (root * root, c_chi_p)], ""),
+        "c_chi_square": (square, "square in Z_p" if square
+                         else "not a square in Z_p"),
     }
 
 
@@ -248,12 +243,13 @@ def algebraicity_check(family, config, c_s, units, points):
     differ, so the Vandermonde matrix is a unit and the values agree as far
     as the coefficients do.  Step 3: 1 - a*sigma = diag(0, 2) keeps 2^r times
     the value at (0, 1); rescaled, it is the plectic point Q_S * (2*b0)^r.
+    Returns the named checks, as `factorization_check` does.
     """
     r, p = config.r, config.p
     vectors = [points.complete(u) for u, _ in family]
     chi = character_table(config.t)
     c_g = char_table_det(config.t)
-    step2_margin = INF
+    step2 = []
     for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
         values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b),
                                 units.c) for v in vectors]
@@ -261,14 +257,14 @@ def algebraicity_check(family, config, c_s, units, points):
                    for z, row in zip(values, chi)])
         rhs = math.prod(values, start=QuadExtScalar.from_base(
             PadicScalar.from_int(c_g, p, INF), units.c))
-        step2_margin = min(step2_margin, lhs.agreement(rhs))
+        step2.append((lhs, rhs))
     _, root = _root(family, c_s, units)
     k_prod = math.prod((k for _, k in family), start=Fraction(1))
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
                                              config.prec)
     y_det = det([[v.y.scale_int(s) for s in row]
                  for v, row in zip(vectors, chi)])
-    step3_margin = (y_det.scale_int(2 ** r) * scale).agreement(
-        c_s * units.minus_scale ** r)
-    return {"c_g": c_g, "step2_margin": step2_margin,
-            "step3_margin": step3_margin}
+    step3 = (y_det.scale_int(2 ** r) * scale, c_s * units.minus_scale ** r)
+    return {"char_det": (abs(c_g) == r ** (r // 2), "C_G=%d" % c_g),
+            "norm_det": (step2, ""),
+            "plectic_point": ([step3], "")}

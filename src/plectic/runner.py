@@ -1,6 +1,6 @@
 """Executes verification suites on a parsed scenario and renders reports."""
 
-import math
+import itertools
 import random
 import time
 
@@ -36,11 +36,17 @@ class Report:
         self.checks = []
         self.elapsed = 0.0
 
-    def add(self, name, margin, note=""):
-        """Record one check, its margin clamped to [-1, precision]."""
-        if math.isinf(margin):
-            margin = -1 if margin < 0 else self.precision
-        margin = max(-1, min(int(margin), self.precision))
+    def add(self, name, verdict, note=""):
+        """Record one check.  A bool `verdict` is an exact predicate, worth
+        the working precision or -1; otherwise it is (lhs, rhs) pairs, worth
+        their least agreement (INF for none), clamped to [-1, precision]."""
+        if isinstance(verdict, bool):
+            margin = self.precision if verdict else -1
+        else:
+            # starmap drops each pair once its agreement is taken
+            margin = min(itertools.starmap(lambda lhs, rhs: lhs.agreement(rhs),
+                                           verdict), default=INF)
+            margin = int(max(-1, min(margin, self.precision)))
         self.checks.append(CheckResult(name, margin >= self.floor, margin, note))
 
     @property
@@ -89,37 +95,31 @@ def _random_unit(rng, units):
 def suite_units(sc, report, rng):
     units = sc.units
     prec = sc.precision
+    one = PadicScalar.one(sc.p, prec)
     c = units.complete(QuadExtScalar.from_base(
         PadicScalar.from_int(sc.p, sc.p, prec), units.c))
-    exact = (c.val.agreement(PadicScalar.one(sc.p, prec)) >= prec
-             and c.log_a.is_zero() and c.log_b.is_zero())
-    report.add("units.uniformizer", prec if exact else -1)
+    report.add("units.uniformizer",
+               c.val == one and c.log_a.is_zero() and c.log_b.is_zero())
 
     from .padic import quad_teichmuller
     zeta = quad_teichmuller(units.ext(2, 0))
-    report.add("units.torsion_dies",
-               prec if units.complete(zeta).is_zero() else -1)
+    report.add("units.torsion_dies", units.complete(zeta).is_zero())
 
-    margin = INF
-    for _ in range(25):
-        u, v = _random_unit(rng, units), _random_unit(rng, units)
-        lhs = units.complete(u * v)
-        rhs = units.complete(u) + units.complete(v)
-        margin = min(margin, lhs.agreement(rhs))
-    report.add("units.homomorphism", margin)
+    draws = ((_random_unit(rng, units), _random_unit(rng, units))
+             for _ in range(25))
+    report.add("units.homomorphism",
+               ((units.complete(u * v), units.complete(u) + units.complete(v))
+                for u, v in draws))
 
     u = _random_unit(rng, units)
     cu = units.complete(u)
-    m1 = units.sigma(units.sigma(cu)).agreement(cu)
-    m2 = units.complete(u.frobenius()).agreement(units.sigma(cu))
-    report.add("units.sigma_involution", min(m1, m2))
+    report.add("units.sigma_involution",
+               [(units.sigma(units.sigma(cu)), cu),
+                (units.complete(u.frobenius()), units.sigma(cu))])
 
     gen = units.norm_one_generator()
-    coord = units.minus_project(gen)
-    report.add("units.minus_generator",
-               coord.agreement(PadicScalar.one(sc.p, prec)))
+    report.add("units.minus_generator", [(units.minus_project(gen), one)])
 
-    one = PadicScalar.one(sc.p, prec)
     zero = PadicScalar.zero(sc.p, prec)
     sigma = units.sigma_matrix()
     ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
@@ -129,38 +129,35 @@ def suite_units(sc, report, rng):
     prod = [[sum((minus[i][k] * plus[k][j] for k in range(3)),
                  start=zero) for j in range(3)] for i in range(3)]
     ann = all(prod[i][j].is_zero() for i in range(3) for j in range(3))
-    report.add("units.eigenspace_ranks", prec if ranks_ok and ann else -1)
+    report.add("units.eigenspace_ranks", ranks_ok and ann)
 
 
 def suite_tate(sc, report, rng):
     units = sc.units
-    prec = sc.precision
     curve = TateCurve(sc.q)
     q_ext = QuadExtScalar.from_base(sc.q, units.c)
-    kernel_ok = all(curve.phi(q_ext ** k if k else units.ext(1, 0)).is_infinity()
-                    for k in range(-2, 3))
-    report.add("tate.kernel", prec if kernel_ok else -1)
+    report.add("tate.kernel", all(
+        curve.phi(q_ext ** k if k else units.ext(1, 0)).is_infinity()
+        for k in range(-2, 3)))
 
-    margin = INF
-    for _ in range(20):
-        u, v = _random_unit(rng, units), _random_unit(rng, units)
-        lhs = curve.phi(u * v)
-        rhs = curve.add(curve.phi(u), curve.phi(v))
-        margin = min(margin, lhs.agreement(rhs), curve.on_curve_margin(lhs))
-    report.add("tate.homomorphism", margin)
+    def homomorphism():
+        for _ in range(20):
+            u, v = _random_unit(rng, units), _random_unit(rng, units)
+            lhs = curve.phi(u * v)
+            yield lhs, curve.add(curve.phi(u), curve.phi(v))
+            yield curve.curve_equation(lhs)
+    report.add("tate.homomorphism", homomorphism())
 
     u = _random_unit(rng, units)
     pt = curve.phi(u)
-    report.add("tate.negation",
-               curve.phi(u.inverse()).agreement(curve.negate(pt)))
-    report.add("tate.frobenius",
-               curve.phi(u.frobenius()).agreement(curve.sigma(pt)))
+    report.add("tate.negation", [(curve.phi(u.inverse()), curve.negate(pt))])
+    report.add("tate.frobenius", [(curve.phi(u.frobenius()), curve.sigma(pt))])
     report.add("tate.j_roundtrip",
-               tate_period_from_j(j_invariant(sc.q)).agreement(sc.q))
+               [(tate_period_from_j(j_invariant(sc.q)), sc.q)])
 
     u0 = units.norm_one_unit()
-    inj = not curve.phi(u0).is_infinity() and not sc.points.complete(u0).is_zero()
-    report.add("tate.minus_injective", prec if inj else -1)
+    report.add("tate.minus_injective", not curve.phi(u0).is_infinity()
+               and not sc.points.complete(u0).is_zero())
 
 
 def suite_grpalg(sc, report, rng):
@@ -172,9 +169,8 @@ def suite_grpalg(sc, report, rng):
         g = GroupAlgebraElem.group_elem(shape, None, (1,) + (0,) * (shape.s - 1))
         h = GroupAlgebraElem.group_elem(shape, None, (0, 1) + (0,) * (shape.s - 2))
         gh = GroupAlgebraElem.group_elem(shape, None, (1, 1) + (0,) * (shape.s - 2))
-        lhs = (g - one) * (h - one)
-        rhs = gh - g - h + one
-        report.add("grpalg.expansion", lhs.agreement(rhs))
+        report.add("grpalg.expansion",
+                   [((g - one) * (h - one), gh - g - h + one)])
 
     def rand_elem(min_deg):
         out = GroupAlgebraElem.zero(shape)
@@ -190,23 +186,22 @@ def suite_grpalg(sc, report, rng):
 
     x = rand_elem(0)
     y = rand_elem(0)
-    m = min(x.involution().involution().agreement(x),
-            (x * y).involution().agreement(x.involution() * y.involution()))
-    report.add("grpalg.involution", m)
 
-    margin = INF
-    for n in range(1, top + 1):
-        for _ in range(6):
-            z = rand_elem(n)
-            margin = min(margin, z.involution_leading_term(n).agreement(
-                z.leading_term(n).dual()))
-    report.add("grpalg.diagram_sign", margin)
+    def involution():
+        yield x.involution().involution(), x
+        yield (x * y).involution(), x.involution() * y.involution()
+    report.add("grpalg.involution", involution())
+
+    zs = ((n, rand_elem(n)) for n in range(1, top + 1) for _ in range(6))
+    report.add("grpalg.diagram_sign",
+               ((z.involution_leading_term(n), z.leading_term(n).dual())
+                for n, z in zs))
 
     try:
         check_lemma_free_graded_injectivity(shape, inj_degree)
-        report.add("grpalg.injectivity", sc.precision)
+        report.add("grpalg.injectivity", True)
     except PlecticError as e:
-        report.add("grpalg.injectivity", -INF, str(e))
+        report.add("grpalg.injectivity", False, str(e))
 
 
 def suite_symalg(sc, report, rng):
@@ -224,16 +219,16 @@ def suite_symalg(sc, report, rng):
     monos = sorted(set().union(*[set(b.coeffs) for b in images]))
     zero = PadicScalar.zero(p, prec)
     matrix = [[b.coeffs.get(mo, zero) for b in images] for mo in monos]
-    report.add("symalg.mu_injective", prec if rank(matrix) == 4 else -1)
+    report.add("symalg.mu_injective", rank(matrix) == 4)
 
     def rand_vec():
         return [mk(rng.randrange(p ** 6)), mk(rng.randrange(1, p ** 6))]
 
     v, w = rand_vec(), rand_vec()
-    m = collapse(M1, [(mk(1), [v, w])]).agreement(collapse(M1, [(mk(1), [w, v])]))
-    report.add("symalg.collapse_commutes", m)
+    report.add("symalg.collapse_commutes", [(collapse(M1, [(mk(1), [v, w])]),
+                                             collapse(M1, [(mk(1), [w, v])]))])
 
-    margin = INF
+    roundtrips = []
     fails = 0
     # the certification floor comes from the precision alone: at 0 a tensor
     # off by a unit would pass, whatever floor the report applies
@@ -241,20 +236,19 @@ def suite_symalg(sc, report, rng):
     for _ in range(samples):
         y = collapse(M1, [(mk(rng.randrange(1, p ** 4)), [rand_vec(), rand_vec()])])
         a = mk(rng.randrange(1, p ** 8))
-        got = sqrt_ratio(y.scale(a), y, cert_floor)
-        margin = min(margin, got.agreement(a))
+        roundtrips.append((sqrt_ratio(y.scale(a), y, cert_floor), a))
         bad = y.scale(a) + SymTensor(M1, 2, {(2, 0): mk(1 + rng.randrange(p - 1))})
         try:
             sqrt_ratio(bad, y, cert_floor)
         except NotProportional:
             fails += 1
-    report.add("symalg.sqrt_roundtrip", margin)
-    report.add("symalg.sqrt_rejects", prec if fails == samples else -1)
+    report.add("symalg.sqrt_roundtrip", roundtrips)
+    report.add("symalg.sqrt_rejects", fails == samples)
 
-    nz = all(not (collapse(M1, [(mk(1), [rand_vec(), rand_vec()])])
-                  * collapse(M1, [(mk(1), [rand_vec(), rand_vec()])])).is_zero()
-             for _ in range(samples))
-    report.add("symalg.no_zero_divisors", prec if nz else -1)
+    report.add("symalg.no_zero_divisors", all(
+        not (collapse(M1, [(mk(1), [rand_vec(), rand_vec()])])
+             * collapse(M1, [(mk(1), [rand_vec(), rand_vec()])])).is_zero()
+        for _ in range(samples)))
 
 
 def suite_gz(sc, report, rng):
@@ -269,7 +263,7 @@ def suite_gz(sc, report, rng):
     lhs = ell.leading_term(sc.r).scale(
         PadicScalar.from_int(2 ** sc.r, sc.p, INF))
     rhs = po.theta(c, sc.r, shape).involution_leading_term(sc.r)
-    report.add("gz.leading_term", lhs.agreement(rhs))
+    report.add("gz.leading_term", [(lhs, rhs)])
 
 
 def suite_sign(sc, report, rng):
@@ -277,38 +271,30 @@ def suite_sign(sc, report, rng):
     if c is None:
         c = PadicScalar.one(sc.p, sc.precision)
     try:
-        verdict = po.sign_check(sc.config, c)
-        report.add("sign.consistency", sc.precision, note=verdict["verdict"])
+        report.add("sign.consistency", True, po.sign_check(sc.config, c))
     except InconsistentSigns as e:
-        report.add("sign.consistency", -INF, "inconsistent: %s" % e)
+        report.add("sign.consistency", False, "inconsistent: %s" % e)
+
+
+def _add_named(report, suite, check, *args):
+    """Record each check that `check(*args)` names, as name -> (verdict,
+    note), or its error as the one failed check `<suite>.identity`."""
+    try:
+        checks = check(*args)
+    except PlecticError as e:
+        checks = {"identity": (False, str(e))}
+    for name, (verdict, note) in checks.items():
+        report.add(suite + "." + name, verdict, note)
 
 
 def suite_factorization(sc, report, rng):
-    try:
-        res = po.factorization_check(sc.family, sc.c_chi, sc.invariant,
-                                     sc.units)
-        report.add("factorization.square", res["square_margin"])
-        report.add("factorization.sqrt",
-                   min(res["linear_margin"], res["root_square_margin"]))
-        square = res["c_chi_is_padic_square"]
-        report.add("factorization.c_chi_square", sc.precision if square else -1,
-                   note="square in Z_p" if square else "not a square in Z_p")
-    except PlecticError as e:
-        report.add("factorization.identity", -INF, str(e))
+    _add_named(report, "factorization", po.factorization_check,
+               sc.family, sc.c_chi, sc.invariant, sc.units)
 
 
 def suite_algebraicity(sc, report, rng):
-    try:
-        res = po.algebraicity_check(sc.family, sc.config, sc.invariant,
-                                    sc.units, sc.points)
-        want = sc.r ** (sc.r // 2)
-        report.add("algebraicity.char_det",
-                   sc.precision if abs(res["c_g"]) == want else -1,
-                   note="C_G=%d" % res["c_g"])
-        report.add("algebraicity.norm_det", res["step2_margin"])
-        report.add("algebraicity.plectic_point", res["step3_margin"])
-    except PlecticError as e:
-        report.add("algebraicity.identity", -INF, str(e))
+    _add_named(report, "algebraicity", po.algebraicity_check,
+               sc.family, sc.config, sc.invariant, sc.units, sc.points)
 
 
 SUITE_FUNCS = {

@@ -105,22 +105,22 @@ class TateCurve:
         self._s1, = _power_sums(q, self._lambert, (1,))
         self.p = q.p
 
-    def on_curve_margin(self, pt):
-        """Certified agreement of the curve equation at pt; for v(x) < 0 in
-        the chart z = x/y, w = 1/y (the equation divided by y^3), since the
-        affine form loses ~3|v(x)| digits near the origin."""
+    def curve_equation(self, pt):
+        """The two sides (lhs, rhs) of the curve equation at pt, equal exact
+        zeros at infinity; for v(x) < 0 in the chart z = x/y, w = 1/y (the
+        equation divided by y^3), since the affine form loses ~3|v(x)| digits
+        near the origin."""
         if pt.is_infinity():
-            return INF
+            zero = PadicScalar.zero(self.p)
+            return zero, zero
         x, y = pt.x, pt.y
         a4 = QuadExtScalar.from_base(self.a4, x.c)
         a6 = QuadExtScalar.from_base(self.a6, x.c)
         if x.valuation < 0:
             w = y.inverse()
             z = x * w
-            return (w + z * w).agreement(z * z * z + a4 * z * w * w + a6 * w * w * w)
-        lhs = y * y + x * y
-        rhs = x * x * x + a4 * x + a6
-        return lhs.agreement(rhs)
+            return w + z * w, z * z * z + a4 * z * w * w + a6 * w * w * w
+        return y * y + x * y, x * x * x + a4 * x + a6
 
     # -- uniformization ------------------------------------------------------
 

@@ -221,7 +221,7 @@ def test_criterion_10_sign_consistency():
                 cfg = po.PlecticConfig(t, P, a, eps)
                 expect = ((-1) ** r) == eps * cfg.eps_s
                 try:
-                    verdict = po.sign_check(cfg, inv)["verdict"]
+                    verdict = po.sign_check(cfg, inv)
                     ok = ok and expect and verdict == "consistent"
                 except InconsistentSigns:
                     ok = ok and not expect

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from plectic import grpalg, runner
 from plectic.cli import main
 from plectic.errors import ValidationError
-from plectic.padic import INF
+from plectic.padic import PadicScalar
 from plectic.runner import run
 from plectic.scenario import MAX_P, SUITES, load_scenario, parse_scenario
+from plectic.tate import CurvePoint
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
@@ -35,17 +36,27 @@ def test_run_fast_suites_pass_on_golden():
 
 def test_margins_clamp_to_the_working_precision(monkeypatch):
     def probe(sc, report, rng):
-        report.add("probe.exact", INF)
-        report.add("probe.beyond", sc.precision + 7)
-        report.add("probe.diverged", -INF)
+        beyond = PadicScalar.one(sc.p, sc.precision + 7)
+        pole = PadicScalar(sc.p, -5, 1, sc.precision)
+        point = CurvePoint(pole, pole)
+        report.add("probe.exact", [])  # no pair can disagree: INF
+        report.add("probe.beyond", [(beyond, beyond)])
+        report.add("probe.pole", [(pole, PadicScalar.zero(sc.p))])  # -5
+        report.add("probe.diverged", [(point, CurvePoint.infinity())])  # -INF
+        report.add("probe.true", True)
+        report.add("probe.false", False)
 
     sc = load_scenario(GOLDEN / "t1-split.kv")
     monkeypatch.setitem(runner.SUITE_FUNCS, "sign", probe)
     kv = run(sc, suites=("sign",), floor=30).render_kv()
     assert kv == ("probe.exact=pass margin=%d\n"
                   "probe.beyond=pass margin=%d\n"
+                  "probe.pole=fail margin=-1\n"
                   "probe.diverged=fail margin=-1\n"
-                  "summary=fail checks=3\n" % (sc.precision, sc.precision))
+                  "probe.true=pass margin=%d\n"
+                  "probe.false=fail margin=-1\n"
+                  "summary=fail checks=6\n"
+                  % (sc.precision, sc.precision, sc.precision))
 
 
 def test_a_diverged_check_reports_minus_one(tmp_path, capsys):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from plectic import grpalg
-from plectic.errors import DegreeTooLow, ShapeMismatch, WorkLimitExceeded
+from plectic.errors import (DegreeTooLow, RankDeficient, ShapeMismatch,
+                             WorkLimitExceeded)
 from plectic.grpalg import (
     GroupAlgebraElem,
     GroupShape,
@@ -473,6 +474,21 @@ def test_trivial_quotient_rank_one():
     assert check_lemma_free_graded_injectivity(shape, 1) == 1
 
 
+@pytest.mark.parametrize("image", [
+    lambda x: x.scale(mk(P)),  # a coefficient that is not a unit
+    lambda x: x + GroupAlgebraElem(  # a second monomial, t^e reversed
+        x.shape, {(q, e[::-1]): c for (q, e), c in x.coeffs.items()}),
+    lambda x: GroupAlgebraElem(  # [q] forgotten: two images meet
+        x.shape, {((0,), e): c for (_, e), c in x.coeffs.items()}),
+])
+def test_injectivity_certificate_refuses_a_non_permutation(monkeypatch, image):
+    product = GroupAlgebraElem.__mul__
+    monkeypatch.setattr(GroupAlgebraElem, "__mul__",
+                        lambda x, y: image(product(x, y)))
+    with pytest.raises(RankDeficient):
+        check_lemma_free_graded_injectivity(SHAPE, 2)
+
+
 def test_work_is_counted_before_it_is_done(monkeypatch):
     # each count is the work itself, so the limit admits exactly that much
     t1 = GroupAlgebraElem.monomial(SHAPE, None, (1, 0), 1)
@@ -487,12 +503,11 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
         (6, lambda: t1.involution(), 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
         (2, lambda: z.involution_leading_term(2), 3),  # two terms per pass
         (4, lambda: x * y, 4),  # 1 meets both terms, t_1 meets both up to D
-        (36, lambda: check_lemma_free_graded_injectivity(SHAPE, 2), None),
     ]
     for work, op, terms in cases:
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work)
         out = op()
-        assert terms is None or len(out.coeffs) == terms
+        assert len(out.coeffs) == terms
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work - 1)
         with pytest.raises(WorkLimitExceeded):
             op()

@@ -98,6 +98,43 @@ def test_every_private_definition_and_constant_is_named_elsewhere(path):
     assert [n for n in names if n not in REFERENCED] == []
 
 
+def agreement_calls(source):
+    """Each module-level function or method (`Class.method`) that calls
+    `.agreement(`, nested functions and lambdas counting as their
+    enclosing one."""
+    def calls(node):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "agreement" for n in ast.walk(node))
+
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            found += ["%s.%s" % (stmt.name, f.name) for f in stmt.body
+                      if isinstance(f, ast.FunctionDef) and calls(f)]
+        elif isinstance(stmt, ast.FunctionDef) and calls(stmt):
+            found.append(stmt.name)
+    return found
+
+
+def test_only_report_add_computes_a_margin():
+    # the suites and the verdict functions hand over the compared values
+    runner = (SRC / "runner.py").read_text(encoding="utf-8")
+    assert agreement_calls(runner) == ["Report.add"]
+    ops = agreement_calls((SRC / "plectic_ops.py").read_text(encoding="utf-8"))
+    verdicts = ("sign_check", "factorization_check", "algebraicity_check")
+    assert [name for name in ops if name in verdicts] == []
+
+
+def test_agreement_calls_are_found():
+    source = ("class R:\n    def add(self, a, b):\n"
+              "        return min(map(lambda x: x.agreement(b), a))\n"
+              "    def other(self):\n        return 0\n\n"
+              "def suite(x):\n    def inner():\n"
+              "        return x.agreement(x)\n    return inner\n\n"
+              "def clean(x):\n    return agreement(x)\n")
+    assert agreement_calls(source) == ["R.add", "suite"]
+
+
 def test_unreferenced_definition_is_found():
     source = ("import operator\n\n"
               "LIMIT = 3\n"

@@ -29,6 +29,13 @@ def mk(n):
     return PadicScalar.from_int(n, P, N)
 
 
+def agreements(checks):
+    """name -> each pair's agreement (uncapped), or the predicate, of the
+    named checks a verdict function returns."""
+    return {name: v if isinstance(v, bool) else [a.agreement(b) for a, b in v]
+            for name, (v, _) in checks.items()}
+
+
 def rand_tensor(rng, r, dim, terms=3):
     ts = []
     for _ in range(terms):
@@ -239,10 +246,10 @@ def test_gz_reconstruction_contract():
 # -- sign corollary --------------------------------------------------------------------
 
 def test_sign_check_accepts_consistent_configs():
-    assert po.sign_check(CFG, mk(1))["verdict"] == "consistent"
+    assert po.sign_check(CFG, mk(1)) == "consistent"
     # degenerate r = 1 case: (-1)^1 = eps * eps_S with eps_S = -a
     cfg = po.PlecticConfig(0, P, 1, 1)
-    assert po.sign_check(cfg, mk(1))["verdict"] == "consistent"
+    assert po.sign_check(cfg, mk(1)) == "consistent"
 
 
 def test_sign_check_flags_contradictions():
@@ -253,7 +260,7 @@ def test_sign_check_flags_contradictions():
 
 def test_sign_check_vacuous_for_zero():
     assert po.sign_check(po.PlecticConfig(1, P, 1, -1),
-                         PadicScalar.zero(P, N))["verdict"] == "vacuous"
+                         PadicScalar.zero(P, N)) == "vacuous"
 
 
 # -- factorization and algebraicity ------------------------------------------------------
@@ -277,25 +284,25 @@ def _golden_family(t, seed=77):
 def test_factorization_round_trip():
     for t in (1, 2):
         fam, c_chi, c_s = _golden_family(t)
-        res = po.factorization_check(fam, c_chi, c_s, U)
-        assert res["square_margin"] >= 30
-        assert res["linear_margin"] >= 30
-        assert (res["root"] * res["root"]).agreement(
-            PadicScalar.from_fraction(c_chi, P, N)) >= 30
+        res = agreements(po.factorization_check(fam, c_chi, c_s, U))
+        assert min(res["square"]) >= 30
+        linear, root_square = res["sqrt"]
+        assert linear >= 30
+        assert root_square >= 30
 
 
 def test_factorization_detects_mutations():
     fam, c_chi, c_s = _golden_family(1)
     (u1, k1), (u2, k2) = fam
     mutated = [(u1, k1), (u2 * U.ext(1, P ** 3), k2)]
-    res = po.factorization_check(mutated, c_chi, c_s, U)
-    assert res["square_margin"] < 30 and res["root_square_margin"] < 30
+    res = agreements(po.factorization_check(mutated, c_chi, c_s, U))
+    assert res["square"][0] < 30 and res["sqrt"][1] < 30
 
 
 def test_factorization_wrong_constant_fails():
     fam, c_chi, c_s = _golden_family(1)
-    res = po.factorization_check(fam, c_chi + 1, c_s, U)
-    assert res["square_margin"] < 30 and res["root_square_margin"] < 30
+    res = agreements(po.factorization_check(fam, c_chi + 1, c_s, U))
+    assert res["square"][0] < 30 and res["sqrt"][1] < 30
 
 
 def test_algebraicity_pipeline():
@@ -304,9 +311,10 @@ def test_algebraicity_pipeline():
         pts = PointCompletion(U, Q)
         fam, c_chi, c_s = _golden_family(t)
         res = po.algebraicity_check(fam, cfg, c_s, U, pts)
-        assert abs(res["c_g"]) == cfg.r ** (cfg.r // 2)
-        assert res["step2_margin"] >= 25
-        assert res["step3_margin"] >= 25
+        assert res["char_det"] == (True, "C_G=%d" % po.char_table_det(t))
+        res = agreements(res)
+        assert min(res["norm_det"]) >= 25
+        assert min(res["plectic_point"]) >= 25
 
 
 @pytest.mark.parametrize("name,prec,step2,step3", [
@@ -324,9 +332,9 @@ def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
                  not in ("precision", "reduction_sign")]
         sc = parse_scenario("\n".join(
             lines + ["precision = %d" % prec, "reduction_sign = %d" % a]))
-        res = po.algebraicity_check(sc.family, sc.config, sc.invariant,
-                                    sc.units, sc.points)
-        assert (res["step2_margin"], res["step3_margin"]) == (step2, step3)
+        res = agreements(po.algebraicity_check(
+            sc.family, sc.config, sc.invariant, sc.units, sc.points))
+        assert (min(res["norm_det"]), res["plectic_point"]) == (step2, [step3])
 
 
 def _seeded_family(rng, r):
@@ -378,12 +386,16 @@ def test_factorization_check_matches_the_tensor_reference():
                 po.factorization_check(fam, c_chi, c_s, U)
             raised += 1
             continue
-        got = po.factorization_check(fam, c_chi, c_s, U)
-        root, want_root = got.pop("root"), want.pop("root")
-        assert got == want
+        got = agreements(po.factorization_check(fam, c_chi, c_s, U))
+        (square,), (linear, root_square) = got["square"], got["sqrt"]
+        assert (square, linear, root_square, got["c_chi_square"]) == \
+            (want["square_margin"], want["linear_margin"],
+             want["root_square_margin"], want["c_chi_is_padic_square"])
+        _, root = po._root(fam, c_s, U)
+        want_root = want["root"]
         assert (root.v, root.unit, root.prec) == \
             (want_root.v, want_root.unit, want_root.prec)
-        margins += [got["square_margin"], got["root_square_margin"]]
+        margins += [square, root_square]
     # every Q_S = 0 raises; the margins reach from diverged to exact
     assert raised == 12
     assert min(margins) < 1 and max(margins) >= N
@@ -397,10 +409,13 @@ def test_algebraicity_check_matches_the_expansion_oracle():
         rng = random.Random(seed)
         cfg = po.PlecticConfig(1 + seed % 2, P, (1, -1)[seed // 2 % 2], 1)
         fam, c_s = _seeded_family(rng, cfg.r)
+        c_g, step2, step3 = oracle.algebraicity_by_expansion(fam, cfg, c_s,
+                                                             U, PTS)
         got = po.algebraicity_check(fam, cfg, c_s, U, PTS)
-        got = (got["c_g"], got["step2_margin"], got["step3_margin"])
-        assert got == oracle.algebraicity_by_expansion(fam, cfg, c_s, U, PTS)
-        margins += got[1:]
+        assert got["char_det"] == (True, "C_G=%d" % c_g)
+        got = agreements(got)
+        assert (min(got["norm_det"]), got["plectic_point"]) == (step2, [step3])
+        margins += [step2, step3]
     # the families reach below the working precision and above it
     assert min(margins) < N < max(margins)
 
