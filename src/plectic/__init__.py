@@ -8,8 +8,8 @@ from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
     tate_period_from_j
 from .grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from .symalg import FreeModule, SymTensor, collapse, mu, sqrt_ratio
-from .plectic_ops import PlecticConfig, PlecticTensor, char_table_det, \
-    drec, gz_leading_term, projector
+from .plectic_ops import PlecticTensor, char_table_det, drec, \
+    gz_leading_term, projector, tower_shape
 from .scenario import Scenario, load_scenario, parse_scenario
 from .runner import Report, run
 

@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .errors import PlecticError, ValidationError
+from .errors import PlecticError
 from .runner import DEFAULT_FLOOR, run
 from .scenario import SUITES
 
@@ -41,10 +41,6 @@ def main(argv=None):
             text = override_precision(text, args.precision)
         scenario = parse_scenario(text)
         scenario.check_suites(args.suite or scenario.suites)
-        if args.floor > scenario.precision:
-            # margins are capped at the precision, so no check could pass
-            raise ValidationError("floor %d exceeds the working precision %d"
-                                  % (args.floor, scenario.precision))
         report = run(scenario, suites=args.suite, floor=args.floor,
                      seed=args.seed)
         rendered = (report.render_kv() if args.format == "kv"

@@ -11,8 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (IdentityFails, InconsistentSigns, ShapeMismatch,
-                     ValidationError)
+from .errors import IdentityFails, InconsistentSigns, ShapeMismatch
 from .grpalg import GroupAlgebraElem, GroupShape
 from .kernel import CoeffMap
 from .linalg import det
@@ -29,57 +28,17 @@ def character_table(t):
             for i in elems]
 
 
-def int_det(matrix):
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def char_table_det(t):
-    """Determinant of the character table of (Z/2)^t, a Sylvester-Hadamard
-    matrix: |det| = r^{r/2}."""
-    return int_det(character_table(t))
+    """C_G, the determinant of the character table H_r of (Z/2)^t, r = 2^t:
+    H_2r = [[H_r, H_r], [H_r, -H_r]] (Sylvester), so det H_2r =
+    (-2)^r det(H_r)^2 from det H_1 = 1, and C_G = (-2)^(t 2^(t-1))."""
+    return (-2) ** (t * 2 ** t // 2)
 
 
-# -- configuration ------------------------------------------------------------
-
-class PlecticConfig:
-    """Validated shape data for one verification scenario."""
-
-    def __init__(self, t, p, reduction_sign, eps, prec=40):
-        if t < 0:
-            raise ValidationError("t must be >= 0")
-        self.t = t
-        self.r = 2 ** t
-        self.p = p
-        if reduction_sign not in (1, -1):
-            raise ValidationError("reduction sign must be +1 or -1")
-        self.a = reduction_sign
-        if eps not in (1, -1):
-            raise ValidationError("global sign must be +1 or -1")
-        self.eps = eps
-        self.eps_s = (-self.a) ** self.r
-        self.prec = prec
-        # the suites compare degree-r graded pieces: r free variables, and
-        # a truncation D = 2r + 2 above them
-        self.shape = GroupShape((2,) * max(t, 1), self.r, 2 * self.r + 2, p,
-                                prec)
+def tower_shape(t, p, prec):
+    """The suites' group shape at r = 2^t: Q = (Z/2)^max(t, 1), s = r free
+    variables and a truncation D = 2r + 2 above the degree-r pieces."""
+    return GroupShape((2,) * max(t, 1), 2 ** t, 2 ** (t + 1) + 2, p, prec)
 
 
 # -- tensors ------------------------------------------------------------------
@@ -179,13 +138,15 @@ def gz_leading_term(c, r, shape):
 
 # -- verdicts -----------------------------------------------------------------
 
-def sign_check(config, c):
-    """Consistency of a nonzero invariant with the sign constraints: for the
-    trivial character the relation collapses to (-1)^r = eps * eps_S.
+def sign_check(eps, a, r, c):
+    """Consistency of a nonzero invariant c with the global sign eps and the
+    reduction sign a: for the trivial character the relation collapses to
+    (-1)^r = eps * eps_S, eps_S = (-a)^r, that is to
+    eps * eps_S * (-1)^r = eps * a^r = 1.
     Returns the verdict, "vacuous" or "consistent"."""
     if c.is_zero():
         return "vacuous"
-    target = config.eps * config.eps_s * ((-1) ** config.r)
+    target = eps * a ** r
     if target != 1:
         raise InconsistentSigns(
             "nonzero invariant with eps*eps_S*(-1)^r = %d" % target)
@@ -233,8 +194,12 @@ def factorization_check(family, c_chi, c_s, units):
     }
 
 
-def algebraicity_check(family, config, c_s, units, points):
+def algebraicity_check(family, t, c_s, units, points):
     """Steps 2 and 3 of the algebraicity theorem on the scenario's points.
+
+    C_G is the closed form `char_table_det(t)`.  `char_det` reads the table
+    H: H H^T = r I, which for a +-1 matrix holds iff |det H| = r^{r/2}
+    (equality in Hadamard's bound).
 
     Step 2: N(det W) = C_G * prod L(v_i), W_ij = chi_i(tau_j) * L(v_i) and
     L(v) = v.x*x + v.y*y, as binary forms of degree r.  Evaluation at
@@ -245,10 +210,10 @@ def algebraicity_check(family, config, c_s, units, points):
     the value at (0, 1); rescaled, it is the plectic point Q_S * (2*b0)^r.
     Returns the named checks, as `factorization_check` does.
     """
-    r, p = config.r, config.p
+    r, p = 2 ** t, units.p
     vectors = [points.complete(u) for u, _ in family]
-    chi = character_table(config.t)
-    c_g = char_table_det(config.t)
+    chi = character_table(t)
+    c_g = char_table_det(t)
     step2 = []
     for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
         values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b),
@@ -261,10 +226,12 @@ def algebraicity_check(family, config, c_s, units, points):
     _, root = _root(family, c_s, units)
     k_prod = math.prod((k for _, k in family), start=Fraction(1))
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
-                                             config.prec)
+                                             units.prec)
     y_det = det([[v.y.scale_int(s) for s in row]
                  for v, row in zip(vectors, chi)])
     step3 = (y_det.scale_int(2 ** r) * scale, c_s * units.minus_scale ** r)
-    return {"char_det": (abs(c_g) == r ** (r // 2), "C_G=%d" % c_g),
+    hadamard = all(sum(x * y for x, y in zip(row, other)) == r * (i == k)
+                   for i, row in enumerate(chi) for k, other in enumerate(chi))
+    return {"char_det": (hadamard, "C_G=%d" % c_g),
             "norm_det": (step2, ""),
             "plectic_point": ([step3], "")}

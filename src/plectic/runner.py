@@ -30,6 +30,10 @@ class Report:
         if floor < 0:
             # a diverged check reports margin -1, which such a floor passes
             raise ValidationError("floor %d is negative" % floor)
+        if floor > precision:
+            # margins are capped at the precision, so no check could pass
+            raise ValidationError("floor %d exceeds the working precision %d"
+                                  % (floor, precision))
         self.scenario_name = scenario_name
         self.floor = floor
         self.precision = precision
@@ -161,7 +165,7 @@ def suite_tate(sc, report, rng):
 
 
 def suite_grpalg(sc, report, rng):
-    shape = sc.config.shape
+    shape = sc.shape
     inj_degree = min(sc.r, 3)
     top = min(4, 2 * sc.r)  # an exponent in {0, 1, 2}^r has sum <= 2r
     one = GroupAlgebraElem.one(shape)
@@ -252,7 +256,7 @@ def suite_symalg(sc, report, rng):
 
 
 def suite_gz(sc, report, rng):
-    shape = sc.config.shape
+    shape = sc.shape
     prec = sc.precision
     if sc.invariant is not None and not sc.invariant.is_zero():
         c = sc.invariant
@@ -271,7 +275,8 @@ def suite_sign(sc, report, rng):
     if c is None:
         c = PadicScalar.one(sc.p, sc.precision)
     try:
-        report.add("sign.consistency", True, po.sign_check(sc.config, c))
+        verdict = po.sign_check(sc.eps, sc.reduction_sign, sc.r, c)
+        report.add("sign.consistency", True, verdict)
     except InconsistentSigns as e:
         report.add("sign.consistency", False, "inconsistent: %s" % e)
 
@@ -294,7 +299,7 @@ def suite_factorization(sc, report, rng):
 
 def suite_algebraicity(sc, report, rng):
     _add_named(report, "algebraicity", po.algebraicity_check,
-               sc.family, sc.config, sc.invariant, sc.units, sc.points)
+               sc.family, sc.t, sc.invariant, sc.units, sc.points)
 
 
 SUITE_FUNCS = {

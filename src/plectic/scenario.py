@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .padic import PadicScalar, QuadExtScalar
-from .plectic_ops import PlecticConfig
+from .plectic_ops import tower_shape
 from .units import PointCompletion, UnitCompletion
 
 # in run order: the arithmetic layers before the identity layers
@@ -125,7 +125,11 @@ class Scenario:
         if unknown:
             raise ValidationError("unknown key %r" % unknown[0])
         self.reduction_sign = _number(int, raw, "reduction_sign", "1")
+        if self.reduction_sign not in (1, -1):
+            raise ValidationError("reduction sign must be +1 or -1")
         self.eps = _number(int, raw, "eps", "1")
+        if self.eps not in (1, -1):
+            raise ValidationError("global sign must be +1 or -1")
         self.precision = _number(int, raw, "precision", "40")
         if not 10 <= self.precision <= MAX_PRECISION:
             raise ValidationError("precision must be between 10 and %d"
@@ -143,8 +147,7 @@ class Scenario:
         if self.q.v % self.p == 0:
             raise ValidationError("tate_period valuation must be prime to p")
 
-        self.config = PlecticConfig(self.t, self.p, self.reduction_sign,
-                                    self.eps, prec=self.precision)
+        self.shape = tower_shape(self.t, self.p, self.precision)
         self.units = UnitCompletion(self.p, self.precision)
         self.points = PointCompletion(self.units, self.q)
 

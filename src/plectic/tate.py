@@ -55,16 +55,23 @@ def j_invariant(q):
 
 def tate_period_from_j(j):
     """Invert the j-series by Newton's method on j(q) - j, with the
-    derivative q dj/dq = (c6/c4) j; needs v(j) < 0."""
+    derivative q dj/dq = (c6/c4) j; needs v(j) < 0.
+
+    With v = -v(j), q0 = 1/j agrees with the root to 2v digits, and a step
+    from q right to k > v digits is right to 2k - v as far as q is read
+    (j(q) - 1/q has integer coefficients).  So the steps read q at doubling
+    precisions n, each the least with 2n - v at least the next, and only
+    the last one at N = prec(1/j)."""
     if j.is_zero() or j.v >= 0:
         raise NotMultiplicativeReduction("multiplicative reduction needs v(j) < 0")
     q = PadicScalar.one(j.p, INF) / j
-    for _ in range(int(j.prec - j.v) + 2):
+    precs = [q.prec]
+    while (precs[-1] + q.v + 1) // 2 > 2 * q.v:
+        precs.append((precs[-1] + q.v + 1) // 2)
+    for n in reversed(precs):
+        q = PadicScalar(q.p, q.v, q.unit, n)
         jq, c4, c6 = _j_c4_c6(q)
-        q_next = q - (jq - j) * q * c4 / (c6 * jq)
-        if q_next.agreement(q) >= q.prec:
-            return q_next
-        q = q_next
+        q = q - (jq - j) * q * c4 / (c6 * jq)
     return q
 
 

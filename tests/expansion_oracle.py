@@ -82,23 +82,23 @@ def phi_minus(c, r, points):
     return PlecticTensor.pure(c, (factor,) * r)
 
 
-def algebraicity_by_expansion(family, config, c_s, units, points):
+def algebraicity_by_expansion(family, t, c_s, units, points):
     """(C_G, step-2 margin, step-3 margin) of the algebraicity check, by the
     r!-term expansion; the floor is left to the caller."""
-    r = config.r
+    r = 2 ** t
     vectors = [points.complete(u) for u, _ in family]
-    chi = character_table(config.t)
+    chi = character_table(t)
     entries = [[(v.x.scale_int(s), v.y.scale_int(s)) for s in row]
                for v, row in zip(vectors, chi)]
     # step (ii): the norm of the determinant is C_G times the point product
-    c_g = char_table_det(config.t)
+    c_g = char_table_det(t)
     module = FreeModule(["x", "y"])
     n_w = norm_map(det_map(entries), module)
     prod = linear_form(module, [vectors[0].x, vectors[0].y])
     for v in vectors[1:]:
         prod = prod * linear_form(module, [v.x, v.y])
     step2_margin = n_w.agreement(prod.scale(
-        PadicScalar.from_int(c_g, config.p, INF)))
+        PadicScalar.from_int(c_g, units.p, INF)))
     # step (iii): compare the rescaled minus projection of the norm with the
     # norm of the plectic point
     k_prod = Fraction(1)
@@ -110,7 +110,7 @@ def algebraicity_by_expansion(family, config, c_s, units, points):
         prod_q = prod_q * c
     root = c_s / prod_q
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod,
-                                             config.p, config.prec)
+                                             units.p, units.prec)
     lhs = minus_projection(n_w).scale(scale)
     rhs = norm_map(phi_minus(c_s, r, points), module)
     return c_g, step2_margin, lhs.agreement(rhs)

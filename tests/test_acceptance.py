@@ -213,15 +213,15 @@ def test_criterion_09_algebraicity_identity():
 
 def test_criterion_10_sign_consistency():
     ok = True
-    for t in (0, 1, 2):
+    for t in (0, 1, 2, 3):
         r = 2 ** t
         inv = mk(3)
         for a in (1, -1):
             for eps in (1, -1):
-                cfg = po.PlecticConfig(t, P, a, eps)
-                expect = ((-1) ** r) == eps * cfg.eps_s
+                eps_s = (-a) ** r
+                expect = ((-1) ** r) == eps * eps_s
                 try:
-                    verdict = po.sign_check(cfg, inv)
+                    verdict = po.sign_check(eps, a, r, inv)
                     ok = ok and expect and verdict == "consistent"
                 except InconsistentSigns:
                     ok = ok and not expect
@@ -231,12 +231,11 @@ def test_criterion_10_sign_consistency():
 def test_criterion_11_gz_leading_term_contract():
     ok = True
     for t in (1, 2):
-        cfg = po.PlecticConfig(t, P, 1, 1)
-        r = cfg.r
+        shape, r = po.tower_shape(t, P, N), 2 ** t
         inv = mk(123457)
-        ell = po.gz_leading_term(inv, r, cfg.shape).as_elem()
+        ell = po.gz_leading_term(inv, r, shape).as_elem()
         lhs = ell.leading_term(r).scale(PadicScalar.from_int(2 ** r, P, INF))
-        rhs = po.theta(inv, r, cfg.shape).involution().leading_term(r)
+        rhs = po.theta(inv, r, shape).involution().leading_term(r)
         ok = ok and lhs.agreement(rhs) >= N
     _verdict(11, "leading-term reconstruction contract (r = 2, 4)", ok)
 

@@ -93,9 +93,18 @@ def test_sign_suite_fails_loudly_on_contradiction():
 
 
 def test_floor_moves_the_verdict():
+    # units.minus_generator reports 39 digits at precision 40
     sc = load_scenario(GOLDEN / "t1-split.kv")
-    report = run(sc, suites=("gz",), floor=10 ** 5)
-    assert not report.ok
+    assert run(sc, suites=("units",), floor=39).ok
+    assert not run(sc, suites=("units",), floor=40).ok
+
+
+def test_run_refuses_a_floor_above_the_precision():
+    # margins are capped at the precision, so no check could pass
+    sc = load_scenario(GOLDEN / "t1-split.kv")
+    with pytest.raises(ValidationError, match="^floor 41 exceeds the working "
+                       "precision 40$"):
+        run(sc, suites=("gz",), floor=41)
 
 
 def test_run_refuses_a_negative_floor():
@@ -233,12 +242,30 @@ def test_cli_exit_two_on_a_negative_floor(tmp_path, capsys):
     assert captured.err == "error: floor -1 is negative\n"
 
 
-@pytest.mark.parametrize("extra", [["--precision", "20"], ["--floor", "50"]])
+@pytest.mark.parametrize("extra", [["--precision", "20"], ["--floor", "50"],
+                                   ["--floor", "41"]])
 def test_cli_exit_two_on_floor_above_precision(capsys, extra):
     assert main(["verify", T1, "--suite", "sign"] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the working precision" in captured.err
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("reduction_sign", "0", "reduction sign must be +1 or -1"),
+    ("eps", "2", "global sign must be +1 or -1"),
+])
+def test_cli_exit_two_on_a_sign_other_than_plus_or_minus_one(
+        tmp_path, capsys, key, value, error):
+    # the scenario validates both signs with its other keys
+    text = (GOLDEN / "t1-split.kv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + " ")]
+    bad = tmp_path / "bad.kv"
+    bad.write_text("\n".join(lines + ["%s = %s" % (key, value)]) + "\n")
+    assert main(["verify", str(bad), "--suite", "sign"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error
 
 
 def test_cli_report_file_matches_stdout(tmp_path, capsys):
@@ -339,9 +366,9 @@ def test_an_involution_mutant_fails_a_check(monkeypatch, mutant, caught):
     if mutant == "q_negation":
         # on Q = (Z/2)^t negation is the identity, so this mutant is the
         # involution itself there; it shows once Q has an element of order 3
-        shape = sc.config.shape
-        sc.config.shape = grpalg.GroupShape((3,) + shape.divisors, shape.s,
-                                            shape.degree, shape.p, shape.prec)
+        shape = sc.shape
+        sc.shape = grpalg.GroupShape((3,) + shape.divisors, shape.s,
+                                     shape.degree, shape.p, shape.prec)
     assert _iota_failures(sc) == set()
     attr, fn = MUTANTS[mutant]
     monkeypatch.setattr(grpalg if attr == "_dual_row"

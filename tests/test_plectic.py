@@ -5,13 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 import expansion_oracle as oracle
 from plectic import plectic_ops as po
 from plectic.cli import main
 from plectic.errors import IdentityFails, InconsistentSigns
 from plectic.padic import INF, PadicScalar
-from plectic.scenario import parse_scenario
+from plectic.runner import run
+from plectic.scenario import load_scenario, parse_scenario
 from plectic.symalg import FreeModule, linear_form
 from plectic.units import PointCompletion, UnitCompletion
 
@@ -20,7 +22,7 @@ N = 40
 U = UnitCompletion(P, N)
 Q = PadicScalar(P, 1, 1, N)
 PTS = PointCompletion(U, Q)
-CFG = po.PlecticConfig(1, P, 1, 1)
+SHAPE = po.tower_shape(1, P, N)
 MODULE = FreeModule(["c0", "c1"])
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -48,9 +50,27 @@ def rand_tensor(rng, r, dim, terms=3):
 # -- character tables ------------------------------------------------------------
 
 def test_character_table_determinants():
-    assert abs(po.char_table_det(1)) == 2
-    assert abs(po.char_table_det(2)) == 16
-    assert abs(po.char_table_det(3)) == 4096
+    # the closed form C_G, sign included, against an exact determinant
+    for t in (0, 1, 2, 3):
+        assert po.char_table_det(t) == sympy.Matrix(po.character_table(t)).det()
+    assert [po.char_table_det(t) for t in (0, 1, 2, 3)] == [1, -2, 16, 4096]
+
+
+def test_a_flipped_character_fails_char_det_and_norm_det(monkeypatch):
+    # char_det reads the table, not the closed form: one flipped entry
+    # breaks H H^T = r I, and the twisted determinants stop being C_G * prod
+    sc = load_scenario(GOLDEN / "t2-split.kv")
+    assert run(sc, suites=("algebraicity",)).ok
+    table = po.character_table
+
+    def flipped(t):
+        rows = table(t)
+        rows[1][2] = -rows[1][2]
+        return rows
+    monkeypatch.setattr(po, "character_table", flipped)
+    report = run(sc, suites=("algebraicity",))
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"algebraicity.char_det", "algebraicity.norm_det"} <= failed
 
 
 def test_default_table_is_orthogonal():
@@ -65,11 +85,17 @@ def test_default_table_is_orthogonal():
                 assert dot == (r if i == j else 0)
 
 
-def test_config_derives_global_sign_product():
-    assert po.PlecticConfig(1, P, 1, 1).eps_s == 1
-    assert po.PlecticConfig(1, P, -1, 1).eps_s == 1
-    assert po.PlecticConfig(0, P, 1, 1).eps_s == -1
-    assert po.PlecticConfig(0, P, -1, 1).eps_s == 1
+def test_sign_check_follows_the_paper_sign_rule():
+    # consistent iff (-1)^r = eps * eps_S with eps_S = (-a)^r
+    for t in (0, 1, 2, 3):
+        r = 2 ** t
+        for a in (1, -1):
+            for eps in (1, -1):
+                if eps * (-a) ** r * (-1) ** r == 1:
+                    assert po.sign_check(eps, a, r, mk(3)) == "consistent"
+                else:
+                    with pytest.raises(InconsistentSigns):
+                        po.sign_check(eps, a, r, mk(3))
 
 
 # -- projectors -------------------------------------------------------------------
@@ -159,11 +185,11 @@ def test_phi_minus_is_the_projected_base_point():
     rng = random.Random(41)
     base = PTS.complete(U.ext(1, P))
     for t, a in ((1, 1), (1, -1), (2, 1), (2, -1)):
-        cfg = po.PlecticConfig(t, P, a, 1)
+        r = 2 ** t
         c = mk(rng.randrange(1, P ** 10))
-        by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * cfg.r)
+        by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * r)
         by_hand = po.projector(by_hand, "-", a, po.make_sigma_point(a))
-        image = oracle.phi_minus(c, cfg.r, PTS)
+        image = oracle.phi_minus(c, r, PTS)
         assert oracle.norm_map(image, MODULE).agreement(
             oracle.norm_map(by_hand, MODULE)) >= N
 
@@ -206,61 +232,55 @@ def test_minus_projection_after_the_norm_matches_the_tensor_projector():
 # -- reciprocity and leading terms ----------------------------------------------------
 
 def test_drec_of_zero():
-    assert po.drec(PadicScalar.zero(P, N), 2, CFG.shape).is_zero()
+    assert po.drec(PadicScalar.zero(P, N), 2, SHAPE).is_zero()
 
 
 def test_drec_degree_one():
-    cfg = po.PlecticConfig(0, P, 1, -1)
-    lt = po.drec(mk(9), 1, cfg.shape)
+    lt = po.drec(mk(9), 1, po.tower_shape(0, P, N))
     assert set(lt.coeffs) == {((0,), (1,))}
     assert lt.coeffs[((0,), (1,))].agreement(mk(9)) >= N
 
 
 def test_drec_degree_two_monomial():
-    lt = po.drec(mk(1), 2, CFG.shape)
+    lt = po.drec(mk(1), 2, SHAPE)
     assert set(lt.coeffs) == {((0,), (1, 1))}
 
 
 def test_gz_sign_is_parity_of_degree():
     # degree 1: the involution contributes a -1; degree 2: a +1
-    cfg1 = po.PlecticConfig(0, P, 1, -1)
-    piece = po.gz_leading_term(mk(10), 1, cfg1.shape)
+    piece = po.gz_leading_term(mk(10), 1, po.tower_shape(0, P, N))
     want = PadicScalar.from_fraction(Fraction(-10, 2), P, N)
     assert piece.coeffs[((0,), (1,))].agreement(want) >= N - 2
 
-    piece2 = po.gz_leading_term(mk(12), 2, CFG.shape)
+    piece2 = po.gz_leading_term(mk(12), 2, SHAPE)
     want2 = PadicScalar.from_fraction(Fraction(12, 4), P, N)
     assert piece2.coeffs[((0,), (1, 1))].agreement(want2) >= N - 2
 
 
 def test_gz_reconstruction_contract():
     for t in (1, 2):
-        cfg = po.PlecticConfig(t, P, 1, 1)
-        r = cfg.r
-        ell = po.gz_leading_term(mk(77), r, cfg.shape).as_elem()
+        shape, r = po.tower_shape(t, P, N), 2 ** t
+        ell = po.gz_leading_term(mk(77), r, shape).as_elem()
         lhs = ell.leading_term(r).scale(mk(2 ** r))
-        rhs = po.theta(mk(77), r, cfg.shape).involution().leading_term(r)
+        rhs = po.theta(mk(77), r, shape).involution().leading_term(r)
         assert lhs.agreement(rhs) >= N - 2
 
 
 # -- sign corollary --------------------------------------------------------------------
 
 def test_sign_check_accepts_consistent_configs():
-    assert po.sign_check(CFG, mk(1)) == "consistent"
+    assert po.sign_check(1, 1, 2, mk(1)) == "consistent"
     # degenerate r = 1 case: (-1)^1 = eps * eps_S with eps_S = -a
-    cfg = po.PlecticConfig(0, P, 1, 1)
-    assert po.sign_check(cfg, mk(1)) == "consistent"
+    assert po.sign_check(1, 1, 1, mk(1)) == "consistent"
 
 
 def test_sign_check_flags_contradictions():
-    bad = po.PlecticConfig(1, P, 1, -1)
     with pytest.raises(InconsistentSigns):
-        po.sign_check(bad, mk(1))
+        po.sign_check(-1, 1, 2, mk(1))
 
 
 def test_sign_check_vacuous_for_zero():
-    assert po.sign_check(po.PlecticConfig(1, P, 1, -1),
-                         PadicScalar.zero(P, N)) == "vacuous"
+    assert po.sign_check(-1, 1, 2, PadicScalar.zero(P, N)) == "vacuous"
 
 
 # -- factorization and algebraicity ------------------------------------------------------
@@ -306,11 +326,10 @@ def test_factorization_wrong_constant_fails():
 
 
 def test_algebraicity_pipeline():
-    for t, a in ((1, 1), (1, -1), (2, 1)):
-        cfg = po.PlecticConfig(t, P, a, 1)
+    for t in (1, 2):
         pts = PointCompletion(U, Q)
         fam, c_chi, c_s = _golden_family(t)
-        res = po.algebraicity_check(fam, cfg, c_s, U, pts)
+        res = po.algebraicity_check(fam, t, c_s, U, pts)
         assert res["char_det"] == (True, "C_G=%d" % po.char_table_det(t))
         res = agreements(res)
         assert min(res["norm_det"]) >= 25
@@ -333,7 +352,7 @@ def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
         sc = parse_scenario("\n".join(
             lines + ["precision = %d" % prec, "reduction_sign = %d" % a]))
         res = agreements(po.algebraicity_check(
-            sc.family, sc.config, sc.invariant, sc.units, sc.points))
+            sc.family, sc.t, sc.invariant, sc.units, sc.points))
         assert (min(res["norm_det"]), res["plectic_point"]) == (step2, [step3])
 
 
@@ -407,11 +426,11 @@ def test_algebraicity_check_matches_the_expansion_oracle():
     margins = []
     for seed in range(60):
         rng = random.Random(seed)
-        cfg = po.PlecticConfig(1 + seed % 2, P, (1, -1)[seed // 2 % 2], 1)
-        fam, c_s = _seeded_family(rng, cfg.r)
-        c_g, step2, step3 = oracle.algebraicity_by_expansion(fam, cfg, c_s,
+        t = 1 + seed % 2
+        fam, c_s = _seeded_family(rng, 2 ** t)
+        c_g, step2, step3 = oracle.algebraicity_by_expansion(fam, t, c_s,
                                                              U, PTS)
-        got = po.algebraicity_check(fam, cfg, c_s, U, PTS)
+        got = po.algebraicity_check(fam, t, c_s, U, PTS)
         assert got["char_det"] == (True, "C_G=%d" % c_g)
         got = agreements(got)
         assert (min(got["norm_det"]), got["plectic_point"]) == (step2, [step3])

@@ -69,8 +69,8 @@ def test_minimal_scenario_defaults():
     sc = parse_scenario("tate_period = 1e1\n")
     assert sc.name == "unnamed"
     assert (sc.p, sc.t, sc.precision, sc.seed) == (5, 1, 40, 0)
-    assert sc.config.shape.degree == 2 * sc.r + 2
-    assert sc.config.shape.s == sc.r
+    assert sc.shape.degree == 2 * sc.r + 2
+    assert sc.shape.s == sc.r
     # identity suites needing committed data are dropped, not failed
     assert "factorization" not in sc.suites
     assert "algebraicity" not in sc.suites

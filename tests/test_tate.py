@@ -144,6 +144,44 @@ def test_period_from_j_matches_the_fixed_point(monkeypatch, prec):
         assert len(calls) <= 2 * math.log2(prec) + 4
 
 
+def _full_precision_period(j):
+    """The period by Newton's method with every step at full precision,
+    stopped once a step moves no certified digit."""
+    q = PadicScalar.one(j.p, INF) / j
+    for _ in range(int(j.prec - j.v) + 2):
+        jq, c4, c6 = tate._j_c4_c6(q)
+        q_next = q - (jq - j) * q * c4 / (c6 * jq)
+        if q_next.agreement(q) >= q.prec:
+            return q_next
+        q = q_next
+    return q
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_period_from_j_matches_newton_at_full_precision(monkeypatch, p):
+    # the same (v, unit, prec) as full-precision steps, on j from a period
+    # and on j of any pole order and precision; the steps read q to about
+    # 2N digits in all, and to N = prec(1/j) only once
+    rng = random.Random(p)
+    for _ in range(60):
+        prec = rng.randrange(10, 90)
+        unit = rng.randrange(p ** prec) * p + rng.randrange(1, p)
+        if rng.randrange(2):
+            j = j_invariant(PadicScalar(p, rng.randint(1, 4), unit, prec))
+        else:
+            j = PadicScalar(p, -rng.randint(1, 5), unit, prec)
+        reads = []
+        monkeypatch.setattr(tate, "tate_coefficients",
+                            lambda q: reads.append(q.prec) or tate_coefficients(q))
+        got = tate_period_from_j(j)
+        monkeypatch.undo()
+        want = _full_precision_period(j)
+        assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
+        full = (PadicScalar.one(p, INF) / j).prec
+        assert reads.count(full) == 1 and max(reads) == full
+        assert sum(reads) <= 2 * full + (1 - j.v) * len(reads)
+
+
 def test_good_reduction_rejected():
     with pytest.raises(NotMultiplicativeReduction):
         tate_period_from_j(PadicScalar.from_int(1728, P, N))
