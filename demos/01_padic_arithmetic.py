@@ -26,8 +26,7 @@ print("x/y      =", (x / y))
 print("agreement of x*y/y with x:", (x * y / y).agreement(x), "digits")
 
 # log and exp (defined on the quadratic extension) invert each other
-c = smallest_nonsquare(P)
-u = QuadExtScalar.from_base(PadicScalar.from_int(1 + 2 * P, P, N), c)
+u = QuadExtScalar.from_base(PadicScalar.from_int(1 + 2 * P, P, N))
 lg = plog(u)
 print("\nplog(1+2p)       =", lg.a)
 print("pexp(plog(u)) ~ u to", pexp(lg).agreement(u), "digits")
@@ -37,8 +36,10 @@ print("pexp(plog(u)) ~ u to", pexp(lg).agreement(u), "digits")
 for n in (6, 2, 6 * P, 6 * P * P):
     print("is %d a square in Q_5?" % n, is_square(PadicScalar.from_int(n, P, N)))
 
-# the unramified quadratic extension: adjoin a root of the smallest nonsquare
-w = QuadExtScalar.from_parts(1, 1, P, N, c)
+# the unramified quadratic extension: adjoin a root of the smallest nonsquare,
+# which p alone fixes
+c = smallest_nonsquare(P)
+w = QuadExtScalar.from_parts(1, 1, P, N)
 print("\nw = 1 + sqrt(%d):" % c, w)
 print("norm(w)  =", w.norm())
 print("frobenius fixes the norm:",
@@ -46,5 +47,5 @@ print("frobenius fixes the norm:",
 zeta = quad_teichmuller(w)
 order = P * P - 1
 print("teichmuller lift has order dividing p^2-1:",
-      (zeta ** order).agreement(QuadExtScalar.from_parts(1, 0, P, N, c)),
+      (zeta ** order).agreement(QuadExtScalar.from_parts(1, 0, P, N)),
       "digits")

@@ -38,10 +38,10 @@ print("\npr^- pr^+ kills the tensor:",
 # det[chi_i(tau_j) * (x_i + lam*y_i)] is C_G times the product of the values
 chi = po.character_table(sc.t)
 c_g = po.char_table_det(sc.t)
-values = [QuadExtScalar(v.x + v.y, v.y, sc.units.c) for v in points]
+values = [QuadExtScalar(v.x + v.y, v.y) for v in points]
 twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
 product = math.prod(values, start=QuadExtScalar.from_base(
-    PadicScalar.from_int(c_g, sc.p, INF), sc.units.c))
+    PadicScalar.from_int(c_g, sc.p, INF)))
 print("\nC_G =", c_g)
 print("det at lam = 1 + w:", twisted)
 print("agrees with C_G * prod(x_i + lam*y_i) to", twisted.agreement(product),

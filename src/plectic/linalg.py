@@ -66,7 +66,7 @@ def det(rows):
             list(zip(*(row[k:] for row in echelon[k:])))
         zero = PadicScalar.zero(e.p, sum(
             min(min(x.valuation, x.prec) for x in col) for col in cols))
-        return zero if isinstance(e, PadicScalar) else QuadExtScalar.from_base(zero, e.c)
+        return zero if isinstance(e, PadicScalar) else QuadExtScalar.from_base(zero)
     for i in range(1, len(echelon)):
         e = e * echelon[i][i]
     return e if sign > 0 else -e

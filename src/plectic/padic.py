@@ -6,6 +6,7 @@ operation propagates precision pessimistically (interval arithmetic), so a
 reported digit is always a proven digit.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -187,13 +188,7 @@ class PadicScalar:
             return PadicScalar.one(self.p, self.prec if not self.is_zero() else INF)
         if k < 0:
             return PadicScalar.one(self.p, self.prec) / self ** (-k)
-        out, base = PadicScalar.one(self.p, INF), self  # exact: out * base == base
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow(PadicScalar.one(self.p, INF), self, k)  # exact: 1 * x == x
 
     def scale_int(self, n):
         """Multiply by an exact integer."""
@@ -295,6 +290,17 @@ def _inverse(unit, p, k):
     return y
 
 
+def _pow(out, base, k):
+    """out * base^k for k >= 0 by square-and-multiply, in the order
+    out = out * base, base = base * base, which fixes each interval."""
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def _qmul(x, y, c, mod):
     """(a1 + b1 w)(a2 + b2 w) mod `mod` for integer pairs (a, b), w^2 = c."""
     (a1, b1), (a2, b2) = x, y
@@ -342,6 +348,7 @@ def is_square(x):
     return x.is_zero() or (x.v % 2 == 0 and pow(x.unit, (x.p - 1) // 2, x.p) == 1)
 
 
+@functools.cache
 def smallest_nonsquare(p):
     """The smallest positive unit that is a quadratic nonresidue mod p."""
     for c in range(2, p):
@@ -351,27 +358,25 @@ def smallest_nonsquare(p):
 
 
 class QuadExtScalar:
-    """a + b*w in the unramified quadratic extension Q_p(w), w^2 = c."""
+    """a + b*w in the unramified quadratic extension Q_p(w), w^2 = c with
+    c = smallest_nonsquare(p): the extension is a function of p."""
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b, c):
+    def __init__(self, a, b):
         if a.p != b.p:
             raise ValueError("mixed primes")
         self.a = a
         self.b = b
-        self.c = c
 
     @classmethod
-    def from_parts(cls, a, b, p, prec, c=None):
-        if c is None:
-            c = smallest_nonsquare(p)
+    def from_parts(cls, a, b, p, prec):
         mk = lambda x: x if isinstance(x, PadicScalar) else PadicScalar.from_int(x, p, prec)
-        return cls(mk(a), mk(b), c)
+        return cls(mk(a), mk(b))
 
     @classmethod
-    def from_base(cls, a, c):
-        return cls(a, PadicScalar.zero(a.p), c)
+    def from_base(cls, a):
+        return cls(a, PadicScalar.zero(a.p))
 
     @property
     def p(self):
@@ -391,44 +396,38 @@ class QuadExtScalar:
         return min(self.a.prec, self.b.prec)
 
     def truncate(self, prec):
-        return _quad(self.a.truncate(prec), self.b.truncate(prec), self.c)
+        return _quad(self.a.truncate(prec), self.b.truncate(prec))
 
-    # the components' own operations reject mixed primes
+    # the components' own operations reject mixed primes, and one p fixes c
     def __add__(self, other):
-        if self.c != other.c:
-            raise ValueError("mixed extensions")
-        return _quad(self.a + other.a, self.b + other.b, self.c)
+        return _quad(self.a + other.a, self.b + other.b)
 
     def __neg__(self):
-        return _quad(-self.a, -self.b, self.c)
+        return _quad(-self.a, -self.b)
 
     def __sub__(self, other):
-        if self.c != other.c:
-            raise ValueError("mixed extensions")
-        return _quad(self.a - other.a, self.b - other.b, self.c)
+        return _quad(self.a - other.a, self.b - other.b)
 
     def __mul__(self, other):
-        if self.c != other.c:
-            raise ValueError("mixed extensions")
         p, a1, b1, a2, b2 = self.a.p, self.a, self.b, other.a, other.b
         if a2.p != p:
             raise ValueError("mixed primes")
-        return _quad(_dot(p, ((a1, a2, 1), (b1, b2, self.c))),
-                     _dot(p, ((a1, b2, 1), (b1, a2, 1))), self.c)
+        return _quad(_dot(p, ((a1, a2, 1), (b1, b2, smallest_nonsquare(p)))),
+                     _dot(p, ((a1, b2, 1), (b1, a2, 1))))
 
     def frobenius(self):
-        return _quad(self.a, -self.b, self.c)
+        return _quad(self.a, -self.b)
 
     def norm(self):
         """z * sigma(z), an element of the base field."""
         a, b = self.a, self.b
-        return _dot(a.p, ((a, a, 1), (b, b, -self.c)))
+        return _dot(a.p, ((a, a, 1), (b, b, -smallest_nonsquare(a.p))))
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n = self.norm()
-        return _quad(self.a / n, -self.b / n, self.c)
+        return _quad(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -436,14 +435,7 @@ class QuadExtScalar:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExtScalar.from_parts(1, 0, self.p, INF, self.c)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow(QuadExtScalar.from_parts(1, 0, self.p, INF), self, k)
 
     def agreement(self, other):
         return min(self.a.agreement(other.a), self.b.agreement(other.b))
@@ -460,10 +452,10 @@ class QuadExtScalar:
         return "(%r) + (%r)*w" % (self.a, self.b)
 
 
-def _quad(a, b, c):
+def _quad(a, b):
     """a + b*w from components that already share p."""
     z = _new(QuadExtScalar)
-    z.a, z.b, z.c = a, b, c
+    z.a, z.b = a, b
     return z
 
 
@@ -495,10 +487,10 @@ def plog(u):
     where u^(p^j) - 1 has j more digits of valuation, so the series needs
     fewer terms, and the g guard digits hold every 1/k as p^(g - v_p(k))
     times a unit."""
-    one = QuadExtScalar.from_parts(1, 0, u.p, INF, u.c)
+    one = QuadExtScalar.from_parts(1, 0, u.p, INF)
     x = u - one
     if x.is_zero():
-        return _quad(PadicScalar.zero(u.p, x.prec), PadicScalar.zero(u.p, x.prec), u.c)
+        return _quad(PadicScalar.zero(u.p, x.prec), PadicScalar.zero(u.p, x.prec))
     if x.valuation < 1:
         raise NotPrincipalUnit("plog needs u = 1 mod p")
     p, target = u.p, u.prec
@@ -515,32 +507,32 @@ def plog(u):
     while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
         terms += 1
         guard += _POW[p, guard + 1] <= terms
-    mod = _POW[p, n + guard]
+    mod, c = _POW[p, n + guard], smallest_nonsquare(p)
     z = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
-              p ** j, u.c, mod)
+              p ** j, c, mod)
     z = ((z[0] - 1) % mod, z[1])
     # Horner in z over the coefficients p^guard (-1)^(k+1) / k
     acc = (0, 0)
     for k in range(terms, 0, -1):
         vk = _int_valuation(k, p)
         coef = _inverse(k // _POW[p, vk], p, n + guard) * _POW[p, guard - vk]
-        acc = _qmul((acc[0] + (coef if k & 1 else -coef), acc[1]), z, u.c, mod)
+        acc = _qmul((acc[0] + (coef if k & 1 else -coef), acc[1]), z, c, mod)
     scale = _POW[p, guard + j]
     return _quad(PadicScalar(p, 0, acc[0] // scale, target),
-                 PadicScalar(p, 0, acc[1] // scale, target), u.c)
+                 PadicScalar(p, 0, acc[1] // scale, target))
 
 
 def pexp(x):
     """p-adic exponential; converges on pZ_p for p >= 5."""
     p = x.p
     if x.is_zero():
-        return QuadExtScalar.from_parts(1, 0, p, x.prec, x.c)
+        return QuadExtScalar.from_parts(1, 0, p, x.prec)
     if x.valuation < 1:
         raise OutsideConvergenceDomain("pexp needs valuation >= 1")
     target = x.prec
     if target == INF:
         raise ValueError("pexp needs a finite precision input")
-    total = QuadExtScalar.from_parts(1, 0, p, target, x.c)
+    total = QuadExtScalar.from_parts(1, 0, p, target)
     term = x
     k = 1
     while True:
@@ -548,7 +540,7 @@ def pexp(x):
         k += 1
         term = term * x
         r = _RECIP[p, k, _rel(term)]
-        term = _quad(term.a * r, term.b * r, x.c)
+        term = _quad(term.a * r, term.b * r)
         # v(x^k/k!) >= k(v(x) - 1/(p-1)) grows linearly for p >= 5
         if term.is_zero() or k * (x.valuation - 1.0 / (p - 1)) > target:
             break

@@ -216,12 +216,12 @@ def algebraicity_check(family, t, c_s, units, points):
     c_g = char_table_det(t)
     step2 = []
     for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
-        values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b),
-                                units.c) for v in vectors]
+        values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b))
+                  for v in vectors]
         lhs = det([[z if s > 0 else -z for s in row]
                    for z, row in zip(values, chi)])
         rhs = math.prod(values, start=QuadExtScalar.from_base(
-            PadicScalar.from_int(c_g, p, INF), units.c))
+            PadicScalar.from_int(c_g, p, INF)))
         step2.append((lhs, rhs))
     _, root = _root(family, c_s, units)
     k_prod = math.prod((k for _, k in family), start=Fraction(1))

@@ -64,7 +64,7 @@ def parse_padic(text, p, prec):
     return PadicScalar.from_digits(digits, int(m.group(2)), p, prec)
 
 
-def parse_quad(text, p, prec, c):
+def parse_quad(text, p, prec):
     parts = text.strip().split()
     if parts and parts[-1] == "w":
         if len(parts) == 2:  # "B w"
@@ -82,7 +82,7 @@ def parse_quad(text, p, prec, c):
         b = PadicScalar.zero(p, prec)
     else:
         raise ParseError("bad extension literal %r" % text)
-    return QuadExtScalar(a, b, c)
+    return QuadExtScalar(a, b)
 
 
 def _is_prime(n):
@@ -126,10 +126,10 @@ class Scenario:
             raise ValidationError("unknown key %r" % unknown[0])
         self.reduction_sign = _number(int, raw, "reduction_sign", "1")
         if self.reduction_sign not in (1, -1):
-            raise ValidationError("reduction sign must be +1 or -1")
+            raise ValidationError("reduction_sign must be +1 or -1")
         self.eps = _number(int, raw, "eps", "1")
         if self.eps not in (1, -1):
-            raise ValidationError("global sign must be +1 or -1")
+            raise ValidationError("eps must be +1 or -1")
         self.precision = _number(int, raw, "precision", "40")
         if not 10 <= self.precision <= MAX_PRECISION:
             raise ValidationError("precision must be between 10 and %d"
@@ -160,7 +160,7 @@ class Scenario:
             self.family = []
             for i in range(self.r):
                 u = parse_quad(raw["u_eta.%d" % (i + 1)], self.p,
-                               self.precision, self.units.c)
+                               self.precision)
                 if u.is_zero() or u.valuation != 0:
                     raise ValidationError("u_eta.%d must be a unit" % (i + 1))
                 if self.points.complete(u).is_zero():

@@ -6,7 +6,8 @@ X, Y series evaluated on the fundamental annulus v(q) > v(u) >= 0.
 """
 
 from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow, _quad
+from .padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow, _quad,
+                    smallest_nonsquare)
 
 
 def _lambert(q, terms, count):
@@ -121,8 +122,8 @@ class TateCurve:
             zero = PadicScalar.zero(self.p)
             return zero, zero
         x, y = pt.x, pt.y
-        a4 = QuadExtScalar.from_base(self.a4, x.c)
-        a6 = QuadExtScalar.from_base(self.a6, x.c)
+        a4 = QuadExtScalar.from_base(self.a4)
+        a6 = QuadExtScalar.from_base(self.a6)
         if x.valuation < 0:
             w = y.inverse()
             z = x * w
@@ -138,7 +139,7 @@ class TateCurve:
         k = u.valuation // self.q.v
         if k == 0:
             return u
-        qk = QuadExtScalar.from_base(self.q, u.c) ** k
+        qk = QuadExtScalar.from_base(self.q) ** k
         return u / qk
 
     def phi(self, u):
@@ -160,10 +161,10 @@ class TateCurve:
         """
         u = self.reduce_to_annulus(u)
         one = PadicScalar.one(self.p, INF)
-        if u.valuation == 0 and (u - QuadExtScalar.from_base(one, u.c)).is_zero():
+        if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
             return CurvePoint.infinity()
-        x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1, u.c)
-        y = _y_term(u) + QuadExtScalar.from_base(self._s1, u.c)
+        x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1)
+        y = _y_term(u) + QuadExtScalar.from_base(self._s1)
         vu = u.valuation
         count = int(u.prec // (self.q.v - vu))
         u_inv = u.inverse()
@@ -184,7 +185,7 @@ class TateCurve:
                 ys.append((_dot(self.p, ((s, one, c2), (t, one, c3))), l, 1))
             up, um = up * u, um * u_inv
         xa, xb, ya, yb = (_dot(self.p, terms) for terms in sums)
-        return CurvePoint(_quad(xa, xb, u.c), _quad(ya, yb, u.c))
+        return CurvePoint(_quad(xa, xb), _quad(ya, yb))
 
     # -- group law -------------------------------------------------------------
 
@@ -200,14 +201,13 @@ class TateCurve:
         if Q.is_infinity():
             return P
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        c = x1.c
-        a4 = QuadExtScalar.from_base(self.a4, c)
-        one = QuadExtScalar.from_parts(1, 0, self.p, INF, c)
+        a4 = QuadExtScalar.from_base(self.a4)
+        one = QuadExtScalar.from_parts(1, 0, self.p, INF)
         if (x1 - x2).is_zero():
             if (y1 + y2 + x2).is_zero():
                 return CurvePoint.infinity()
             # tangent slope
-            num = x1 * x1 * QuadExtScalar.from_parts(3, 0, self.p, INF, c) + a4 - y1
+            num = x1 * x1 * QuadExtScalar.from_parts(3, 0, self.p, INF) + a4 - y1
             den = y1 + y1 + x1
             if den.is_zero():
                 raise PrecisionExhausted("tangent denominator vanishes to precision")
@@ -233,7 +233,7 @@ def _tail(u, u_inv, lam, first, n):
     L_m p^(-mv) (C(m,2) (p^v u)^m - C(m+1,2) (p^v u^-1)^m), on integers.
     Term m has valuation e_m = v(L_m) - mv, so its factors and the powers
     carried on to later terms are kept modulo p^(n - e_m) only."""
-    p, c, v = u.p, u.c, u.valuation
+    p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
     shift = lam[first - 1].v - first * v  # the valuation of term `first`
     if shift >= n:
         return 0, 0, 0, 0
@@ -260,12 +260,12 @@ def _tail(u, u_inv, lam, first, n):
 
 
 def _x_term(w):
-    one = QuadExtScalar.from_parts(1, 0, w.p, INF, w.c)
+    one = QuadExtScalar.from_parts(1, 0, w.p, INF)
     d = one - w
     return w / (d * d)
 
 
 def _y_term(w):
-    one = QuadExtScalar.from_parts(1, 0, w.p, INF, w.c)
+    one = QuadExtScalar.from_parts(1, 0, w.p, INF)
     d = one - w
     return (w * w) / (d * d * d)

@@ -16,7 +16,6 @@ from .padic import (
     PadicScalar,
     QuadExtScalar,
     plog,
-    smallest_nonsquare,
 )
 
 
@@ -37,7 +36,6 @@ class UnitCompletion:
             raise ValueError("need an odd prime p >= 5")
         self.p = p
         self.prec = prec
-        self.c = smallest_nonsquare(p)
         # minus coordinate of the pinned norm-one generator u0
         self._b0 = plog(self.ext(1, p)).b
 
@@ -45,7 +43,7 @@ class UnitCompletion:
 
     def ext(self, a, b):
         """Build a + b*w from integers or scalars at working precision."""
-        return QuadExtScalar.from_parts(a, b, self.p, self.prec, self.c)
+        return QuadExtScalar.from_parts(a, b, self.p, self.prec)
 
     def base(self, n):
         return PadicScalar.from_int(n, self.p, self.prec)
@@ -60,7 +58,7 @@ class UnitCompletion:
         if u.is_zero():
             raise PrecisionExhausted("cannot complete zero")
         v = u.valuation
-        p_pow = QuadExtScalar.from_base(PadicScalar(self.p, -v, 1, INF), self.c)
+        p_pow = QuadExtScalar.from_base(PadicScalar(self.p, -v, 1, INF))
         # log(u1 / zeta) = log(u1^(p^2 - 1)) / (p^2 - 1): zeta^(p^2 - 1) = 1
         # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit
         order = PadicScalar.from_int(self.p * self.p - 1, self.p, INF)
@@ -119,7 +117,7 @@ class PointCompletion:
         self.units = units
         self.q = q
         self._vq_inv = PadicScalar.from_fraction(Fraction(1, q.v), units.p, units.prec)
-        q_ext = QuadExtScalar.from_base(q, units.c)
+        q_ext = QuadExtScalar.from_base(q)
         self._alpha_q = units.complete(q_ext).log_a
 
     def complete(self, u):

@@ -88,7 +88,7 @@ def test_a_mutant_the_report_cannot_see_fails_the_audit(monkeypatch):
     plog = units.plog
 
     def mutant(u):
-        scale = QuadExtScalar.from_parts(1 + u.p ** (u.prec - 3), 0, u.p, INF, u.c)
+        scale = QuadExtScalar.from_parts(1 + u.p ** (u.prec - 3), 0, u.p, INF)
         return plog(u) * scale
 
     monkeypatch.setattr(units, "plog", mutant)

@@ -252,8 +252,8 @@ def test_cli_exit_two_on_floor_above_precision(capsys, extra):
 
 
 @pytest.mark.parametrize("key,value,error", [
-    ("reduction_sign", "0", "reduction sign must be +1 or -1"),
-    ("eps", "2", "global sign must be +1 or -1"),
+    ("reduction_sign", "0", "reduction_sign must be +1 or -1"),
+    ("eps", "2", "eps must be +1 or -1"),
 ])
 def test_cli_exit_two_on_a_sign_other_than_plus_or_minus_one(
         tmp_path, capsys, key, value, error):

@@ -104,7 +104,7 @@ def test_det_over_the_quadratic_extension():
         matrix = [[(rand_int(rng), rand_int(rng)) for _ in range(n)]
                   for _ in range(n)]
         a, b = leibniz(matrix, mul, add, (0, 0), (-1, 0))
-        d = det([[QuadExtScalar.from_parts(x, y, P, N, C) for x, y in row]
+        d = det([[QuadExtScalar.from_parts(x, y, P, N) for x, y in row]
                  for row in matrix])
         assert certifies(d.a, a) and certifies(d.b, b)
         assert d.prec >= N

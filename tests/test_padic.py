@@ -1,6 +1,7 @@
 """Base arithmetic: interval precision, Teichmuller, log/exp, Frobenius."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ def mk(n, prec=N):
 
 
 def ext(a, b, prec=N):
-    return QuadExtScalar.from_parts(a, b, P, prec, C)
+    return QuadExtScalar.from_parts(a, b, P, prec)
 
 
 # -- quadratic extension ring identities --------------------------------------
@@ -120,7 +121,7 @@ def test_plog_series_oracle_small_precision():
 
 
 def test_pexp_at_zero():
-    z = QuadExtScalar.from_parts(0, 0, P, N, C)
+    z = QuadExtScalar.from_parts(0, 0, P, N)
     assert pexp(z).agreement(ext(1, 0)) >= N
 
 
@@ -168,12 +169,12 @@ def _scalar_case(rng, op, prec):
     k = rng.randrange(-3, 7)
     x, y = PadicScalar(P, va, a, prec), PadicScalar(P, vb, b, prec)
     if op == "qmul":
-        return QuadExtScalar(x, y, C) * QuadExtScalar(y, x, C)
+        return QuadExtScalar(x, y) * QuadExtScalar(y, x)
     if op == "qinv":
-        return QuadExtScalar(x, y, C).inverse()
+        return QuadExtScalar(x, y).inverse()
     if op == "plog":  # of a principal unit 1 + p(...)
         return plog(QuadExtScalar(PadicScalar(P, 0, 1 + P * a, prec),
-                                  PadicScalar(P, 1, b, prec), C))
+                                  PadicScalar(P, 1, b, prec)))
     return {"add": lambda: x + y, "sub": lambda: x - y,
             "mul": lambda: x * y, "div": lambda: x / y,
             "neg": lambda: -x, "scale_int": lambda: x.scale_int(n),
@@ -463,16 +464,16 @@ def test_dot_matches_the_fold(p):
 
 def _ref_qmul(x, y):
     """The quadratic product composed of scalar `*`, `scale_int` and `+`."""
-    return QuadExtScalar(x.a * y.a + (x.b * y.b).scale_int(x.c),
-                         x.a * y.b + x.b * y.a, x.c)
+    return QuadExtScalar(x.a * y.a + (x.b * y.b).scale_int(smallest_nonsquare(x.p)),
+                         x.a * y.b + x.b * y.a)
 
 
 def _ref_qsub(x, y):
-    return x + QuadExtScalar(-y.a, -y.b, y.c)
+    return x + QuadExtScalar(-y.a, -y.b)
 
 
 def _ref_norm(x):
-    return x.a * x.a - (x.b * x.b).scale_int(x.c)
+    return x.a * x.a - (x.b * x.b).scale_int(smallest_nonsquare(x.p))
 
 
 def _ref_div_int(z, k):
@@ -487,22 +488,22 @@ def _ref_div_int(z, k):
     inv = _inverse(k, p, rel)
     a, b = (PadicScalar(p, x.v - vk, x.unit * inv, x.prec - vk) if x.v != INF
             else PadicScalar.zero(p, x.prec - vk) for x in (z.a, z.b))
-    return QuadExtScalar(a, b, z.c)
+    return QuadExtScalar(a, b)
 
 
 def _ref_plog(u):
     """The alternating series with one quadratic sum and one division per
     term, from the composed operations above."""
-    x = _ref_qsub(u, QuadExtScalar.from_parts(1, 0, u.p, INF, u.c))
+    x = _ref_qsub(u, QuadExtScalar.from_parts(1, 0, u.p, INF))
     if x.is_zero():
         return QuadExtScalar(PadicScalar.zero(u.p, x.prec),
-                             PadicScalar.zero(u.p, x.prec), u.c)
+                             PadicScalar.zero(u.p, x.prec))
     if x.valuation < 1:
         raise NotPrincipalUnit("plog needs u = 1 mod p")
     p, target = u.p, u.prec
     if target == INF:
         raise ValueError("plog needs a finite precision input")
-    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target), u.c)
+    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target))
     power, k = x, 1
     while True:
         total = total + _ref_div_int(power, k if k & 1 else -k)
@@ -521,29 +522,47 @@ def _quad_outcome(fn, *args):
     return [(s.v, s.unit, s.prec) for s in _components(r)]
 
 
-def _quad_operand(rng, p, c, principal=False):
+def _quad_operand(rng, p, principal=False):
     """a + b*w with components across the scalar cases; a principal unit
     shifts a by 1 and puts p | b, keeping the components' precision."""
     a, b = _operand(rng, p), _operand(rng, p)
     if principal:
         a = (0, 1, a[2]) if a[0] == INF else (0, 1 + p ** max(1, a[0] + 2) * a[1], a[2])
         b = b if b[0] == INF else (max(1, b[0]), b[1], b[2])
-    return QuadExtScalar(PadicScalar(p, *a), PadicScalar(p, *b), c)
+    return QuadExtScalar(PadicScalar(p, *a), PadicScalar(p, *b))
 
 
-def test_mixed_extensions_are_rejected():
-    other = QuadExtScalar.from_parts(1, 1, P, N, C + 1)
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-        with pytest.raises(ValueError, match="mixed extensions"):
-            op(ext(1, 1), other)
+def test_smallest_nonsquare_is_the_least_nonresidue():
+    for p in range(5, 2000):
+        if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        squares = {x * x % p for x in range(p)}
+        assert smallest_nonsquare(p) == min(set(range(1, p)) - squares), p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 1009])
+def test_w_squares_to_the_smallest_nonsquare(p):
+    # w = 0 + 1*w exactly, so w^2 = (c, 0) exactly
+    sq = QuadExtScalar.from_parts(0, 1, p, INF) ** 2
+    c = smallest_nonsquare(p)
+    assert [(s.v, s.unit, s.prec) for s in _components(sq)] == [(0, c, INF), (INF, 0, INF)]
+
+
+def test_mixed_primes_are_rejected():
+    x, y = PadicScalar.from_int(1, 5, N), PadicScalar.from_int(1, 7, N)
+    qx = QuadExtScalar.from_parts(1, 1, 5, N)
+    qy = QuadExtScalar.from_parts(1, 1, 7, N)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for u, v in ((x, y), (qx, qy)):
+            with pytest.raises(ValueError, match="mixed primes"):
+                op(u, v)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_quad_operations_match_the_composed_ones(p):
     rng = random.Random(200 + p)
-    c = smallest_nonsquare(p)
     for _ in range(800):
-        x, y = _quad_operand(rng, p, c), _quad_operand(rng, p, c)
+        x, y = _quad_operand(rng, p), _quad_operand(rng, p)
         assert _quad_outcome(lambda: x * y) == _quad_outcome(_ref_qmul, x, y)
         assert _quad_outcome(lambda: x - y) == _quad_outcome(_ref_qsub, x, y)
         assert _quad_outcome(x.norm) == _quad_outcome(_ref_norm, x)
@@ -556,15 +575,14 @@ def test_plog_matches_the_composed_series(p, prec):
     # and k = 25 is a series term, so two guard digits hold 1/k; p = 1009
     # sums fewer than p terms and needs none
     rng = random.Random(300 + p * prec)
-    c = smallest_nonsquare(p)
     for i in range(60 if prec < 160 else 12):
         if i % 2:  # the scalar cases, exact and zero components included
-            u = _quad_operand(rng, p, c, principal=True)
+            u = _quad_operand(rng, p, principal=True)
         else:  # a principal unit at prec, the case the suites make
             d = rng.randrange(1, 4)
             u = QuadExtScalar.from_parts(1 + p ** d * rng.randrange(p ** prec),
                                          p ** rng.randrange(1, 4) * rng.randrange(p ** prec),
-                                         p, prec, c)
+                                         p, prec)
         assert _quad_outcome(plog, u) == _quad_outcome(_ref_plog, u), u
 
 

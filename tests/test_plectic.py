@@ -5,7 +5,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import sympy
 
 import expansion_oracle as oracle
 from plectic import plectic_ops as po
@@ -51,6 +50,8 @@ def rand_tensor(rng, r, dim, terms=3):
 
 def test_character_table_determinants():
     # the closed form C_G, sign included, against an exact determinant
+    import sympy
+
     for t in (0, 1, 2, 3):
         assert po.char_table_det(t) == sympy.Matrix(po.character_table(t)).det()
     assert [po.char_table_det(t) for t in (0, 1, 2, 3)] == [1, -2, 16, 4096]

@@ -34,13 +34,12 @@ def test_parse_padic_rejects_garbage():
 
 
 def test_parse_quad_literals():
-    c = 2
-    a = parse_quad("3e0", 5, 10, c)
+    a = parse_quad("3e0", 5, 10)
     assert a.b.is_zero() and not a.a.is_zero()
-    b = parse_quad("3e0 w", 5, 10, c)
+    b = parse_quad("3e0 w", 5, 10)
     assert b.a.is_zero() and not b.b.is_zero()
-    s = parse_quad("1e0 + 2e0 w", 5, 10, c)
-    d = parse_quad("1e0 - 2e0 w", 5, 10, c)
+    s = parse_quad("1e0 + 2e0 w", 5, 10)
+    d = parse_quad("1e0 - 2e0 w", 5, 10)
     assert (s.b + d.b).is_zero()
     assert s.a.agreement(d.a) >= 9
 
@@ -48,7 +47,7 @@ def test_parse_quad_literals():
 def test_parse_quad_rejects_garbage():
     for bad in ("w", "1e0 2e0", "1e0 * 2e0 w", "1e0 + w"):
         with pytest.raises(ParseError):
-            parse_quad(bad, 5, 10, 2)
+            parse_quad(bad, 5, 10)
 
 
 def test_golden_scenarios_parse():

@@ -9,7 +9,7 @@ import pytest
 
 from plectic import tate
 from plectic.errors import NotMultiplicativeReduction, PlecticError
-from plectic.padic import INF, PadicScalar, QuadExtScalar, _dot, smallest_nonsquare
+from plectic.padic import INF, PadicScalar, QuadExtScalar, _dot
 from plectic.tate import (
     CurvePoint,
     TateCurve,
@@ -20,10 +20,9 @@ from plectic.tate import (
 
 P = 5
 N = 40
-C = smallest_nonsquare(P)
 Q = PadicScalar(P, 1, 1, N)
 CURVE = TateCurve(Q)
-ONE = QuadExtScalar.from_parts(1, 0, P, N, C)
+ONE = QuadExtScalar.from_parts(1, 0, P, N)
 
 
 def on_curve(pt):
@@ -35,7 +34,7 @@ def on_curve(pt):
 def rand_unit(rng, max_shift=2):
     while True:
         u = QuadExtScalar.from_parts(rng.randrange(P ** N), rng.randrange(P ** N),
-                                     P, N, C)
+                                     P, N)
         if u.valuation == 0 and (u - ONE).valuation <= max_shift:
             return u
 
@@ -192,7 +191,7 @@ def test_good_reduction_rejected():
 # -- uniformization ---------------------------------------------------------------
 
 def test_kernel_is_the_period_lattice():
-    q_ext = QuadExtScalar.from_base(Q, C)
+    q_ext = QuadExtScalar.from_base(Q)
     for k in range(-2, 3):
         u = q_ext ** k if k else ONE
         assert CURVE.phi(u).is_infinity()
@@ -255,7 +254,7 @@ def test_sigma_on_points():
 
 def test_minus_generator_maps_to_finite_point():
     # the generator of the minus line must survive the parametrization
-    g = QuadExtScalar.from_parts(1, P, P, N, C)
+    g = QuadExtScalar.from_parts(1, P, P, N)
     u0 = g / g.frobenius()
     pt = CURVE.phi(u0)
     assert not pt.is_infinity()
@@ -267,7 +266,7 @@ def test_minus_generator_maps_to_finite_point():
 def _reference_phi(curve, u):
     """The bi-periodic X, Y sums term by term: one inverse of u per n."""
     u = curve.reduce_to_annulus(u)
-    one = QuadExtScalar.from_parts(1, 0, P, INF, u.c)
+    one = QuadExtScalar.from_parts(1, 0, P, INF)
     if u.valuation == 0 and (u - one).is_zero():
         return CurvePoint.infinity()
 
@@ -283,7 +282,7 @@ def _reference_phi(curve, u):
     while n * q.v <= q.prec:
         s1 = s1 + qn.scale_int(n) / (PadicScalar.one(P, INF) - qn)
         qn, n = qn * q, n + 1
-    q_ext = QuadExtScalar.from_base(q, u.c)
+    q_ext = QuadExtScalar.from_base(q)
     x, y = x_term(u), y_term(u)
     qn, n = q_ext, 1
     while n * q.v <= u.prec:
@@ -292,8 +291,8 @@ def _reference_phi(curve, u):
         x = x + x_term(w) + x_term(t)
         y = y + y_term(w) - t / ((one - t) * (one - t) * (one - t))
         qn, n = qn * q_ext, n + 1
-    x = x - QuadExtScalar.from_base(s1 + s1, u.c)
-    y = y + QuadExtScalar.from_base(s1, u.c)
+    x = x - QuadExtScalar.from_base(s1 + s1)
+    y = y + QuadExtScalar.from_base(s1)
     return CurvePoint(x, y)
 
 
@@ -315,11 +314,11 @@ def _annulus_case(rng, vq, prec):
             d = rng.randrange(1, 3)
             u = QuadExtScalar.from_parts(1 + P ** d * rng.randrange(P ** prec),
                                          P ** d * rng.randrange(P ** prec),
-                                         P, prec, C)
+                                         P, prec)
         else:
             u = QuadExtScalar.from_parts(P ** vu * rng.randrange(P ** prec),
                                          P ** vu * rng.randrange(P ** prec),
-                                         P, prec, C)
+                                         P, prec)
         if u.valuation == vu and not (u - ONE).is_zero():
             return q, u
 
@@ -358,10 +357,10 @@ def _object_phi(curve, u):
     interval products, one sum of products per coordinate component."""
     u = curve.reduce_to_annulus(u)
     one = PadicScalar.one(curve.p, INF)
-    if u.valuation == 0 and (u - QuadExtScalar.from_base(one, u.c)).is_zero():
+    if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
         return CurvePoint.infinity()
-    x = tate._x_term(u) - QuadExtScalar.from_base(curve._s1 + curve._s1, u.c)
-    y = tate._y_term(u) + QuadExtScalar.from_base(curve._s1, u.c)
+    x = tate._x_term(u) - QuadExtScalar.from_base(curve._s1 + curve._s1)
+    y = tate._y_term(u) + QuadExtScalar.from_base(curve._s1)
     count = int(u.prec // (curve.q.v - u.valuation))
     u_inv = u.inverse()
     up, um = u, u_inv
@@ -373,7 +372,7 @@ def _object_phi(curve, u):
             ys.append((_dot(curve.p, ((s, one, c2), (t, one, c3))), l, 1))
         up, um = up * u, um * u_inv
     xa, xb, ya, yb = (_dot(curve.p, terms) for terms in sums)
-    return CurvePoint(QuadExtScalar(xa, xb, u.c), QuadExtScalar(ya, yb, u.c))
+    return CurvePoint(QuadExtScalar(xa, xb), QuadExtScalar(ya, yb))
 
 
 def _phi_outcome(fn, u):
@@ -400,7 +399,6 @@ def _lossy_case(rng, p, prec):
     """A period of valuation 1..3 at prec - {0, 1, 2} and a u whose
     components have their own valuations and precisions: anywhere in
     -3..5, a multiple of q (v(u) >= v(q) before reduction) or near 1."""
-    c = smallest_nonsquare(p)
     vq = rng.randint(1, 3)
     q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec - rng.randrange(3))
     kind = rng.randrange(4)
@@ -408,14 +406,14 @@ def _lossy_case(rng, p, prec):
         d = rng.randint(1, 3)
         a = PadicScalar.one(p, INF) + _lossy_component(rng, p, prec, d, d + 2)
         u = QuadExtScalar(a.truncate(prec - rng.randrange(4)),
-                          _lossy_component(rng, p, prec, d, d + 3), c)
+                          _lossy_component(rng, p, prec, d, d + 3))
     elif kind == 1:  # a multiple of q
         lo = vq * rng.randint(1, 2)
         u = QuadExtScalar(_lossy_component(rng, p, prec, lo, lo + 2),
-                          _lossy_component(rng, p, prec, lo, lo + 3), c)
+                          _lossy_component(rng, p, prec, lo, lo + 3))
     else:
         u = QuadExtScalar(_lossy_component(rng, p, prec, -3, 5),
-                          _lossy_component(rng, p, prec, -3, 5), c)
+                          _lossy_component(rng, p, prec, -3, 5))
     return q, u
 
 
@@ -436,7 +434,7 @@ def test_on_curve_margin_near_the_origin(d):
     # keeps them
     rng = random.Random(d)
     unit = QuadExtScalar.from_parts(P ** d * rng.randrange(1, P),
-                                    P ** (d + 1) * rng.randrange(P ** N), P, N, C)
+                                    P ** (d + 1) * rng.randrange(P ** N), P, N)
     pt = CURVE.phi(ONE + unit)
     assert pt.x.valuation == -2 * d
     assert on_curve(pt) >= N - 4

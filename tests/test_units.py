@@ -19,7 +19,7 @@ PTS = PointCompletion(U, Q)
 
 
 def base(n, prec=N):
-    return QuadExtScalar.from_base(PadicScalar.from_int(n, P, prec), U.c)
+    return QuadExtScalar.from_base(PadicScalar.from_int(n, P, prec))
 
 
 def rand_unit(rng):
@@ -184,7 +184,7 @@ def test_completion_respects_inverses(a, b):
 def _reference_complete(units, u):
     """(v, log(u1 / zeta)) with zeta the Teichmuller lift of u1 = u / p^v."""
     v = u.valuation
-    u1 = u * QuadExtScalar.from_base(PadicScalar(units.p, -v, 1, INF), units.c)
+    u1 = u * QuadExtScalar.from_base(PadicScalar(units.p, -v, 1, INF))
     l = plog(u1 * quad_teichmuller(u1).inverse())
     return [units.base(v), l.a, l.b]
 
@@ -196,10 +196,10 @@ def _random_element(rng, units, prec):
         a, b = rng.randrange(p ** prec), rng.randrange(p ** prec)
         if rng.random() < 0.4:
             a, b = 1 + p * a, p * b
-        u = QuadExtScalar.from_parts(a, b, p, prec, units.c)
+        u = QuadExtScalar.from_parts(a, b, p, prec)
         if u.valuation == 0:
             v = rng.randrange(-2, 3)
-            return u * QuadExtScalar.from_base(PadicScalar(p, v, 1, INF), units.c)
+            return u * QuadExtScalar.from_base(PadicScalar(p, v, 1, INF))
 
 
 @pytest.mark.parametrize("p,prec,count", [(5, 12, 20), (7, 12, 20), (5, 40, 20),
