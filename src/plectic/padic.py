@@ -282,7 +282,8 @@ def _dot(p, terms):
 def _inverse(unit, p, k):
     """unit^-1 mod p^k for a unit prime to p and k >= 1, by the Newton step
     y <- y(2 - unit*y), which doubles the correct digits; several times
-    faster than pow(unit, -1, p^k) at a hundred digits and more."""
+    faster than pow(unit, -1, p^k) for a unit of a hundred digits and more,
+    but slower for a small one (plog's 1/k uses the built-in inverse)."""
     y, e = pow(unit, -1, p), 1
     while e < k:
         e = 2 * e if 2 * e < k else k
@@ -515,7 +516,7 @@ def plog(u):
     acc = (0, 0)
     for k in range(terms, 0, -1):
         vk = _int_valuation(k, p)
-        coef = _inverse(k // _POW[p, vk], p, n + guard) * _POW[p, guard - vk]
+        coef = pow(k // _POW[p, vk], -1, mod) * _POW[p, guard - vk]
         acc = _qmul((acc[0] + (coef if k & 1 else -coef), acc[1]), z, c, mod)
     scale = _POW[p, guard + j]
     return _quad(PadicScalar(p, 0, acc[0] // scale, target),

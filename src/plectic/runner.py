@@ -192,8 +192,9 @@ def suite_grpalg(sc, report, rng):
     y = rand_elem(0)
 
     def involution():
-        yield x.involution().involution(), x
-        yield (x * y).involution(), x.involution() * y.involution()
+        ix = x.involution()
+        yield ix.involution(), x
+        yield (x * y).involution(), ix * y.involution()
     report.add("grpalg.involution", involution())
 
     zs = ((n, rand_elem(n)) for n in range(1, top + 1) for _ in range(6))

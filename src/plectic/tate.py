@@ -6,8 +6,7 @@ X, Y series evaluated on the fundamental annulus v(q) > v(u) >= 0.
 """
 
 from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow, _quad,
-                    smallest_nonsquare)
+from .padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _quad, smallest_nonsquare
 
 
 def _lambert(q, terms, count):
@@ -157,7 +156,8 @@ class TateCurve:
         bound reaches `top`, the largest precision of the closed-form
         part's components) is summed on intervals and fixes each
         component's precision; the tail cannot lower it, so it is summed
-        on the integer powers of p^v(u) u and p^v(u) u^-1 modulo p^top.
+        on one integer Lucas sequence in p^v(u) u and p^v(u) u^-1 modulo
+        p^top (`_tail`).
         """
         u = self.reduce_to_annulus(u)
         one = PadicScalar.one(self.p, INF)
@@ -228,33 +228,45 @@ class TateCurve:
 
 def _tail(u, u_inv, lam, first, n):
     """The X and Y Lambert sums over the terms m >= first (L_m = lam[m-1]),
-    as integers (X_a, X_b, Y_a, Y_b) modulo p^n.  With v = v(u), term m of
-    X is m L_m p^(-mv) ((p^v u)^m + (p^v u^-1)^m), of Y
-    L_m p^(-mv) (C(m,2) (p^v u)^m - C(m+1,2) (p^v u^-1)^m), on integers.
-    Term m has valuation e_m = v(L_m) - mv, so its factors and the powers
-    carried on to later terms are kept modulo p^(n - e_m) only."""
+    as integers (X_a, X_b, Y_a, Y_b) modulo p^n.  With v = v(u), a = p^v u
+    and b = p^v u^-1 on integers, term m of X is m f_m (a^m + b^m), of Y
+    f_m (C(m,2) a^m - C(m+1,2) b^m), f_m = L_m p^(-mv).  Both read only
+    a^m + b^m = U_(m+1) - P U_(m-1) and a^m - b^m = (a - b) U_m for the
+    Lucas sequence U_0 = 0, U_1 = 1, U_(m+1) = s U_m - P U_(m-1), s = a + b,
+    P = ab = p^(2v): Y = ((a - b) sum m^2 f_m U_m - X) / 2.  The product of
+    the representatives differs from p^(2v) by p^(2v) (u u^-1 - 1), of
+    valuation >= 3v + P(u^-1), which moves term m only past its precision
+    bound in `phi`.  Term m has valuation e_m = v(L_m) - mv, so its factors
+    and the U carried on to later terms are kept modulo p^(n - e_m) only."""
     p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
     shift = lam[first - 1].v - first * v  # the valuation of term `first`
     if shift >= n:
         return 0, 0, 0, 0
     mod = _POW[p, n - shift]
-    step, inv = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
-                 for z in (u, u_inv))
-    up, um = _qpow(step, first, c, mod), _qpow(inv, first, c, mod)
-    xa = xb = ya = yb = 0
-    for m in range(first, len(lam) + 1):
-        l = lam[m - 1]
-        e = l.v - m * v - shift
-        if e >= n - shift:
-            break
-        grade = _POW[p, n - shift - e]  # the digits term m and later ones need
-        f = l.unit % grade * _POW[p, e]
-        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
-        xa += f * m * (up[0] + um[0])
-        xb += f * m * (up[1] + um[1])
-        ya += f * (c2 * up[0] + c3 * um[0])
-        yb += f * (c2 * up[1] + c3 * um[1])
-        up, um = _qmul(up, step, c, grade), _qmul(um, inv, c, grade)
+    (a0, a1), (b0, b1) = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
+                          for z in (u, u_inv))
+    s0, s1, pv = a0 + b0, a1 + b1, _POW[p, 2 * v]
+    r0 = r1 = t1 = 0  # U_(m-1) = (r0, r1) and U_m = (t0, t1)
+    t0 = 1
+    xa = xb = wa = wb = 0  # X and sum m^2 f_m U_m, scaled by p^-shift
+    grade, f = mod, 0  # the terms below `first` only step U, at the full modulus
+    for m in range(1, len(lam) + 1):
+        if m >= first:
+            l = lam[m - 1]
+            e = l.v - m * v - shift
+            if e >= n - shift:
+                break
+            grade = _POW[p, n - shift - e]  # the digits term m and later ones need
+            f = l.unit % grade * _POW[p, e] * m
+        k0, k1, q0, q1 = s0 * t0, s1 * t1, pv * r0, pv * r1  # s U_m by Karatsuba
+        r0, r1, t0, t1 = t0, t1, (k0 + c * k1 - q0) % grade, \
+            ((s0 + s1) * (t0 + t1) - k0 - k1 - q1) % grade
+        xa += f * (t0 - q0)
+        xb += f * (t1 - q1)
+        wa += f * m * r0
+        wb += f * m * r1
+    d0, d1, half = a0 - b0, a1 - b1, (mod + 1) // 2
+    ya, yb = (d0 * wa + c * d1 * wb - xa) * half, (d0 * wb + d1 * wa - xb) * half
     scale = _POW[p, shift]
     return tuple(t % mod * scale for t in (xa, xb, ya, yb))
 

@@ -9,7 +9,8 @@ import pytest
 
 from plectic import tate
 from plectic.errors import NotMultiplicativeReduction, PlecticError
-from plectic.padic import INF, PadicScalar, QuadExtScalar, _dot
+from plectic.padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow,
+                           smallest_nonsquare)
 from plectic.tate import (
     CurvePoint,
     TateCurve,
@@ -425,6 +426,78 @@ def test_phi_matches_the_interval_loop_on_lossy_operands(p):
         curve = TateCurve(q)
         assert _phi_outcome(curve.phi, u) == \
             _phi_outcome(lambda z: _object_phi(curve, z), u), (q, u)
+
+
+# -- the Lucas-sequence tail against the two power sequences it replaced ----------
+
+def _power_tail(u, u_inv, lam, first, n):
+    """`tate._tail` on the powers of a = p^v u and b = p^v u^-1 directly:
+    term m of X is m f_m (a^m + b^m), of Y f_m (C(m,2) a^m - C(m+1,2) b^m),
+    f_m = L_m p^(-mv), with a^m and b^m carried modulo p^(n - e_m)."""
+    p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
+    shift = lam[first - 1].v - first * v
+    if shift >= n:
+        return 0, 0, 0, 0
+    mod = _POW[p, n - shift]
+    step, inv = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
+                 for z in (u, u_inv))
+    up, um = _qpow(step, first, c, mod), _qpow(inv, first, c, mod)
+    xa = xb = ya = yb = 0
+    for m in range(first, len(lam) + 1):
+        l = lam[m - 1]
+        e = l.v - m * v - shift
+        if e >= n - shift:
+            break
+        grade = _POW[p, n - shift - e]
+        f = l.unit % grade * _POW[p, e]
+        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+        xa += f * m * (up[0] + um[0])
+        xb += f * m * (up[1] + um[1])
+        ya += f * (c2 * up[0] + c3 * um[0])
+        yb += f * (c2 * up[1] + c3 * um[1])
+        up, um = _qmul(up, step, c, grade), _qmul(um, inv, c, grade)
+    scale = _POW[p, shift]
+    return tuple(t % mod * scale for t in (xa, xb, ya, yb))
+
+
+def _tail_case(rng, p, prec, zero):
+    """A period of valuation 1..3 and a u with 0 <= v(u) < v(q) at prec: one
+    component of valuation v(u), the other zero or of v(u)..v(u) + 2."""
+    vq = rng.randint(1, 3)
+    q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec)
+    vu = rng.randrange(vq)
+    parts = [PadicScalar(p, vu, _lossy_unit(rng, p, prec), prec),
+             PadicScalar.zero(p, prec) if zero else
+             PadicScalar(p, vu + rng.randrange(3), _lossy_unit(rng, p, prec), prec)]
+    rng.shuffle(parts)
+    return q, QuadExtScalar(*parts)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_tail_matches_the_power_tail(p):
+    rng = random.Random(500 + p)
+    prec, seen = 24, set()
+    for i in range(48):
+        q, u = _tail_case(rng, p, prec, zero=i % 6 == 0)
+        lam, u_inv = tate._lambert(q, [], prec), u.inverse()
+        for first in (1, 2, 3, 7):
+            for n in (prec - 3, prec):
+                tail = tate._tail(u, u_inv, lam, first, n)
+                assert tail == _power_tail(u, u_inv, lam, first, n), (q, u, first, n)
+                seen.add((u.valuation > 0, u.a.is_zero() or u.b.is_zero(), tail == (0,) * 4))
+    # v(u) = 0 and v(u) > 0, a zero component, and terms past p^n from `first` on
+    assert all({k[i] for k in seen} == {False, True} for i in range(3))
+
+
+def test_tail_is_zero_from_a_term_past_the_modulus():
+    q = PadicScalar(P, 2, 3, N)
+    u = QuadExtScalar.from_parts(P * 2, 1, P, N)
+    lam = tate._lambert(q, [], N)
+    for first in (1, 4, 9):
+        shift = lam[first - 1].v - first * u.valuation
+        for n in (shift - 1, shift):
+            assert tate._tail(u, u.inverse(), lam, first, n) == (0, 0, 0, 0)
+        assert tate._tail(u, u.inverse(), lam, first, shift + 1) != (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
