@@ -461,19 +461,30 @@ def _quad(a, b):
 
 
 def quad_teichmuller(u):
-    """The (p^2 - 1)-st root of unity congruent to a unit u mod p."""
+    """The (p^2 - 1)-st root of unity congruent to a unit u mod p, to the
+    precision prec(u) of u; a component that is an exact zero stays one,
+    since the root of a u in Q_p (in Q_p w) lies in Q_p (in Q_p w).  By
+    Newton's step t <- t (1 - (t^m - 1)/m), m = p^2 - 1 a unit: from
+    t^m = 1 + O(p^k) it gives t^m = 1 + O(p^2k), so the steps run at
+    doubling precisions from u mod p, each on integer pairs."""
     if u.is_zero() or u.valuation != 0:
         raise NotAUnit("teichmuller lift needs a unit")
     if u.prec == INF:
         raise ValueError("teichmuller needs a finite precision input")
-    p = u.p
-    t = u
-    for _ in range(int(u.prec) + 1):
-        t_next = t ** (p * p)
-        if (t_next - t).is_zero():
-            return t_next
-        t = t_next
-    return t
+    p, n, c = u.p, int(u.prec), smallest_nonsquare(u.p)
+    m = p * p - 1
+    t = tuple(s.unit % p if s.v == 0 else 0 for s in (u.a, u.b))
+    precs = [n]
+    while precs[-1] > 1:
+        precs.append((precs[-1] + 1) // 2)
+    for k in reversed(precs[:-1]):
+        mod = _POW[p, k]
+        tm = _qpow(t, m, c, mod)
+        d = _qmul(t, (tm[0] - 1, tm[1]), c, mod)
+        inv = pow(m, -1, mod)
+        t = ((t[0] - d[0] * inv) % mod, (t[1] - d[1] * inv) % mod)
+    return _quad(*(PadicScalar.zero(p) if s.v == INF and s.prec == INF
+                   else PadicScalar(p, 0, x, n) for s, x in zip((u.a, u.b), t)))
 
 
 def plog(u):

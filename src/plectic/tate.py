@@ -1,39 +1,51 @@
 """Tate curves E_q over Q_p and the uniformization E^x -> E_q(E_p).
 
-The curve is y^2 + xy = x^3 + a4*x + a6 with a4, a6 given by the classical
-q-series; points over the quadratic extension come from the bi-periodic
-X, Y series evaluated on the fundamental annulus v(q) > v(u) >= 0.
+The curve is y^2 + xy = x^3 + a4*x + a6 with a4 = -5 s_3 and
+a6 = -(5 s_3 + 7 s_5)/12 in the divisor sums s_k = sum_n sigma_k(n) q^n.
+Points over the quadratic extension come from Jacobi's theta series
+theta(u) = sum_{n in Z} (-1)^n q^(n(n-1)/2) u^n on the fundamental annulus
+v(q) > v(u) >= 0, which needs about sqrt(2N/v(q)) terms a side at N digits.
+Each value keeps the precision that summing the classical Lambert series
+in L_n = q^n/(1 - q^n) on intervals gives it; see `_power_sums` and
+`TateCurve.phi`.
 """
 
 from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _quad, smallest_nonsquare
+from .padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _int_valuation, _qmul,
+                    _quad, smallest_nonsquare)
 
 
-def _lambert(q, terms, count):
-    """Extend `terms` in place to L_n = q^n / (1 - q^n) for n = 1..count."""
-    if len(terms) < count:
-        one = PadicScalar.one(q.p, INF)
-        qn = q ** (len(terms) + 1)
-        while len(terms) < count:
-            terms.append(qn / (one - qn))
-            qn = qn * q
-    return terms
+def _power_sums(q, ks):
+    """[s_k(q) for k in ks], s_k = sum_n sigma_k(n) q^n over n v(q) <= prec(q).
 
-
-def _power_sums(q, terms, ks):
-    """[s_k(q) for k in ks], s_k = sum_{n v(q) <= prec(q)} n^k L_n."""
+    Precision rule: on intervals the Lambert sum s_k = sum n^k L_n over the
+    same n has the precision of q, the precision of L_1, and it agrees with
+    the divisor sum modulo q^(count + 1), past prec(q).  So s_k is the
+    divisor sum on the integer representative of q modulo p^prec(q), by
+    Horner's rule after one sieve of the sigma_k."""
     count = int(q.prec // q.v)
-    lam = _lambert(q, terms, count)[:count]
-    one = PadicScalar.one(q.p, INF)
-    # L_1 has the precision of q, the least of the sums' terms
-    return [_dot(q.p, [(l, one, n ** k) for n, l in enumerate(lam, 1)]) for k in ks]
+    sigmas = [[0] * (count + 1) for _ in ks]
+    for d in range(1, count + 1):
+        for k, sigma in zip(ks, sigmas):
+            dk = d ** k
+            for n in range(d, count + 1, d):
+                sigma[n] += dk
+    p, prec = q.p, q.prec
+    mod, base = _POW[p, prec], q.unit * _POW[p, q.v]
+    sums = []
+    for sigma in sigmas:
+        acc = 0
+        for s in reversed(sigma):  # the constant sigma[0] = 0 ends the rule
+            acc = (acc * base + s) % mod
+        sums.append(PadicScalar(p, 0, acc, prec))
+    return sums
 
 
-def tate_coefficients(q, lambert=None):
-    """(a4, a6) of the Tate curve with period q; `lambert` caches the L_n."""
+def tate_coefficients(q):
+    """(a4, a6) of the Tate curve with period q."""
     if q.is_zero() or q.v < 1:
         raise NotMultiplicativeReduction("Tate period needs valuation >= 1")
-    s3, s5 = _power_sums(q, [] if lambert is None else lambert, (3, 5))
+    s3, s5 = _power_sums(q, (3, 5))
     a4 = -(s3.scale_int(5))
     a6 = -(s3.scale_int(5) + s5.scale_int(7)) / PadicScalar.from_int(12, q.p, INF)
     return a4, a6
@@ -107,9 +119,8 @@ class TateCurve:
 
     def __init__(self, q):
         self.q = q
-        self._lambert = []  # L_n = q^n / (1 - q^n), extended on demand
-        self.a4, self.a6 = tate_coefficients(q, self._lambert)
-        self._s1, = _power_sums(q, self._lambert, (1,))
+        self.a4, self.a6 = tate_coefficients(q)
+        self._s1, = _power_sums(q, (1,))
         self.p = q.p
 
     def curve_equation(self, pt):
@@ -142,50 +153,129 @@ class TateCurve:
         return u / qk
 
     def phi(self, u):
-        """The uniformization map; q^Z maps to the origin.  As Lambert series:
+        """The uniformization map; q^Z maps to the origin.  As Lambert series
+        in L_m = q^m/(1 - q^m):
             X = u/(1-u)^2 + sum_m m (u^m + u^-m) L_m - 2 s_1
             Y = u^2/(1-u)^3 + sum_m (C(m,2) u^m - C(m+1,2) u^-m) L_m + s_1
-        The m-th term has valuation >= m (v(q) - v(u)): stop past prec(u).
+        and by Jacobi's triple product, with D = u d/du and
+        theta(u) = sum_{n in Z} (-1)^n q^(n(n-1)/2) u^n
+                 = (1 - u) prod_{n>=1} (1 - q^n)(1 - q^n u)(1 - q^n/u),
+            X = -D^2 log theta - 2 s_1,   Y = (-D^3 log theta - X)/2.
 
-        Precision rule: each coordinate component is the interval sum of
-        the closed-form part and the terms, so its precision is the least
-        of theirs.  On intervals, term m has precision at least
-            min(min(P(u), P(u^-1) - (m-1) v(u)) + v(L_m), prec(L_m) - m v(u)),
-        P the least component precision, and that bound grows with m.  The
-        head (the closed-form part and the terms below the first m whose
-        bound reaches `top`, the largest precision of the closed-form
-        part's components) is summed on intervals and fixes each
-        component's precision; the tail cannot lower it, so it is summed
-        on one integer Lucas sequence in p^v(u) u and p^v(u) u^-1 modulo
-        p^top (`_tail`).
-        """
+        Precision rule (that of the whole Lambert sums on intervals): the
+        m-th term has precision at least
+            B_m = m v(q) + min(P(u), P(u^-1) - (m-1) v(u), prec(q) - v(q) - m v(u))
+        on intervals, P the least component precision, a bound that grows
+        by v(q) - v(u) >= 1 a term.  Each coordinate component has the least
+        precision of its closed-form part and of its terms below `first`,
+        the first m with B_m at least the largest finite precision of the
+        closed-form parts; the later terms cannot lower it
+        (`_head_precisions`).  So the sum, all of whose terms are right to
+        that precision for every representative, is phi(r) to that
+        precision for the integer representatives r of u and of q, which
+        the theta series gives (`_theta_xy`).  A component may be finer
+        than P(u), so the terms past prec(u) / (v(q) - v(u)) can still
+        reach it.
+
+        The guard.  The other factors of the product are units on the
+        annulus, so e = v(theta(r)) = v(1 - r): the depth of u near 1, and 0
+        when v(u) > 0.  Let the integers T_j be D^j theta(r) mod p^K
+        (j = 0..3), each exact there: the terms of valuation >= K are
+        dropped, and u^-n enters as (q/r)^n with q^(n(n-1)/2), since
+        q^(n(n+1)/2) u^-n = q^(n(n-1)/2) (q/u)^n and v(q/u) >= 1 even when
+        v(u) > 0, with 1/r inverted exactly mod p^K.  Then
+            X + 2 s_1 = -N_2 / T_0^2,   N_2 = T_2 T_0 - T_1^2,
+            -D^3 log theta = -N_3 / T_0^3,
+            N_3 = T_3 T_0^2 - 3 T_0 T_1 T_2 + 2 T_1^3,
+        with N_2 and N_3 integral.  An error in the T_j that is a multiple
+        of p^K moves N_2 and N_3 by multiples of p^K and T_0^j by multiples
+        of p^(K + (j-1)e), since v(T_0) = e; so it moves N_2 / T_0^2 by a
+        multiple of p^(K + e - 4e) and N_3 / T_0^3 by one of p^(K + 2e - 6e).
+        So X is right mod p^(K - 3e) and Y mod p^(K - 4e),
+        and K = max(T_X + 3e, T_Y + 4e, e + 1), T_X and T_Y the largest
+        finite precisions of the X and Y components, is enough; e + 1 lets
+        T_0 show its valuation.  A component of infinite precision is an
+        exact zero (u and q in Q_p)."""
         u = self.reduce_to_annulus(u)
-        one = PadicScalar.one(self.p, INF)
-        if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
-            return CurvePoint.infinity()
-        x = _x_term(u) - QuadExtScalar.from_base(self._s1 + self._s1)
-        y = _y_term(u) + QuadExtScalar.from_base(self._s1)
-        vu = u.valuation
-        count = int(u.prec // (self.q.v - vu))
-        u_inv = u.inverse()
-        up, um = u, u_inv
-        sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
-        top = max(s.prec for s in (x.a, x.b, y.a, y.b))
-        lam = _lambert(self.q, self._lambert, count)[:count]
-        for m, l in enumerate(lam, 1):
-            if min(min(u.prec, u_inv.prec - (m - 1) * vu) + l.v,
-                   l.prec - m * vu) >= top:
-                tail = _tail(u, u_inv, lam, m, top)
-                for terms, t in zip(sums, tail):
-                    terms.append((one, one, t))
-                break
-            c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
-            for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
-                xs.append((s + t, l, m))
-                ys.append((_dot(self.p, ((s, one, c2), (t, one, c3))), l, 1))
-            up, um = up * u, um * u_inv
-        xa, xb, ya, yb = (_dot(self.p, terms) for terms in sums)
+        one = QuadExtScalar.from_base(PadicScalar.one(self.p, INF))
+        depth = 0  # e = v(1 - u) when v(u) = 0
+        if u.valuation == 0:
+            d = u - one
+            if d.is_zero():
+                return CurvePoint.infinity()
+            depth = d.valuation
+        x, y = _closed_forms(u)
+        x = x - QuadExtScalar.from_base(self._s1 + self._s1)
+        y = y + QuadExtScalar.from_base(self._s1)
+        precs = self._head_precisions(u, x, y)
+        xa, xb, ya, yb = self._theta_xy(u, depth, precs)
         return CurvePoint(_quad(xa, xb), _quad(ya, yb))
+
+    def _head_precisions(self, u, x, y):
+        """The precisions of phi(u)'s components (X_a, X_b, Y_a, Y_b) by the
+        rule in `phi`, from the closed-form parts x, y: the terms below
+        `first` on intervals, as `_dot` would take them, with
+        v(L_m) = m v(q) and prec(L_m) = m v(q) + prec(q) - v(q), the
+        interval L_m's own, so that no L_m is formed."""
+        p, vq = self.p, self.q.v
+        vu = u.valuation
+        u_inv = u.inverse()
+        one = PadicScalar.one(p, INF)
+        precs = [s.prec for s in (x.a, x.b, y.a, y.b)]
+        top = max(n for n in precs if n != INF)
+        rel_q = self.q.prec - vq
+        up, um, m = u, u_inv, 1
+        while m * vq + min(u.prec, u_inv.prec - (m - 1) * vu, rel_q - m * vu) < top:
+            vl = m * vq
+            pl = vl + rel_q
+            c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+            for i, s, t in ((0, up.a, um.a), (1, up.b, um.b)):
+                for j, z, k in ((i, s + t, m),
+                                (i + 2, _dot(p, ((s, one, c2), (t, one, c3))), 1)):
+                    # the precision of z * L_m * k in `_dot`
+                    n = min(z.prec + vl, pl + z.v) + _int_valuation(k, p)
+                    if n < precs[j]:
+                        precs[j] = n
+            up, um, m = up * u, um * u_inv, m + 1
+        return precs
+
+    def _theta_xy(self, u, e, precs):
+        """(X_a, X_b, Y_a, Y_b) of phi(u) at `precs` from the theta series,
+        on integer pairs modulo p^K with the guard K of `phi`; e = v(1 - u)."""
+        p, q, c = self.p, self.q, smallest_nonsquare(self.p)
+        tx = max(n for n in precs[:2] if n != INF)
+        ty = max(n for n in precs[2:] if n != INF)
+        k = int(max(tx + 3 * e, ty + 4 * e, e + 1))
+        mod = _POW[p, k]
+        vu = u.valuation
+        # u = p^v(u) (a + b w), and q/u = q p^-v(u) (a - b w) / (a^2 - c b^2)
+        a, b = (0 if s.v == INF else s.unit * _POW[p, s.v - vu] for s in (u.a, u.b))
+        pv, ni = _POW[p, vu], pow(a * a - c * b * b, -1, mod)
+        qu, q_rep = q.unit * _POW[p, q.v - vu] * ni, q.unit * _POW[p, q.v]
+        plus = _half_theta((a * pv, b * pv), vu, q_rep, q.v, c, k, mod)
+        minus = _half_theta((qu * a % mod, -qu * b % mod), q.v - vu, q_rep, q.v, c, k, mod)
+        # T_j = sum over n >= 0 and over n = -1, -2, ... of n^j (-1)^n q^(n(n-1)/2) u^n
+        t0, t1, t2, t3 = ((s[0] + (-1) ** j * t[0], s[1] + (-1) ** j * t[1])
+                          for j, (s, t) in enumerate(zip(plus, minus)))
+        scale = _POW[p, e]
+        # T_0 / p^e, a unit; the n = 0 term is on both sides
+        a, b = (t0[0] - 1) // scale, t0[1] // scale
+        ni = pow(a * a - c * b * b, -1, mod)
+        ti = (a * ni % mod, -b * ni % mod)
+        # M_j = p^e T_j / T_0: X + 2 s_1 = (M_1^2 - p^e M_2) / p^(2e) and
+        # D^3 log theta = (p^(2e) M_3 - 3 p^e M_1 M_2 + 2 M_1^3) / p^(3e)
+        m1, m2, m3 = (_qmul(t, ti, c, mod) for t in (t1, t2, t3))
+        m11, m12 = _qmul(m1, m1, c, mod), _qmul(m1, m2, c, mod)
+        m111 = _qmul(m11, m1, c, mod)
+        xs = [s - scale * t for s, t in zip(m11, m2)]  # (X + 2 s_1) p^(2e)
+        half = (mod + 1) // 2
+        # (Y - s_1) p^(3e) = -(D^3 log theta + X + 2 s_1) p^(3e) / 2
+        ys = [-(scale * scale * s - 3 * scale * t + 2 * d + scale * x) * half
+              for s, t, d, x in zip(m3, m12, m111, xs)]
+        s1 = 0 if self._s1.v == INF else self._s1.unit * _POW[p, self._s1.v]
+        values = (xs[0] - 2 * s1 * scale * scale, xs[1], ys[0] + s1 * scale ** 3, ys[1])
+        return [PadicScalar.zero(p) if n == INF else PadicScalar(p, -v, a, n)
+                for a, n, v in zip(values, precs, (2 * e, 2 * e, 3 * e, 3 * e))]
 
     # -- group law -------------------------------------------------------------
 
@@ -226,58 +316,34 @@ class TateCurve:
         return CurvePoint(pt.x.frobenius(), pt.y.frobenius())
 
 
-def _tail(u, u_inv, lam, first, n):
-    """The X and Y Lambert sums over the terms m >= first (L_m = lam[m-1]),
-    as integers (X_a, X_b, Y_a, Y_b) modulo p^n.  With v = v(u), a = p^v u
-    and b = p^v u^-1 on integers, term m of X is m f_m (a^m + b^m), of Y
-    f_m (C(m,2) a^m - C(m+1,2) b^m), f_m = L_m p^(-mv).  Both read only
-    a^m + b^m = U_(m+1) - P U_(m-1) and a^m - b^m = (a - b) U_m for the
-    Lucas sequence U_0 = 0, U_1 = 1, U_(m+1) = s U_m - P U_(m-1), s = a + b,
-    P = ab = p^(2v): Y = ((a - b) sum m^2 f_m U_m - X) / 2.  The product of
-    the representatives differs from p^(2v) by p^(2v) (u u^-1 - 1), of
-    valuation >= 3v + P(u^-1), which moves term m only past its precision
-    bound in `phi`.  Term m has valuation e_m = v(L_m) - mv, so its factors
-    and the U carried on to later terms are kept modulo p^(n - e_m) only."""
-    p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
-    shift = lam[first - 1].v - first * v  # the valuation of term `first`
-    if shift >= n:
-        return 0, 0, 0, 0
-    mod = _POW[p, n - shift]
-    (a0, a1), (b0, b1) = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
-                          for z in (u, u_inv))
-    s0, s1, pv = a0 + b0, a1 + b1, _POW[p, 2 * v]
-    r0 = r1 = t1 = 0  # U_(m-1) = (r0, r1) and U_m = (t0, t1)
-    t0 = 1
-    xa = xb = wa = wb = 0  # X and sum m^2 f_m U_m, scaled by p^-shift
-    grade, f = mod, 0  # the terms below `first` only step U, at the full modulus
-    for m in range(1, len(lam) + 1):
-        if m >= first:
-            l = lam[m - 1]
-            e = l.v - m * v - shift
-            if e >= n - shift:
-                break
-            grade = _POW[p, n - shift - e]  # the digits term m and later ones need
-            f = l.unit % grade * _POW[p, e] * m
-        k0, k1, q0, q1 = s0 * t0, s1 * t1, pv * r0, pv * r1  # s U_m by Karatsuba
-        r0, r1, t0, t1 = t0, t1, (k0 + c * k1 - q0) % grade, \
-            ((s0 + s1) * (t0 + t1) - k0 - k1 - q1) % grade
-        xa += f * (t0 - q0)
-        xb += f * (t1 - q1)
-        wa += f * m * r0
-        wb += f * m * r1
-    d0, d1, half = a0 - b0, a1 - b1, (mod + 1) // 2
-    ya, yb = (d0 * wa + c * d1 * wb - xa) * half, (d0 * wb + d1 * wa - xb) * half
-    scale = _POW[p, shift]
-    return tuple(t % mod * scale for t in (xa, xb, ya, yb))
+def _half_theta(z, vz, q, vq, c, k, mod):
+    """[sum_{n>=0} n^j (-1)^n q^(n(n-1)/2) z^n for j = 0..3] modulo `mod`
+    = p^k, for an integer pair z of valuation >= vz and an integer q of
+    valuation vq: term n has valuation >= n(n-1)/2 vq + n vz, a bound that
+    grows from n = 1 on, so the sums stop at the first term past p^k."""
+    ga, gb = z  # q^n z
+    ta, tb = 1, 0  # (-1)^n q^(n(n-1)/2) z^n
+    a0 = b0 = a1 = b1 = a2 = b2 = a3 = b3 = n = val = 0
+    while val < k:
+        a0 += ta
+        b0 += tb
+        ta, tb, ua, ub = n * ta, n * tb, ta, tb
+        a1 += ta
+        b1 += tb
+        ta, tb = n * ta, n * tb
+        a2 += ta
+        b2 += tb
+        a3 += n * ta
+        b3 += n * tb
+        ta, tb = -(ua * ga + c * ub * gb) % mod, -(ua * gb + ub * ga) % mod
+        ga, gb = ga * q % mod, gb * q % mod
+        val += n * vq + vz
+        n += 1
+    return (a0, b0), (a1, b1), (a2, b2), (a3, b3)
 
 
-def _x_term(w):
-    one = QuadExtScalar.from_parts(1, 0, w.p, INF)
-    d = one - w
-    return w / (d * d)
-
-
-def _y_term(w):
-    one = QuadExtScalar.from_parts(1, 0, w.p, INF)
-    d = one - w
-    return (w * w) / (d * d * d)
+def _closed_forms(w):
+    """w/(1-w)^2 and w^2/(1-w)^3 on intervals."""
+    d = QuadExtScalar.from_parts(1, 0, w.p, INF) - w
+    dd = d * d
+    return w / dd, (w * w) / (dd * d)

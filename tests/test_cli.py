@@ -116,6 +116,15 @@ def test_run_refuses_a_negative_floor():
         run(sc, suites=("gz",), floor=-1)
 
 
+def test_t1_tate_and_units_at_640_digits_match_the_pinned_report(capsys):
+    # tests/data/t1-split-640-tate.kv is the report of the Lambert-series
+    # uniformization and the one-digit-a-pass Teichmuller lift, at seed 0
+    pinned = Path(__file__).resolve().parent / "data" / "t1-split-640-tate.kv"
+    assert main(["verify", T1, "--precision", "640", "--suite", "tate", "--suite",
+                 "units", "--format", "kv", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == pinned.read_text()
+
+
 def test_cli_human_report_lists_the_kv_checks_in_order(capsys):
     args = ["verify", T1, "--suite", "gz", "--suite", "sign"]
     assert main(args + ["--format", "kv"]) == 0

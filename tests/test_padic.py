@@ -98,6 +98,53 @@ def test_quad_teichmuller_order_divides_p_squared_minus_one():
     assert (z ** (P * P - 1)).agreement(ext(1, 0)) >= N - 1
 
 
+def _power_teichmuller(u):
+    """The Teichmuller lift by t -> t^(p^2) on intervals until it is fixed,
+    one digit a pass."""
+    t = u
+    for _ in range(int(u.prec) + 1):
+        t_next = t ** (u.p * u.p)
+        if (t_next - t).is_zero():
+            return t_next
+        t = t_next
+    return t
+
+
+def _teichmuller_case(rng, p, prec, kind):
+    """A unit at prec: near 1, far from 1, in Z_p (an exact zero w part),
+    in Z_p w (an exact zero base part) or with a w part of valuation >= 1."""
+    m = p ** prec
+    while True:
+        a, b = [(1 + p * rng.randrange(m), p * rng.randrange(m)),
+                (rng.randrange(m), rng.randrange(m)),
+                (rng.randrange(1, m), 0),
+                (0, rng.randrange(1, m)),
+                (rng.randrange(m), p * rng.randrange(1, m))][kind]
+        u = QuadExtScalar.from_parts(a, b, p, prec)
+        if not u.is_zero() and u.valuation == 0:
+            return u
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 1009])
+@pytest.mark.parametrize("prec", [1, 4, 40, 160, 640])
+def test_teichmuller_by_newton_matches_the_power_loop(p, prec):
+    rng = random.Random(p * 1000 + prec)
+    for kind in range(5):
+        for _ in range(2):
+            u = _teichmuller_case(rng, p, prec, kind)
+            got = quad_teichmuller(u)
+            digits = [(s.v, s.unit, s.prec) for s in (got.a, got.b)]
+            if p ** prec < 10 ** 300:  # the loop takes prec passes of a p^2-th power
+                want = _power_teichmuller(u)
+                assert digits == [(s.v, s.unit, s.prec) for s in (want.a, want.b)]
+            # the root of unity congruent to u mod p, at prec(u)
+            assert got.prec == prec and got.agreement(u) >= 1
+            one = QuadExtScalar.from_parts(1, 0, p, INF)
+            assert (got ** (p * p - 1)).agreement(one) >= prec
+            assert [s.is_zero() and s.prec == INF for s in (got.a, got.b)] == \
+                [s.is_zero() and s.prec == INF for s in (u.a, u.b)]
+
+
 # -- log / exp ------------------------------------------------------------------
 
 def test_plog_of_one_is_zero():

@@ -9,8 +9,7 @@ import pytest
 
 from plectic import tate
 from plectic.errors import NotMultiplicativeReduction, PlecticError
-from plectic.padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _qmul, _qpow,
-                           smallest_nonsquare)
+from plectic.padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _quad, smallest_nonsquare
 from plectic.tate import (
     CurvePoint,
     TateCurve,
@@ -332,8 +331,7 @@ def test_phi_matches_the_per_term_series(prec, count):
         q, u = _annulus_case(rng, vq, prec)
         curve = TateCurve(q)
         assert _digits(curve.phi(u)) == _digits(_reference_phi(curve, u))
-        # phi extends the curve's Lambert list; the coefficients read the
-        # same first terms
+        # a curve's coefficients are those of tate_coefficients on its period
         a4, a6 = tate_coefficients(q)
         assert [(s.v, s.unit, s.prec) for s in (curve.a4, curve.a6)] == \
             [(s.v, s.unit, s.prec) for s in (a4, a6)]
@@ -351,6 +349,208 @@ def test_phi_digits_survive_tripled_precision(prec):
                 assert s_lo.agreement(s_hi) >= s_lo.prec
 
 
+# -- the Lambert series the theta and divisor sums replaced ----------------------
+
+def _lambert(q, terms, count):
+    """Extend `terms` in place to L_n = q^n / (1 - q^n) for n = 1..count."""
+    if len(terms) < count:
+        one = PadicScalar.one(q.p, INF)
+        qn = q ** (len(terms) + 1)
+        while len(terms) < count:
+            terms.append(qn / (one - qn))
+            qn = qn * q
+    return terms
+
+
+def _lambert_power_sums(q, terms, ks):
+    """[s_k(q) for k in ks], s_k = sum_{n v(q) <= prec(q)} n^k L_n, on intervals."""
+    count = int(q.prec // q.v)
+    lam = _lambert(q, terms, count)[:count]
+    one = PadicScalar.one(q.p, INF)
+    return [_dot(q.p, [(l, one, n ** k) for n, l in enumerate(lam, 1)]) for k in ks]
+
+
+def _lambert_coefficients(q):
+    """(a4, a6) from the Lambert sums s_3, s_5."""
+    if q.is_zero() or q.v < 1:
+        raise NotMultiplicativeReduction("Tate period needs valuation >= 1")
+    s3, s5 = _lambert_power_sums(q, [], (3, 5))
+    a4 = -(s3.scale_int(5))
+    a6 = -(s3.scale_int(5) + s5.scale_int(7)) / PadicScalar.from_int(12, q.p, INF)
+    return a4, a6
+
+
+def _lambert_j(q):
+    a4, a6 = _lambert_coefficients(q)
+    one = PadicScalar.one(q.p, INF)
+    c4 = one - a4.scale_int(48)
+    c6 = -one + a4.scale_int(72) - a6.scale_int(864)
+    return c4 ** 3 / ((c4 ** 3 - c6 ** 2) / PadicScalar.from_int(1728, q.p, INF))
+
+
+def _tail(u, u_inv, lam, first, n):
+    """The X and Y Lambert sums over the terms m >= first (L_m = lam[m-1]),
+    as integers (X_a, X_b, Y_a, Y_b) modulo p^n.  With v = v(u), a = p^v u
+    and b = p^v u^-1 on integers, term m of X is m f_m (a^m + b^m), of Y
+    f_m (C(m,2) a^m - C(m+1,2) b^m), f_m = L_m p^(-mv).  Both read only
+    a^m + b^m = U_(m+1) - P U_(m-1) and a^m - b^m = (a - b) U_m for the
+    Lucas sequence U_0 = 0, U_1 = 1, U_(m+1) = s U_m - P U_(m-1), s = a + b,
+    P = ab = p^(2v): Y = ((a - b) sum m^2 f_m U_m - X) / 2.  Term m has
+    valuation e_m = v(L_m) - mv, so its factors and the U carried on to
+    later terms are kept modulo p^(n - e_m) only."""
+    p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
+    shift = lam[first - 1].v - first * v  # the valuation of term `first`
+    if shift >= n:
+        return 0, 0, 0, 0
+    mod = _POW[p, n - shift]
+    (a0, a1), (b0, b1) = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
+                          for z in (u, u_inv))
+    s0, s1, pv = a0 + b0, a1 + b1, _POW[p, 2 * v]
+    r0 = r1 = t1 = 0  # U_(m-1) = (r0, r1) and U_m = (t0, t1)
+    t0 = 1
+    xa = xb = wa = wb = 0  # X and sum m^2 f_m U_m, scaled by p^-shift
+    grade, f = mod, 0  # the terms below `first` only step U, at the full modulus
+    for m in range(1, len(lam) + 1):
+        if m >= first:
+            l = lam[m - 1]
+            e = l.v - m * v - shift
+            if e >= n - shift:
+                break
+            grade = _POW[p, n - shift - e]  # the digits term m and later ones need
+            f = l.unit % grade * _POW[p, e] * m
+        k0, k1, q0, q1 = s0 * t0, s1 * t1, pv * r0, pv * r1  # s U_m by Karatsuba
+        r0, r1, t0, t1 = t0, t1, (k0 + c * k1 - q0) % grade, \
+            ((s0 + s1) * (t0 + t1) - k0 - k1 - q1) % grade
+        xa += f * (t0 - q0)
+        xb += f * (t1 - q1)
+        wa += f * m * r0
+        wb += f * m * r1
+    d0, d1, half = a0 - b0, a1 - b1, (mod + 1) // 2
+    ya, yb = (d0 * wa + c * d1 * wb - xa) * half, (d0 * wb + d1 * wa - xb) * half
+    scale = _POW[p, shift]
+    return tuple(t % mod * scale for t in (xa, xb, ya, yb))
+
+
+def _term_count(curve, u, x, y):
+    """The Lambert terms that can reach a component's precision: term m has
+    valuation >= m (v(q) - v(u)), and no component of the closed-form part
+    x, y is finer than the largest finite precision among them."""
+    top = max(s.prec for s in (x.a, x.b, y.a, y.b) if s.prec != INF)
+    return int(top // (curve.q.v - u.valuation))
+
+
+def _lambert_phi(curve, u, lam):
+    """phi as the Lambert sums: the closed-form part and the terms below the
+    first m whose precision bound reaches the closed-form part's largest
+    precision on intervals, the rest by the Lucas `_tail` modulo p^top;
+    `lam` is the curve's list of L_m, extended on demand."""
+    u = curve.reduce_to_annulus(u)
+    one = PadicScalar.one(curve.p, INF)
+    if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
+        return CurvePoint.infinity()
+    s1, = _lambert_power_sums(curve.q, lam, (1,))
+    x, y = tate._closed_forms(u)
+    x = x - QuadExtScalar.from_base(s1 + s1)
+    y = y + QuadExtScalar.from_base(s1)
+    vu = u.valuation
+    count = _term_count(curve, u, x, y)
+    u_inv = u.inverse()
+    up, um = u, u_inv
+    sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
+    top = max(s.prec for s in (x.a, x.b, y.a, y.b) if s.prec != INF)
+    lam = _lambert(curve.q, lam, count)[:count]
+    for m, l in enumerate(lam, 1):
+        if min(min(u.prec, u_inv.prec - (m - 1) * vu) + l.v,
+               l.prec - m * vu) >= top:
+            for terms, t in zip(sums, _tail(u, u_inv, lam, m, top)):
+                terms.append((one, one, t))
+            break
+        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
+        for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
+            xs.append((s + t, l, m))
+            ys.append((_dot(curve.p, ((s, one, c2), (t, one, c3))), l, 1))
+        up, um = up * u, um * u_inv
+    xa, xb, ya, yb = (_dot(curve.p, terms) for terms in sums)
+    return CurvePoint(_quad(xa, xb), _quad(ya, yb))
+
+
+def _theta_case(rng, p, prec, vq, kind):
+    """A u on the annulus of a period of valuation vq at prec: kind 0 has
+    v(u) = 0..vq-1, kinds 1-3 have v(u - 1) = kind, kind 4 a component that
+    is zero to prec and kind 5 one that is an exact zero (u in Q_p or
+    Q_p w)."""
+    m = p ** prec
+    while True:
+        vu = rng.randrange(vq)
+        if kind == 0:
+            a, b = p ** vu * rng.randrange(m), p ** vu * rng.randrange(m)
+        elif kind <= 3:
+            a, b = 1 + p ** kind * rng.randrange(m), p ** kind * rng.randrange(m)
+        else:
+            a, b = p ** vu * rng.randrange(1, m), (p ** prec if kind == 4 else 0)
+            if rng.randrange(2):
+                a, b = b, a
+        u = QuadExtScalar.from_parts(a, b, p, prec)
+        if u.is_zero() or (u - QuadExtScalar.from_parts(1, 0, p, INF)).is_zero():
+            continue
+        if kind in (1, 2, 3) and (u - QuadExtScalar.from_parts(1, 0, p, INF)).valuation != kind:
+            continue
+        if kind not in (1, 2, 3) and u.valuation >= vq:
+            continue
+        return u
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_phi_matches_the_lambert_phi(p):
+    # identical (v, unit, prec) on all four coordinates, 360 units a prime
+    rng = random.Random(600 + p)
+    seen = set()
+    for prec in (12, 40, 160):
+        for vq in (1, 2, 3):
+            for _ in range(2):
+                q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec)
+                curve, lam = TateCurve(q), []
+                for i in range(20):
+                    u = _theta_case(rng, p, prec, vq, i % 6)
+                    assert _digits(curve.phi(u)) == _digits(_lambert_phi(curve, u, lam)), \
+                        (q, u)
+                    depth = (u - QuadExtScalar.from_parts(1, 0, p, INF)).valuation
+                    seen.add((vq, u.valuation, min(depth, 4) if u.valuation == 0 else 0,
+                              u.a.is_zero() or u.b.is_zero()))
+    # every v(u) below v(q), u - 1 at depths 1, 2 and 3, and zero components
+    assert {(vq, vu) for vq, vu, _, _ in seen} == {(vq, vu) for vq in (1, 2, 3)
+                                                    for vu in range(vq)}
+    assert {d for _, _, d, _ in seen} >= {1, 2, 3}
+    assert any(z for *_, z in seen)
+
+
+def _outcome_of(fn, *args):
+    try:
+        out = fn(*args)
+    except PlecticError as e:
+        return type(e).__name__
+    return [(s.v, s.unit, s.prec) for s in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("prec", [1, 12, 40, 160, 640])
+def test_power_sums_match_the_lambert_sums(prec):
+    # a4, a6, s_1 and j from the divisor sums have the Lambert sums' intervals
+    rng = random.Random(700 + prec)
+    for p in (5, 7):
+        for vq in (1, 2, 3):
+            for _ in range(2 if prec < 640 else 1):
+                q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec)
+                assert _outcome_of(tate_coefficients, q) == \
+                    _outcome_of(_lambert_coefficients, q)
+                assert _outcome_of(j_invariant, q) == _outcome_of(_lambert_j, q)
+                if q.is_zero():  # prec <= v(q): no curve
+                    with pytest.raises(NotMultiplicativeReduction):
+                        TateCurve(q)
+                    continue
+                assert _outcome_of(lambda: TateCurve(q)._s1) == \
+                    _outcome_of(lambda: _lambert_power_sums(q, [], (1,))[0])
+
+
 # -- phi against the interval loop it replaced, on lossy operands ---------------
 
 def _object_phi(curve, u):
@@ -360,13 +560,15 @@ def _object_phi(curve, u):
     one = PadicScalar.one(curve.p, INF)
     if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
         return CurvePoint.infinity()
-    x = tate._x_term(u) - QuadExtScalar.from_base(curve._s1 + curve._s1)
-    y = tate._y_term(u) + QuadExtScalar.from_base(curve._s1)
-    count = int(u.prec // (curve.q.v - u.valuation))
+    lam = []
+    s1, = _lambert_power_sums(curve.q, lam, (1,))
+    x, y = tate._closed_forms(u)
+    x = x - QuadExtScalar.from_base(s1 + s1)
+    y = y + QuadExtScalar.from_base(s1)
     u_inv = u.inverse()
     up, um = u, u_inv
     sums = xa, xb, ya, yb = [[(s, one, 1)] for s in (x.a, x.b, y.a, y.b)]
-    for m, l in enumerate(tate._lambert(curve.q, curve._lambert, count)[:count], 1):
+    for m, l in enumerate(_lambert(curve.q, lam, _term_count(curve, u, x, y)), 1):
         c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
         for xs, ys, s, t in ((xa, ya, up.a, um.a), (xb, yb, up.b, um.b)):
             xs.append((s + t, l, m))
@@ -428,76 +630,33 @@ def test_phi_matches_the_interval_loop_on_lossy_operands(p):
             _phi_outcome(lambda z: _object_phi(curve, z), u), (q, u)
 
 
-# -- the Lucas-sequence tail against the two power sequences it replaced ----------
-
-def _power_tail(u, u_inv, lam, first, n):
-    """`tate._tail` on the powers of a = p^v u and b = p^v u^-1 directly:
-    term m of X is m f_m (a^m + b^m), of Y f_m (C(m,2) a^m - C(m+1,2) b^m),
-    f_m = L_m p^(-mv), with a^m and b^m carried modulo p^(n - e_m)."""
-    p, c, v = u.p, smallest_nonsquare(u.p), u.valuation
-    shift = lam[first - 1].v - first * v
-    if shift >= n:
-        return 0, 0, 0, 0
-    mod = _POW[p, n - shift]
-    step, inv = ([s.unit * _POW[p, s.v + v] if s.v != INF else 0 for s in (z.a, z.b)]
-                 for z in (u, u_inv))
-    up, um = _qpow(step, first, c, mod), _qpow(inv, first, c, mod)
-    xa = xb = ya = yb = 0
-    for m in range(first, len(lam) + 1):
-        l = lam[m - 1]
-        e = l.v - m * v - shift
-        if e >= n - shift:
-            break
-        grade = _POW[p, n - shift - e]
-        f = l.unit % grade * _POW[p, e]
-        c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
-        xa += f * m * (up[0] + um[0])
-        xb += f * m * (up[1] + um[1])
-        ya += f * (c2 * up[0] + c3 * um[0])
-        yb += f * (c2 * up[1] + c3 * um[1])
-        up, um = _qmul(up, step, c, grade), _qmul(um, inv, c, grade)
-    scale = _POW[p, shift]
-    return tuple(t % mod * scale for t in (xa, xb, ya, yb))
-
-
-def _tail_case(rng, p, prec, zero):
-    """A period of valuation 1..3 and a u with 0 <= v(u) < v(q) at prec: one
-    component of valuation v(u), the other zero or of v(u)..v(u) + 2."""
-    vq = rng.randint(1, 3)
-    q = PadicScalar(p, vq, _lossy_unit(rng, p, prec), prec)
-    vu = rng.randrange(vq)
-    parts = [PadicScalar(p, vu, _lossy_unit(rng, p, prec), prec),
-             PadicScalar.zero(p, prec) if zero else
-             PadicScalar(p, vu + rng.randrange(3), _lossy_unit(rng, p, prec), prec)]
-    rng.shuffle(parts)
-    return q, QuadExtScalar(*parts)
+def _lifted(s, prec):
+    """The representative of s, certified to prec; an exact zero stays one."""
+    if s.v == INF:
+        return s if s.prec == INF else PadicScalar.zero(s.p, prec)
+    return PadicScalar(s.p, s.v, s.unit, prec)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
-def test_tail_matches_the_power_tail(p):
-    rng = random.Random(500 + p)
-    prec, seen = 24, set()
-    for i in range(48):
-        q, u = _tail_case(rng, p, prec, zero=i % 6 == 0)
-        lam, u_inv = tate._lambert(q, [], prec), u.inverse()
-        for first in (1, 2, 3, 7):
-            for n in (prec - 3, prec):
-                tail = tate._tail(u, u_inv, lam, first, n)
-                assert tail == _power_tail(u, u_inv, lam, first, n), (q, u, first, n)
-                seen.add((u.valuation > 0, u.a.is_zero() or u.b.is_zero(), tail == (0,) * 4))
-    # v(u) = 0 and v(u) > 0, a zero component, and terms past p^n from `first` on
-    assert all({k[i] for k in seen} == {False, True} for i in range(3))
-
-
-def test_tail_is_zero_from_a_term_past_the_modulus():
-    q = PadicScalar(P, 2, 3, N)
-    u = QuadExtScalar.from_parts(P * 2, 1, P, N)
-    lam = tate._lambert(q, [], N)
-    for first in (1, 4, 9):
-        shift = lam[first - 1].v - first * u.valuation
-        for n in (shift - 1, shift):
-            assert tate._tail(u, u.inverse(), lam, first, n) == (0, 0, 0, 0)
-        assert tate._tail(u, u.inverse(), lam, first, shift + 1) != (0, 0, 0, 0)
+def test_phi_digits_survive_tripled_precision_on_lossy_operands(p):
+    # phi of the same representatives at 3N digits: components finer than
+    # the least precision of u need the Lambert terms past prec(u), which a
+    # sum stopped at prec(u) / (v(q) - v(u)) terms drops
+    rng = random.Random(400 + p)
+    for _ in range(300):
+        q, u = _lossy_case(rng, p, 24)
+        curve = TateCurve(q)
+        try:
+            u = curve.reduce_to_annulus(u)
+            lo = curve.phi(u)
+        except (ArithmeticError, PlecticError):
+            continue
+        if lo.is_infinity():
+            continue
+        hi = TateCurve(_lifted(q, 72)).phi(QuadExtScalar(_lifted(u.a, 72), _lifted(u.b, 72)))
+        for z_lo, z_hi in ((lo.x, hi.x), (lo.y, hi.y)):
+            for s_lo, s_hi in ((z_lo.a, z_hi.a), (z_lo.b, z_hi.b)):
+                assert s_lo.agreement(s_hi) >= s_lo.prec, (q, u)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
