@@ -244,14 +244,28 @@ def _zero_product_prec(x, y):
     return (x.prec if x.v == INF else x.v) + (y.prec if y.v == INF else y.v)
 
 
+def _term_prec(xv, xp, yv, yp):
+    """The precision of x*y for scalars of valuations xv, yv (INF for a
+    zero) and precisions xp, yp, read from those alone: the rule of `*`,
+    `_zero_product_prec` and each term of `_dot`.  A zero to precision n
+    lies in p^n Z_p, so it counts as valuation n; then a product is known
+    to min(xp + yv, yp + xv), and an exact zero factor gives INF."""
+    if xv == INF:
+        xv = xp
+    if yv == INF:
+        yv = yp
+    return min(xp + yv, yp + xv)
+
+
 def _dot(p, terms):
     """Sum k*x*y over the terms (x, y, k), for scalars x, y over p and an
     integer k: the interval the left fold of `*`, `scale_int(k)` and `+`
-    gives, with one reduction.  A term has the precision `x * y` has,
-    raised by v_p(k) (k = 0 is an exact zero), and the sum has the least
-    of them; since every `+` returns the canonical form of the exact sum
-    at the smaller precision, the fold is the exact integer sum reduced
-    once and normalised."""
+    gives, with one reduction.  A term has the precision `x * y` has
+    (`_term_prec`, written out here on the hot path), raised by v_p(k)
+    (k = 0 is an exact zero), and the sum has the least of them; since
+    every `+` returns the canonical form of the exact sum at the smaller
+    precision, the fold is the exact integer sum reduced once and
+    normalised."""
     n = v0 = INF
     total = 0  # the exact sum over p^v0
     for x, y, k in terms:
@@ -280,10 +294,15 @@ def _dot(p, terms):
 
 
 def _inverse(unit, p, k):
-    """unit^-1 mod p^k for a unit prime to p and k >= 1, by the Newton step
-    y <- y(2 - unit*y), which doubles the correct digits; several times
-    faster than pow(unit, -1, p^k) for a unit of a hundred digits and more,
-    but slower for a small one (plog's 1/k uses the built-in inverse)."""
+    """unit^-1 mod p^k, reduced to 0..p^k - 1, for an integer unit prime
+    to p (of any size and sign) and k >= 1: the value pow(unit, -1, p^k)
+    has, by the Newton step y <- y(2 - unit*y), which doubles the correct
+    digits.  It serves `PadicScalar.__truediv__`, the reciprocal table of
+    `pexp` and the two inverses of `TateCurve._theta_xy`.  Newton is the
+    faster from about 50 bits on (p = 5, Python 3.11 on a 2-vCPU VM: 3.6
+    vs 6.7 us at 40 digits, 6.9 vs 36 us at 160); the built-in inverse is
+    the faster for a k of a few digits (0.86 vs 0.42 us at 5), so the 1/k
+    of `plog`'s coefficient table use it."""
     y, e = pow(unit, -1, p), 1
     while e < k:
         e = 2 * e if 2 * e < k else k
@@ -487,51 +506,160 @@ def quad_teichmuller(u):
                    else PadicScalar(p, 0, x, n) for s, x in zip((u.a, u.b), t)))
 
 
-def plog(u):
-    """p-adic logarithm of a principal unit.
+def _power_precisions(u, m):
+    """[prec of the components of u^m], m >= 1, INF for an exact one, from
+    the valuations and precisions of u's components a, b alone.
+
+    A component of u^m sums the monomials a^(m-j) (b w)^j of one parity of
+    j.  A product of factors f is known (`_term_prec`, applied repeatedly)
+    to the least over f of S - v(f) + prec(f), S the sum of the factors'
+    valuations, a zero to n counting as valuation n; a monomial with an
+    exact zero factor is an exact zero.  On 1 <= j <= m - 1 both candidates
+    are linear in j with one slope, so over one parity the least is at the
+    ends: j in {0, 1, 2, m - 2, m - 1, m} is enough.  An interval partial
+    product is finer than this only where a sum cancels, which it cannot
+    for m = 1 or when a component of u is zero (every monomial in it is a
+    zero); otherwise `plog` shows that for a unit the least component
+    precision is the same."""
+    la, lb = (s.prec if s.v == INF else s.v for s in (u.a, u.b))
+    na, nb = u.a.prec, u.b.prec
+    precs = [INF, INF]
+    for j in {0, 1, 2, m - 2, m - 1, m}:
+        if not 0 <= j <= m or (j < m and la == INF) or (j and lb == INF):
+            continue  # out of range, or an exact zero factor
+        s = (la * (m - j) if j < m else 0) + (lb * j if j else 0)
+        n = min(s - la + na if j < m else INF, s - lb + nb if j else INF)
+        if n < precs[j & 1]:
+            precs[j & 1] = n
+    return precs
+
+
+def _exact_power(u, m):
+    """u^m on the exact components of u, the others taken as zero: the value
+    of every component of u^m that is exact by `_power_precisions` (a
+    monomial in an inexact factor is exact only when it is an exact zero).
+    With |(a, b)| = |a| + c|b|, |x*y| <= |x| |y| (c >= 1), so a modulus
+    past 2 |u|^m holds each component of u^m with its sign."""
+    p, c = u.p, smallest_nonsquare(u.p)
+    e = [s.unit * _POW[p, s.v] if s.prec == INF and s.v != INF else 0 for s in (u.a, u.b)]
+    big = 2 * (abs(e[0]) + c * abs(e[1])) ** m + 1
+    return [r - big if 2 * r > big else r for r in _qpow(e, m, c, big)]
+
+
+class _LogSeries(dict):
+    """(guard g, [(coefficient, modulus) for k = terms..1]) of log z modulo
+    p^(n + g) by Horner's rule, for v(z) >= d, by (p, n, d).
+
+    The terms k = 1..terms are those with k*d - floor(log_p k) < n, a bound
+    that grows with k, and g = floor(log_p terms) >= v_p(k) for each, so the
+    coefficient p^g (-1)^(k+1) / k is an integer.  Step k's result is later
+    multiplied by z^(k-1), of valuation >= (k-1) d, so the step is reduced
+    modulo p^(n + g - (k-1) d), and so is its coefficient."""
+
+    def __missing__(self, key):
+        p, n, d = key
+        terms = guard = 0
+        while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
+            terms += 1
+            guard += _POW[p, guard + 1] <= terms
+        steps = []
+        for k in range(terms, 0, -1):
+            mod = _POW[p, n + guard - (k - 1) * d]
+            vk = _int_valuation(k, p)
+            coef = pow(k // _POW[p, vk], -1, mod) * _POW[p, guard - vk]
+            steps.append(((coef if k & 1 else -coef) % mod, mod))
+        self[key] = series = (guard, steps)
+        return series
+
+
+_LOG = _LogSeries()
+
+
+def plog(u, power=1):
+    """log(u^power) for a u with v(u) >= 0, as plog of the interval u^power
+    gives it, without forming that interval; v(u) < 0 raises
+    NotPrincipalUnit, as u^power - 1 has negative valuation.
 
     Precision rule: on intervals, each term x^k/k of the alternating series
-    in x = u - 1 has precision >= prec(u) (the powers of x gain a digit at
-    least every second step, more than v_p(k) loses), and the sum starts at
-    zero to prec(u); so the result is (prec(u), log(rep) mod p^prec(u)) for
-    the representative rep of u, whatever exact method computes it.  Here:
-    log u = p^-j log(u^(p^j)) on integer pairs modulo p^(prec + j + g),
-    where u^(p^j) - 1 has j more digits of valuation, so the series needs
-    fewer terms, and the g guard digits hold every 1/k as p^(g - v_p(k))
-    times a unit."""
-    one = QuadExtScalar.from_parts(1, 0, u.p, INF)
-    x = u - one
+    in x = y - 1, y = u^power, has precision >= prec(y) (the powers of x
+    gain a digit at least every second step, more than v_p(k) loses), and
+    the sum starts at zero to prec(y); so the result is (prec(y), log(rep)
+    mod p^prec(y)) for the integer representative rep of y, whatever exact
+    method computes it.  Here rep = r^power, r the representative of u, and
+    log rep = p^-j log(rep^(p^j)) on integer pairs modulo p^(n + g),
+    n = max(prec(y), 1) + j: rep^(p^j) - 1 has j more digits of valuation,
+    so the series needs fewer terms, and the g guard digits hold every 1/k
+    (`_LogSeries`).
+
+    The precision of y.  Let P = prec(u), the least component precision.
+    If u is a unit whose components are exact or known to >= 1 digit, then
+    prec(u^m) = P for every m >= 1.  Count a zero to n as valuation n; a
+    product x*y is known to min(prec(x) + v(y), prec(y) + v(x))
+    (`_term_prec`), so by induction every component of every partial
+    product of u^m has valuation >= 0 and is known to >= P.  Each partial
+    product is a unit (its norm is) known to >= P >= 1 digits, so it has a
+    component t of valuation 0.  If x's component s has prec(s) = P, the
+    term of x*y in s and y's such t is known to min(P, prec(t) + v(s)) = P
+    when v(s) = 0; when v(s) > 0, x's other component s' has v(s') = 0 and
+    the term in s' and t is known to >= P while that in s and t is known
+    to min(P + 0, prec(t) + v(s)) = P.  Some component of x*y is then
+    known to exactly P.  If a component is zero to n < 1 instead, every
+    component of u^m (m >= 2) is a zero, the least known to m n.
+    `_power_precisions` gives each component's precision; it is the
+    interval's wherever the checks below can tell them apart.
+
+    The checks.  x = y - 1 is read from rep mod p^M, M = n - j + G >=
+    max(prec(y), 1), G a bound on g: each component to the lesser of its
+    precision and M, an exact one exactly (`_exact_power`).  The cut hides
+    only digits of valuation >= M >= prec(y): if it makes x zero, x is
+    zero to prec(y) and the interval's series is zero there too; if not,
+    the least valuation is unchanged.  Only a component finer than another
+    finite one is cut, so no exact component is left alone by it.  So the
+    zero, principal-unit and exactness tests decide as on the interval
+    y - 1, and one integer power rep^(p^j) serves them and the series."""
+    p, c = u.p, smallest_nonsquare(u.p)
+    if u.valuation < 0:
+        raise NotPrincipalUnit("plog needs u = 1 mod p")
+    precs = _power_precisions(u, power)
+    target = min(precs)
+    y, top = (0, 0), INF
+    if target != INF:
+        target = int(target)  # <= 0 when a zero component is that coarse: a zero result
+        # j balances j p-th powers against the series' terms
+        j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
+        n = max(target, 1) + j  # log z wanted mod p^n
+        # the series has fewer than 2n terms (k*d - log_p k >= n at k = 2n),
+        # so its guard floor(log_p terms) is at most G = floor(log_p(2n - 1))
+        g = 0
+        while _POW[p, g + 1] < 2 * n:
+            g += 1
+        top = n - j + g
+        y = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
+                  power, c, _POW[p, top])
+    if INF in precs:
+        y = [e if k == INF else r for r, e, k in zip(y, _exact_power(u, power), precs)]
+    # an exact component stays exact; the others are read to at most p^top
+    x = _quad(*(PadicScalar(p, 0, r, k if k == INF or k < top else top)
+                for r, k in zip((y[0] - 1, y[1]), precs)))
     if x.is_zero():
-        return _quad(PadicScalar.zero(u.p, x.prec), PadicScalar.zero(u.p, x.prec))
+        return _quad(PadicScalar.zero(p, x.prec), PadicScalar.zero(p, x.prec))
     if x.valuation < 1:
         raise NotPrincipalUnit("plog needs u = 1 mod p")
-    p, target = u.p, u.prec
     if target == INF:
         raise ValueError("plog needs a finite precision input")
     _rel(x)  # an exact x: the series' 1/k would divide two exact values
-    target = int(target)  # <= 0 when a zero component is that coarse: a zero result
-    # j balances j p-th powers against the series' terms
-    j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
-    d, n = x.valuation + j, max(target, 1) + j  # v(z) >= d; log z wanted mod p^n
-    # the terms k = 1..terms are those with k*d - floor(log_p k) < n, a bound
-    # that grows with k; guard = floor(log_p terms) >= v_p(k) for each
-    terms = guard = 0
-    while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
-        terms += 1
-        guard += _POW[p, guard + 1] <= terms
-    mod, c = _POW[p, n + guard], smallest_nonsquare(p)
-    z = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
-              p ** j, c, mod)
-    z = ((z[0] - 1) % mod, z[1])
-    # Horner in z over the coefficients p^guard (-1)^(k+1) / k
-    acc = (0, 0)
-    for k in range(terms, 0, -1):
-        vk = _int_valuation(k, p)
-        coef = pow(k // _POW[p, vk], -1, mod) * _POW[p, guard - vk]
-        acc = _qmul((acc[0] + (coef if k & 1 else -coef), acc[1]), z, c, mod)
+    d = x.valuation + j  # v(z - 1) >= d for z = rep^(p^j)
+    guard, steps = _LOG[p, n, d]
+    mod = _POW[p, n + guard]
+    z0, z1 = _qpow(y, _POW[p, j], c, mod)
+    z0 -= 1
+    a0 = a1 = 0
+    for coef, m in steps:  # Horner, each step to the digits it needs
+        a0 += coef
+        a0, a1 = (a0 * z0 + c * a1 * z1) % m, (a0 * z1 + a1 * z0) % m
     scale = _POW[p, guard + j]
-    return _quad(PadicScalar(p, 0, acc[0] // scale, target),
-                 PadicScalar(p, 0, acc[1] // scale, target))
+    return _quad(PadicScalar(p, 0, a0 // scale, target),
+                 PadicScalar(p, 0, a1 // scale, target))
 
 
 def pexp(x):

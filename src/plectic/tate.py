@@ -10,9 +10,9 @@ in L_n = q^n/(1 - q^n) on intervals gives it; see `_power_sums` and
 `TateCurve.phi`.
 """
 
-from .errors import NotMultiplicativeReduction, PrecisionExhausted
-from .padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _int_valuation, _qmul,
-                    _quad, smallest_nonsquare)
+from .errors import DivisionByZero, NotMultiplicativeReduction, PrecisionExhausted
+from .padic import (INF, _POW, PadicScalar, QuadExtScalar, _dot, _int_valuation, _inverse,
+                    _qmul, _quad, _term_prec, smallest_nonsquare)
 
 
 def _power_sums(q, ks):
@@ -175,7 +175,11 @@ class TateCurve:
         precision for the integer representatives r of u and of q, which
         the theta series gives (`_theta_xy`).  A component may be finer
         than P(u), so the terms past prec(u) / (v(q) - v(u)) can still
-        reach it.
+        reach it.  Only precisions of the closed-form parts u/(1-u)^2 and
+        u^2/(1-u)^3 are read, so they come from the rules of `inverse` and
+        `_dot` (`_quotient_precisions`): d = 1 - u, d^2, d^3 and u^2 are
+        formed on intervals, whose component valuations those rules read,
+        and no quotient or inverse is formed.
 
         The guard.  The other factors of the product are units on the
         annulus, so e = v(theta(r)) = v(1 - r): the depth of u near 1, and 0
@@ -197,35 +201,36 @@ class TateCurve:
         T_0 show its valuation.  A component of infinite precision is an
         exact zero (u and q in Q_p)."""
         u = self.reduce_to_annulus(u)
-        one = QuadExtScalar.from_base(PadicScalar.one(self.p, INF))
-        depth = 0  # e = v(1 - u) when v(u) = 0
-        if u.valuation == 0:
-            d = u - one
-            if d.is_zero():
-                return CurvePoint.infinity()
-            depth = d.valuation
-        x, y = _closed_forms(u)
-        x = x - QuadExtScalar.from_base(self._s1 + self._s1)
-        y = y + QuadExtScalar.from_base(self._s1)
-        precs = self._head_precisions(u, x, y)
+        d = QuadExtScalar.from_base(PadicScalar.one(self.p, INF)) - u
+        if u.valuation == 0 and d.is_zero():
+            return CurvePoint.infinity()
+        depth = d.valuation if u.valuation == 0 else 0  # e = v(1 - u) when v(u) = 0
+        dd = d * d
+        xa, xb = _quotient_precisions(u, dd)
+        ya, yb = _quotient_precisions(u * u, dd * d)
+        s1 = self._s1.prec  # X_a - 2 s_1 and Y_a + s_1 have the lesser precision
+        precs = self._head_precisions(u, [min(xa, s1), xb, min(ya, s1), yb])
         xa, xb, ya, yb = self._theta_xy(u, depth, precs)
         return CurvePoint(_quad(xa, xb), _quad(ya, yb))
 
-    def _head_precisions(self, u, x, y):
+    def _head_precisions(self, u, precs):
         """The precisions of phi(u)'s components (X_a, X_b, Y_a, Y_b) by the
-        rule in `phi`, from the closed-form parts x, y: the terms below
+        rule in `phi`, from those of the closed-form parts: the terms below
         `first` on intervals, as `_dot` would take them, with
         v(L_m) = m v(q) and prec(L_m) = m v(q) + prec(q) - v(q), the
-        interval L_m's own, so that no L_m is formed."""
+        interval L_m's own, so that no L_m is formed.  prec(u^-1) comes
+        from the rule of `inverse`, which raises as it would; u^-1 itself
+        is formed only if some term is below `first`."""
         p, vq = self.p, self.q.v
         vu = u.valuation
-        u_inv = u.inverse()
-        one = PadicScalar.one(p, INF)
-        precs = [s.prec for s in (x.a, x.b, y.a, y.b)]
+        inv_prec = min(n for _, n in _inverse_shapes(u))
         top = max(n for n in precs if n != INF)
         rel_q = self.q.prec - vq
-        up, um, m = u, u_inv, 1
-        while m * vq + min(u.prec, u_inv.prec - (m - 1) * vu, rel_q - m * vu) < top:
+        m = 1
+        while m * vq + min(u.prec, inv_prec - (m - 1) * vu, rel_q - m * vu) < top:
+            if m == 1:
+                one, u_inv = PadicScalar.one(p, INF), u.inverse()
+                up, um = u, u_inv
             vl = m * vq
             pl = vl + rel_q
             c2, c3 = m * (m - 1) // 2, -m * (m + 1) // 2
@@ -233,7 +238,7 @@ class TateCurve:
                 for j, z, k in ((i, s + t, m),
                                 (i + 2, _dot(p, ((s, one, c2), (t, one, c3))), 1)):
                     # the precision of z * L_m * k in `_dot`
-                    n = min(z.prec + vl, pl + z.v) + _int_valuation(k, p)
+                    n = _term_prec(z.v, z.prec, vl, pl) + _int_valuation(k, p)
                     if n < precs[j]:
                         precs[j] = n
             up, um, m = up * u, um * u_inv, m + 1
@@ -250,7 +255,7 @@ class TateCurve:
         vu = u.valuation
         # u = p^v(u) (a + b w), and q/u = q p^-v(u) (a - b w) / (a^2 - c b^2)
         a, b = (0 if s.v == INF else s.unit * _POW[p, s.v - vu] for s in (u.a, u.b))
-        pv, ni = _POW[p, vu], pow(a * a - c * b * b, -1, mod)
+        pv, ni = _POW[p, vu], _inverse(a * a - c * b * b, p, k)
         qu, q_rep = q.unit * _POW[p, q.v - vu] * ni, q.unit * _POW[p, q.v]
         plus = _half_theta((a * pv, b * pv), vu, q_rep, q.v, c, k, mod)
         minus = _half_theta((qu * a % mod, -qu * b % mod), q.v - vu, q_rep, q.v, c, k, mod)
@@ -260,7 +265,7 @@ class TateCurve:
         scale = _POW[p, e]
         # T_0 / p^e, a unit; the n = 0 term is on both sides
         a, b = (t0[0] - 1) // scale, t0[1] // scale
-        ni = pow(a * a - c * b * b, -1, mod)
+        ni = _inverse(a * a - c * b * b, p, k)
         ti = (a * ni % mod, -b * ni % mod)
         # M_j = p^e T_j / T_0: X + 2 s_1 = (M_1^2 - p^e M_2) / p^(2e) and
         # D^3 log theta = (p^(2e) M_3 - 3 p^e M_1 M_2 + 2 M_1^3) / p^(3e)
@@ -342,8 +347,34 @@ def _half_theta(z, vz, q, vq, c, k, mod):
     return (a0, b0), (a1, b1), (a2, b2), (a3, b3)
 
 
-def _closed_forms(w):
-    """w/(1-w)^2 and w^2/(1-w)^3 on intervals."""
-    d = QuadExtScalar.from_parts(1, 0, w.p, INF) - w
-    dd = d * d
-    return w / dd, (w * w) / (dd * d)
+def _inverse_shapes(z):
+    """[(v, prec)] of the components of z.inverse() by the precision rules
+    of `norm` and `/`, raising as they do, with no value formed: the norm
+    a^2 - c b^2 has valuation 2 min(v(a), v(b)), c being a nonsquare unit
+    mod p, and the precision `_dot` gives it."""
+    a, b = z.a, z.b
+    if a.v == INF and b.v == INF:
+        raise DivisionByZero("inverse of zero")
+    nv = 2 * min(a.v, b.v)
+    n = min(_term_prec(a.v, a.prec, a.v, a.prec), _term_prec(b.v, b.prec, b.v, b.prec))
+    if nv >= n:
+        raise DivisionByZero("divisor is zero to working precision")
+    shapes = []
+    for s in (a, b):
+        if s.v == INF:
+            shapes.append((INF, s.prec - nv))
+        elif s.prec == INF and n == INF:
+            raise ValueError("cannot divide two exact values; truncate first")
+        else:
+            shapes.append((s.v - nv, s.v - nv + min(s.prec - s.v, n - nv)))
+    return shapes
+
+
+def _quotient_precisions(w, z):
+    """The precisions of the components of w / z = w * z.inverse() by the
+    rules of `_inverse_shapes` and `_dot`, with no inverse and no product
+    formed."""
+    (av, ap), (bv, bp) = _inverse_shapes(z)
+    a, b = w.a, w.b
+    return (min(_term_prec(a.v, a.prec, av, ap), _term_prec(b.v, b.prec, bv, bp)),
+            min(_term_prec(a.v, a.prec, bv, bp), _term_prec(b.v, b.prec, av, ap)))

@@ -60,9 +60,11 @@ class UnitCompletion:
         v = u.valuation
         p_pow = QuadExtScalar.from_base(PadicScalar(self.p, -v, 1, INF))
         # log(u1 / zeta) = log(u1^(p^2 - 1)) / (p^2 - 1): zeta^(p^2 - 1) = 1
-        # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit
-        order = PadicScalar.from_int(self.p * self.p - 1, self.p, INF)
-        l = plog((u * p_pow) ** (self.p * self.p - 1))
+        # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit;
+        # plog raises u1 to that power on integers, at the interval's precision
+        m = self.p * self.p - 1
+        l = plog(u * p_pow, m)
+        order = PadicScalar.from_int(m, self.p, INF)
         return CompletedUnit(self.base(v), l.a / order, l.b / order)
 
     def sigma(self, c):

@@ -620,7 +620,8 @@ def test_quad_operations_match_the_composed_ones(p):
 def test_plog_matches_the_composed_series(p, prec):
     # at 160 and 640 (p = 5) the argument is raised to p^j, j = 5 and 10,
     # and k = 25 is a series term, so two guard digits hold 1/k; p = 1009
-    # sums fewer than p terms and needs none
+    # sums fewer than p terms and needs none.  plog(u, m) is the series at
+    # the interval u ** m, for m = 1 and the m = p^2 - 1 of `complete`
     rng = random.Random(300 + p * prec)
     for i in range(60 if prec < 160 else 12):
         if i % 2:  # the scalar cases, exact and zero components included
@@ -630,7 +631,23 @@ def test_plog_matches_the_composed_series(p, prec):
             u = QuadExtScalar.from_parts(1 + p ** d * rng.randrange(p ** prec),
                                          p ** rng.randrange(1, 4) * rng.randrange(p ** prec),
                                          p, prec)
-        assert _quad_outcome(plog, u) == _quad_outcome(_ref_plog, u), u
+        for m in (1, p * p - 1):
+            if m > 1000 and u.prec == INF:
+                continue  # the exact power of p = 1009 has millions of digits
+            assert _quad_outcome(plog, u, m) == _quad_outcome(lambda: _ref_plog(u ** m)), (u, m)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 1009])
+def test_inverse_matches_the_builtin(p):
+    # the Newton inverse is the built-in one, for units of any size and sign
+    rng = random.Random(900 + p)
+    for k in (1, 2, 3, 40, 161, 641):
+        mod = p ** k
+        units = [1, -1, p - 1, p + 1, -p - 1, mod - 1, mod + 1, 3 * mod + 2]
+        units += [rng.randrange(-mod, 5 * mod) for _ in range(20)]
+        for x in units:
+            if x % p:
+                assert _inverse(x, p, k) == pow(x, -1, mod), (x, k)
 
 
 # -- ring laws via hypothesis ------------------------------------------------------

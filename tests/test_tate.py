@@ -431,6 +431,14 @@ def _tail(u, u_inv, lam, first, n):
     return tuple(t % mod * scale for t in (xa, xb, ya, yb))
 
 
+def _closed_forms(w):
+    """w/(1-w)^2 and w^2/(1-w)^3 on intervals: the closed-form parts of the
+    Lambert sums, whose precisions `TateCurve.phi` reads by rule."""
+    d = QuadExtScalar.from_parts(1, 0, w.p, INF) - w
+    dd = d * d
+    return w / dd, (w * w) / (dd * d)
+
+
 def _term_count(curve, u, x, y):
     """The Lambert terms that can reach a component's precision: term m has
     valuation >= m (v(q) - v(u)), and no component of the closed-form part
@@ -449,7 +457,7 @@ def _lambert_phi(curve, u, lam):
     if u.valuation == 0 and (u - QuadExtScalar.from_base(one)).is_zero():
         return CurvePoint.infinity()
     s1, = _lambert_power_sums(curve.q, lam, (1,))
-    x, y = tate._closed_forms(u)
+    x, y = _closed_forms(u)
     x = x - QuadExtScalar.from_base(s1 + s1)
     y = y + QuadExtScalar.from_base(s1)
     vu = u.valuation
@@ -562,7 +570,7 @@ def _object_phi(curve, u):
         return CurvePoint.infinity()
     lam = []
     s1, = _lambert_power_sums(curve.q, lam, (1,))
-    x, y = tate._closed_forms(u)
+    x, y = _closed_forms(u)
     x = x - QuadExtScalar.from_base(s1 + s1)
     y = y + QuadExtScalar.from_base(s1)
     u_inv = u.inverse()

@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plectic.errors import ShapeMismatch
+from plectic.errors import PlecticError, ShapeMismatch
 from plectic.linalg import rank
 from plectic.padic import INF, PadicScalar, QuadExtScalar, plog, quad_teichmuller
 from plectic.plectic_ops import make_sigma_point
-from plectic.units import CompletedPoint, PointCompletion, UnitCompletion
+from plectic.units import CompletedPoint, CompletedUnit, PointCompletion, UnitCompletion
 
 P = 5
 N = 40
@@ -225,3 +225,84 @@ def test_complete_digits_survive_tripled_precision(p, prec):
         for s_lo, s_hi in zip((c_lo.val, c_lo.log_a, c_lo.log_b),
                               (c_hi.val, c_hi.log_a, c_hi.log_b)):
             assert s_lo.agreement(s_hi) >= s_lo.prec
+
+
+# -- the folded power against the interval power it replaced ---------------------
+
+def _interval_complete(units, u):
+    """`complete` with u1^(p^2 - 1) formed on intervals before the series."""
+    p, v = units.p, u.valuation
+    u1 = u * QuadExtScalar.from_base(PadicScalar(p, -v, 1, INF))
+    l = plog(u1 ** (p * p - 1))
+    order = PadicScalar.from_int(p * p - 1, p, INF)
+    return CompletedUnit(units.base(v), l.a / order, l.b / order)
+
+
+def _fold_case(rng, p, prec):
+    """(kind, u): a u of valuation v in -2..2 whose unit part has the
+    components the fold has to get right: kind 0 unequal precisions, 1 a
+    pure-w unit (a an exact zero), 2 a unit of Q_p (b an exact zero), 3 a
+    component zero to precision -3..24 beside a unit one, 4 one exact
+    component, 5 both exact."""
+    kind = rng.choice((0, 0, 1, 1, 1, 2, 3, 3, 3, 4, 5))
+    v = rng.randrange(-2, 3)
+
+    def unit(n):  # an integer prime to p, small when it is to be exact
+        x = rng.randrange(1, p ** (4 if n == INF else prec + 4))
+        return x if x % p else x + 1
+
+    def comp(val, n):  # valuation v + val at precision n; a zero when n <= v + val
+        return PadicScalar(p, v + val, unit(n), n)
+
+    def finite():
+        return prec - rng.randrange(4) if rng.randrange(2) else rng.randint(1, prec) + v
+
+    if kind == 0:
+        a, b = comp(0, finite()), comp(rng.randrange(4), finite())
+    elif kind in (1, 2):
+        a, b = comp(0, rng.choice((INF, finite(), finite(), finite()))), PadicScalar.zero(p)
+    elif kind == 3:
+        a, b = comp(0, finite()), PadicScalar.zero(p, rng.randint(-3, rng.choice((2, 24))))
+    elif kind == 4:
+        a, b = comp(0, INF), rng.choice((comp(rng.randrange(4), finite()),
+                                         PadicScalar.zero(p, finite())))
+    else:
+        a = PadicScalar(p, v, rng.choice((1, -1, unit(INF))), INF)
+        b = rng.choice((PadicScalar.zero(p), comp(rng.randrange(3), INF)))
+    if rng.randrange(2):  # 1 and w are alike for the rule
+        a, b = b, a
+    if kind == 1 and a.v != INF:
+        a, b = b, a
+    return kind, QuadExtScalar(a, b)
+
+
+def _completion_outcome(fn, u):
+    try:
+        c = fn(u)
+    except (ArithmeticError, ValueError, PlecticError) as e:
+        return type(e).__name__
+    return [(s.v, s.unit, s.prec) for s in (c.val, c.log_a, c.log_b)]
+
+
+@pytest.mark.parametrize("p,prec,count", [(5, 20, 400), (7, 20, 400), (11, 20, 400),
+                                          (5, 160, 20), (7, 160, 10), (5, 640, 4)])
+def test_complete_matches_the_interval_power(p, prec, count):
+    # the same (v, unit, prec) or the same exception as plog of the interval
+    # power, on the edge operands: pure-w units, components zero to a
+    # precision below 1 (where the power loses (p^2 - 1) times as much),
+    # exact components and unequal precisions, at every v(u) in -2..2
+    rng = random.Random(1100 + p * prec)
+    units = UnitCompletion(p, prec)
+    seen = set()
+    for _ in range(count):
+        kind, u = _fold_case(rng, p, prec)
+        got = _completion_outcome(units.complete, u)
+        assert got == _completion_outcome(lambda z: _interval_complete(units, z), u), u
+        zeros = [s.prec for s in (u.a, u.b) if s.v == INF]
+        seen.add((kind, u.valuation if not u.is_zero() else None,
+                  bool(zeros) and min(zeros) - u.valuation < 1, isinstance(got, str)))
+    if count >= 400:
+        assert {k for k, *_ in seen} == set(range(6))
+        assert {v for _, v, *_ in seen} >= set(range(-2, 3))
+        assert any(coarse for _, _, coarse, _ in seen)  # a zero below 1 digit after the shift
+        assert any(err for *_, err in seen)
