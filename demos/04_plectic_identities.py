@@ -1,8 +1,8 @@
 """End-to-end run of the plectic identity suites on a committed scenario.
 
 Loads the golden t=1 scenario, walks through the individual building blocks
-(projectors, the twisted determinant evaluated at a point, its y-column
-determinant, the plectic point), then runs the full verification report
+(the twisted determinant evaluated at a point, its y-column determinant,
+the plectic point), then runs the full verification report
 exactly as the `plectic verify` command would.
 """
 
@@ -26,18 +26,11 @@ coords = po.minus_coordinates(sc.family, sc.units)
 for i, coord in enumerate(coords):
     print("  Q_%d =" % (i + 1), coord)
 
-# projectors annihilate each other factor-wise
-sigma = po.make_sigma_point(sc.reduction_sign)
-points = [sc.points.complete(u) for u, _ in sc.family]
-x = po.PlecticTensor.pure(coords[0], tuple((v.x, v.y) for v in points))
-plus = po.projector(x, "+", sc.reduction_sign, sigma)
-print("\npr^- pr^+ kills the tensor:",
-      po.projector(plus, "-", sc.reduction_sign, sigma).is_zero())
-
 # step 2 at one point lam = 1 + w: the twisted determinant
 # det[chi_i(tau_j) * (x_i + lam*y_i)] is C_G times the product of the values
 chi = po.character_table(sc.t)
 c_g = po.char_table_det(sc.t)
+points = [sc.points.complete(u) for u, _ in sc.family]
 values = [QuadExtScalar(v.x + v.y, v.y) for v in points]
 twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
 product = math.prod(values, start=QuadExtScalar.from_base(

@@ -21,10 +21,6 @@ class NotPrincipalUnit(PlecticError):
     pass
 
 
-class OutsideConvergenceDomain(PlecticError):
-    pass
-
-
 class NotMultiplicativeReduction(PlecticError):
     pass
 

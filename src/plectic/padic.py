@@ -14,7 +14,6 @@ from .errors import (
     DivisionByZero,
     NotAUnit,
     NotPrincipalUnit,
-    OutsideConvergenceDomain,
 )
 
 INF = math.inf
@@ -160,7 +159,8 @@ class PadicScalar:
         if self.p != other.p:
             raise ValueError("mixed primes")
         if self.v == INF or other.v == INF:
-            return PadicScalar.zero(self.p, _zero_product_prec(self, other))
+            return PadicScalar.zero(
+                self.p, _term_prec(self.v, self.prec, other.v, other.prec))
         v = self.v + other.v
         rel = min(self.prec - self.v, other.prec - other.v)
         return _unit(self.p, v, self.unit * other.unit, v + rel)
@@ -236,20 +236,12 @@ def _unit(p, v, unit, prec):
     return x
 
 
-def _zero_product_prec(x, y):
-    """The precision of x*y when x or y is zero.  A zero mod p^a lies in
-    p^a Z_p and a nonzero value in p^v Z_p, v its valuation, so the product
-    vanishes mod p^(a + b), b the other factor's exponent of the two; an
-    exact zero (a = INF) on either side gives an exact zero."""
-    return (x.prec if x.v == INF else x.v) + (y.prec if y.v == INF else y.v)
-
-
 def _term_prec(xv, xp, yv, yp):
     """The precision of x*y for scalars of valuations xv, yv (INF for a
-    zero) and precisions xp, yp, read from those alone: the rule of `*`,
-    `_zero_product_prec` and each term of `_dot`.  A zero to precision n
-    lies in p^n Z_p, so it counts as valuation n; then a product is known
-    to min(xp + yv, yp + xv), and an exact zero factor gives INF."""
+    zero) and precisions xp, yp, read from those alone: the rule of `*`
+    and of each term of `_dot`.  A zero to precision n lies in p^n Z_p, so
+    it counts as valuation n; then a product is known to
+    min(xp + yv, yp + xv), and an exact zero factor gives INF."""
     if xv == INF:
         xv = xp
     if yv == INF:
@@ -261,11 +253,11 @@ def _dot(p, terms):
     """Sum k*x*y over the terms (x, y, k), for scalars x, y over p and an
     integer k: the interval the left fold of `*`, `scale_int(k)` and `+`
     gives, with one reduction.  A term has the precision `x * y` has
-    (`_term_prec`, written out here on the hot path), raised by v_p(k)
-    (k = 0 is an exact zero), and the sum has the least of them; since
-    every `+` returns the canonical form of the exact sum at the smaller
-    precision, the fold is the exact integer sum reduced once and
-    normalised."""
+    (`_term_prec`, written out here on the hot path for two nonzero
+    factors), raised by v_p(k) (k = 0 is an exact zero), and the sum has
+    the least of them; since every `+` returns the canonical form of the
+    exact sum at the smaller precision, the fold is the exact integer sum
+    reduced once and normalised."""
     n = v0 = INF
     total = 0  # the exact sum over p^v0
     for x, y, k in terms:
@@ -273,7 +265,7 @@ def _dot(p, terms):
             continue
         xv, yv = x.v, y.v
         if xv == INF or yv == INF:
-            t = _zero_product_prec(x, y)
+            t = _term_prec(xv, x.prec, yv, y.prec)
             if t == INF:
                 continue  # an exact zero adds nothing and costs no digits
         else:
@@ -297,12 +289,12 @@ def _inverse(unit, p, k):
     """unit^-1 mod p^k, reduced to 0..p^k - 1, for an integer unit prime
     to p (of any size and sign) and k >= 1: the value pow(unit, -1, p^k)
     has, by the Newton step y <- y(2 - unit*y), which doubles the correct
-    digits.  It serves `PadicScalar.__truediv__`, the reciprocal table of
-    `pexp` and the two inverses of `TateCurve._theta_xy`.  Newton is the
-    faster from about 50 bits on (p = 5, Python 3.11 on a 2-vCPU VM: 3.6
-    vs 6.7 us at 40 digits, 6.9 vs 36 us at 160); the built-in inverse is
-    the faster for a k of a few digits (0.86 vs 0.42 us at 5), so the 1/k
-    of `plog`'s coefficient table use it."""
+    digits.  It serves `PadicScalar.__truediv__` and the two inverses of
+    `TateCurve._theta_xy`.  Newton is the faster from about 50 bits on
+    (p = 5, Python 3.11 on a 2-vCPU VM: 3.6 vs 6.7 us at 40 digits, 6.9 vs
+    36 us at 160); the built-in inverse is the faster for a k of a few
+    digits (0.86 vs 0.42 us at 5), so the 1/k of `plog`'s coefficient
+    table use it."""
     y, e = pow(unit, -1, p), 1
     while e < k:
         e = 2 * e if 2 * e < k else k
@@ -337,28 +329,6 @@ def _qpow(x, k, c, mod):
         if not k:
             return out
         x = _qmul(x, x, c, mod)
-
-
-class _Reciprocals(dict):
-    """1/k for an integer k > 0 to relative precision rel, by (p, k, rel)."""
-
-    def __missing__(self, key):
-        p, k, rel = key
-        vk = _int_valuation(k, p)
-        self[key] = r = _unit(p, -vk, _inverse(k // _POW[p, vk], p, rel), rel - vk)
-        return r
-
-
-_RECIP = _Reciprocals()
-
-
-def _rel(z):
-    """The largest relative precision of z's nonzero components: z's
-    components times 1/k at it are z / k."""
-    rel = max((s.prec - s.v for s in (z.a, z.b) if s.v != INF), default=1)
-    if rel == INF:
-        raise ValueError("cannot divide two exact values; truncate first")
-    return rel
 
 
 def is_square(x):
@@ -477,6 +447,14 @@ def _quad(a, b):
     z = _new(QuadExtScalar)
     z.a, z.b = a, b
     return z
+
+
+def _shift(u, k):
+    """u * p^k for an integer k, the interval the product with the exact
+    p^k gives: a nonzero component keeps its unit, and its valuation and
+    precision rise by k; a zero one keeps only its precision, raised by k."""
+    return _quad(*(PadicScalar.zero(s.p, s.prec + k) if s.v == INF
+                   else _unit(s.p, s.v + k, s.unit, s.prec + k) for s in (u.a, u.b)))
 
 
 def quad_teichmuller(u):
@@ -647,7 +625,9 @@ def plog(u, power=1):
         raise NotPrincipalUnit("plog needs u = 1 mod p")
     if target == INF:
         raise ValueError("plog needs a finite precision input")
-    _rel(x)  # an exact x: the series' 1/k would divide two exact values
+    if any(s.v != INF and s.prec == INF for s in (x.a, x.b)):
+        # the series' 1/k would divide two exact values
+        raise ValueError("cannot divide two exact values; truncate first")
     d = x.valuation + j  # v(z - 1) >= d for z = rep^(p^j)
     guard, steps = _LOG[p, n, d]
     mod = _POW[p, n + guard]
@@ -660,28 +640,3 @@ def plog(u, power=1):
     scale = _POW[p, guard + j]
     return _quad(PadicScalar(p, 0, a0 // scale, target),
                  PadicScalar(p, 0, a1 // scale, target))
-
-
-def pexp(x):
-    """p-adic exponential; converges on pZ_p for p >= 5."""
-    p = x.p
-    if x.is_zero():
-        return QuadExtScalar.from_parts(1, 0, p, x.prec)
-    if x.valuation < 1:
-        raise OutsideConvergenceDomain("pexp needs valuation >= 1")
-    target = x.prec
-    if target == INF:
-        raise ValueError("pexp needs a finite precision input")
-    total = QuadExtScalar.from_parts(1, 0, p, target)
-    term = x
-    k = 1
-    while True:
-        total = total + term
-        k += 1
-        term = term * x
-        r = _RECIP[p, k, _rel(term)]
-        term = _quad(term.a * r, term.b * r)
-        # v(x^k/k!) >= k(v(x) - 1/(p-1)) grows linearly for p >= 5
-        if term.is_zero() or k * (x.valuation - 1.0 / (p - 1)) > target:
-            break
-    return total

@@ -1,10 +1,10 @@
-"""Operators on r-fold tensor products of completed local modules.
+"""The plectic identities on r-fold products of completed local modules.
 
-This is the toolkit's core: the image of an invariant (the committed
-scalar Q_S) under the reciprocity map and its leading term, and the
-sign verdict and the compared values of the factorization and algebraicity
-identities, scalar arithmetic over Q_p and Q_p(w).  The factor-wise
-partial-Frobenius projector on `PlecticTensor`s is kept as a reference.
+This is the toolkit's identity layer: the image of an invariant (the
+committed scalar Q_S) under the reciprocity map and its leading term, and
+the sign verdict and the compared values of the factorization and
+algebraicity identities, scalar arithmetic over Q_p and Q_p(w).  The
+tensor-side references they are tested against live in the test suite.
 """
 
 import itertools
@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import IdentityFails, InconsistentSigns, ShapeMismatch
 from .grpalg import GroupAlgebraElem, GroupShape
-from .kernel import CoeffMap
 from .linalg import det
 from .padic import INF, PadicScalar, QuadExtScalar, is_square
 
@@ -39,79 +38,6 @@ def tower_shape(t, p, prec):
     """The suites' group shape at r = 2^t: Q = (Z/2)^max(t, 1), s = r free
     variables and a truncation D = 2r + 2 above the degree-r pieces."""
     return GroupShape((2,) * max(t, 1), 2 ** t, 2 ** (t + 1) + 2, p, prec)
-
-
-# -- tensors ------------------------------------------------------------------
-
-class PlecticTensor:
-    """Sum of pure tensors of coordinate vectors, r factors of dimension dim."""
-
-    def __init__(self, r, dim, terms):
-        self.r = r
-        self.dim = dim
-        clean = []
-        for coeff, factors in terms:
-            if len(factors) != r or any(len(v) != dim for v in factors):
-                raise ShapeMismatch("bad tensor term shape")
-            clean.append((coeff, tuple(tuple(v) for v in factors)))
-        self.terms = clean
-
-    @classmethod
-    def pure(cls, coeff, factors):
-        return cls(len(factors), len(factors[0]), [(coeff, factors)])
-
-    def _check(self, other):
-        if self.r != other.r or self.dim != other.dim:
-            raise ShapeMismatch("mixed tensor shapes")
-
-    def scale(self, scalar):
-        """Every coefficient times `scalar` (a tensor-side reference)."""
-        return PlecticTensor(self.r, self.dim,
-                             [(c * scalar, f) for c, f in self.terms])
-
-    def coords(self):
-        """Expanded coordinates: multi-index -> scalar."""
-        out = {}
-        for coeff, factors in self.terms:
-            for idx in itertools.product(range(self.dim), repeat=self.r):
-                entries = [factors[k][i] for k, i in enumerate(idx)]
-                if any(e.is_zero() for e in entries):
-                    continue
-                c = math.prod(entries, start=coeff)
-                out[idx] = out[idx] + c if idx in out else c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.coords()
-
-    def agreement(self, other):
-        self._check(other)
-        return CoeffMap(self.coords()).agreement(CoeffMap(other.coords()))
-
-    def __repr__(self):
-        return "PlecticTensor(r=%d, dim=%d, %d terms)" % (self.r, self.dim,
-                                                          len(self.terms))
-
-
-def make_sigma_point(a):
-    """diag(a, -a) on point-completion coordinates (a tensor-side reference)."""
-    def s(v):
-        return (v[0].scale_int(a), v[1].scale_int(-a))
-    return s
-
-
-def projector(x, sign, a, sigma):
-    """(1 +/- a*sigma) applied to every tensor factor (a tensor-side
-    reference for the y^r coefficient step 3 of `algebraicity_check` reads)."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    mult = a if sign == "+" else -a
-
-    def fn(v):
-        return tuple(c + s.scale_int(mult) for c, s in zip(v, sigma(v)))
-
-    return PlecticTensor(x.r, x.dim, [(c, tuple(fn(v) for v in f))
-                                      for c, f in x.terms])
 
 
 # -- invariants ---------------------------------------------------------------

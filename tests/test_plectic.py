@@ -43,7 +43,7 @@ def rand_tensor(rng, r, dim, terms=3):
         vecs = tuple(tuple(mk(rng.randrange(P ** 6)) for _ in range(dim))
                      for _ in range(r))
         ts.append((mk(rng.randrange(1, P ** 4)), vecs))
-    return po.PlecticTensor(r, dim, ts)
+    return oracle.PlecticTensor(r, dim, ts)
 
 
 # -- character tables ------------------------------------------------------------
@@ -105,23 +105,23 @@ def test_projectors_annihilate_each_other():
     rng = random.Random(29)
     for r in (2, 4):
         for a in (1, -1):
-            sigma = po.make_sigma_point(a)
+            sigma = oracle.make_sigma_point(a)
             x = rand_tensor(rng, r, 2)
-            plus = po.projector(x, "+", a, sigma)
-            assert po.projector(plus, "-", a, sigma).is_zero()
-            minus = po.projector(x, "-", a, sigma)
-            assert po.projector(minus, "+", a, sigma).is_zero()
+            plus = oracle.projector(x, "+", a, sigma)
+            assert oracle.projector(plus, "-", a, sigma).is_zero()
+            minus = oracle.projector(x, "-", a, sigma)
+            assert oracle.projector(minus, "+", a, sigma).is_zero()
 
 
 def test_projector_squares_to_power_of_two():
     rng = random.Random(31)
     for r in (2, 4):
         for a in (1, -1):
-            sigma = po.make_sigma_point(a)
+            sigma = oracle.make_sigma_point(a)
             x = rand_tensor(rng, r, 2)
             for sign in ("+", "-"):
-                once = po.projector(x, sign, a, sigma)
-                twice = po.projector(once, sign, a, sigma)
+                once = oracle.projector(x, sign, a, sigma)
+                twice = oracle.projector(once, sign, a, sigma)
                 assert twice.agreement(once.scale(mk(2 ** r))) >= N
 
 
@@ -129,9 +129,9 @@ def test_unit_sigma_projector_kills_fixed_tensor():
     rng = random.Random(37)
     vecs = tuple((mk(rng.randrange(P ** 6)), mk(rng.randrange(P ** 6)), mk(0))
                  for _ in range(2))
-    x = po.PlecticTensor.pure(mk(1), vecs)
+    x = oracle.PlecticTensor.pure(mk(1), vecs)
     # Frobenius on completed-unit coordinates is diag(1, 1, -1)
-    assert po.projector(x, "-", 1, lambda v: (v[0], v[1], -v[2])).is_zero()
+    assert oracle.projector(x, "-", 1, lambda v: (v[0], v[1], -v[2])).is_zero()
 
 
 # -- determinant map (the test oracle) ---------------------------------------------
@@ -148,14 +148,14 @@ def test_det_map_alternating():
 def test_det_map_rank_one_case():
     v = (mk(9), mk(2))
     out = oracle.det_map([[v]])
-    assert out.agreement(po.PlecticTensor.pure(mk(1), (v,))) >= N
+    assert out.agreement(oracle.PlecticTensor.pure(mk(1), (v,))) >= N
 
 
 def test_det_map_matches_cofactor_expansion():
     v1, v2 = (mk(1), mk(2)), (mk(3), mk(5))
     v3, v4 = (mk(7), mk(11)), (mk(13), mk(4))
     d = oracle.det_map([[v1, v2], [v3, v4]])
-    cofactor = po.PlecticTensor(2, 2, [(mk(1), (v1, v4)), (mk(-1), (v3, v2))])
+    cofactor = oracle.PlecticTensor(2, 2, [(mk(1), (v1, v4)), (mk(-1), (v3, v2))])
     assert d.agreement(cofactor) >= N
 
 
@@ -163,7 +163,7 @@ def test_det_map_matches_cofactor_expansion():
 
 def test_norm_map_of_diagonal_tensor():
     v = (mk(3), mk(1))
-    x = po.PlecticTensor.pure(mk(1), (v, v))
+    x = oracle.PlecticTensor.pure(mk(1), (v, v))
     out = oracle.norm_map(x, MODULE)
     want = linear_form(MODULE, list(v)) * linear_form(MODULE, list(v))
     assert out.agreement(want) >= N
@@ -171,7 +171,7 @@ def test_norm_map_of_diagonal_tensor():
 
 def test_norm_map_symmetrizes():
     v, w = (mk(1), mk(0)), (mk(0), mk(1))
-    x = po.PlecticTensor(2, 2, [(mk(1), (v, w)), (mk(1), (w, v))])
+    x = oracle.PlecticTensor(2, 2, [(mk(1), (v, w)), (mk(1), (w, v))])
     out = oracle.norm_map(x, MODULE)
     assert out.coeffs[(1, 1)].agreement(mk(2)) >= N
 
@@ -188,8 +188,8 @@ def test_phi_minus_is_the_projected_base_point():
     for t, a in ((1, 1), (1, -1), (2, 1), (2, -1)):
         r = 2 ** t
         c = mk(rng.randrange(1, P ** 10))
-        by_hand = po.PlecticTensor.pure(c, ((base.x, base.y),) * r)
-        by_hand = po.projector(by_hand, "-", a, po.make_sigma_point(a))
+        by_hand = oracle.PlecticTensor.pure(c, ((base.x, base.y),) * r)
+        by_hand = oracle.projector(by_hand, "-", a, oracle.make_sigma_point(a))
         image = oracle.phi_minus(c, r, PTS)
         assert oracle.norm_map(image, MODULE).agreement(
             oracle.norm_map(by_hand, MODULE)) >= N
@@ -212,7 +212,7 @@ def test_minus_projection_after_the_norm_matches_the_tensor_projector():
     rng = random.Random(43)
     for r in (1, 2, 4):
         for a in (1, -1):
-            sigma = po.make_sigma_point(a)
+            sigma = oracle.make_sigma_point(a)
             for _ in range(15):
                 terms = []
                 for _ in range(3):
@@ -220,9 +220,9 @@ def test_minus_projection_after_the_norm_matches_the_tensor_projector():
                              if rng.randrange(2) else _rand_entry(rng))
                     terms.append((coeff, tuple(
                         (_rand_entry(rng), _rand_entry(rng)) for _ in range(r))))
-                x = po.PlecticTensor(r, 2, terms)
+                x = oracle.PlecticTensor(r, 2, terms)
                 got = oracle.minus_projection(oracle.norm_map(x, MODULE))
-                want = oracle.norm_map(po.projector(x, "-", a, sigma), MODULE)
+                want = oracle.norm_map(oracle.projector(x, "-", a, sigma), MODULE)
                 assert set(got.coeffs) == set(want.coeffs) <= {(0, r)}
                 for k, c in want.coeffs.items():
                     assert got.coeffs[k].prec >= c.prec

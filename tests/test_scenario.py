@@ -156,3 +156,13 @@ def test_family_validation():
     with pytest.raises(ValidationError, match="nonzero"):
         parse_scenario(base + "u_eta.1 = 1e0 + 1e1 w\nu_eta.2 = 2e0 + 1e1 w\n"
                        + "k_eta.1 = 0\n")
+    # a family is complete when it has r keys, in any order
+    lines = (GOLDEN / "t3-split.kv").read_text().splitlines()
+    family = [line for line in lines if line.startswith("u_eta.")]
+    rest = [line for line in lines if not line.startswith("u_eta.")]
+    assert len(family) == 8
+    reverse = parse_scenario("\n".join(rest + family[::-1]) + "\n")
+    assert [u.agreement(v) for (u, _), (v, _) in zip(
+        reverse.family, load_scenario(GOLDEN / "t3-split.kv").family)] == [40] * 8
+    with pytest.raises(ValidationError, match=r"need u_eta\.1 \.\. u_eta\.8"):
+        parse_scenario("\n".join(rest + family[:7]) + "\n")

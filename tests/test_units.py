@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expansion_oracle import make_sigma_point
 from plectic.errors import PlecticError, ShapeMismatch
 from plectic.linalg import rank
 from plectic.padic import INF, PadicScalar, QuadExtScalar, plog, quad_teichmuller
-from plectic.plectic_ops import make_sigma_point
 from plectic.units import CompletedPoint, CompletedUnit, PointCompletion, UnitCompletion
 
 P = 5
