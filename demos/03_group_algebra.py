@@ -1,8 +1,9 @@
 """Truncated completed group algebras and their augmentation filtration.
 
-Elements of Z_p[Q][[t_1..t_s]] are truncated at a total degree, with a sticky
-flag that refuses to certify a leading term once information has been
-dropped.  The involution [g] -> [g^{-1}] acts on degree-n graded pieces by
+Elements of Z_p[Q][[t_1..t_s]] are sums of separable terms c [q] prod f_i(t_i),
+truncated at a total degree, with a sticky flag that refuses to certify a
+leading term once information has been dropped; `expand()` reads one out as
+its monomials.  The involution [g] -> [g^{-1}] acts on degree-n graded pieces by
 (-1)^n together with inversion on the finite quotient.
 """
 
@@ -18,14 +19,15 @@ one = GroupAlgebraElem.one(shape)
 
 g = GroupAlgebraElem.group_elem(shape, None, (1, 0))
 h = GroupAlgebraElem.group_elem(shape, None, (0, 1))
-print("[g] as a power series in t1:", sorted(g.coeffs))
+print("[g] as one separable term:", sorted(g.coeffs))
+print("[g] as a power series in t1:", sorted(g.expand()))
 print("([g]-1)([h]-1) lives in filtration degree:",
       ((g - one) * (h - one)).rel_aug_degree())
 
-inv = g.involution()
+inv = g.involution().expand()
 print("\ninvolution of [g] (geometric series in t1):")
-for key in sorted(inv.coeffs):
-    print("  ", key, "->", inv.coeffs[key])
+for key in sorted(inv):
+    print("  ", key, "->", inv[key])
 
 x = (g - one) * (h - one)
 lt = x.leading_term(2)

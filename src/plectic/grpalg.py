@@ -1,21 +1,19 @@
 """Truncated completed group algebras Z_p[Q][[t_1..t_s]].
 
-The group is Q x Z_p^s with Q finite abelian; a choice of topological
-generators g_1..g_s of the free part identifies the algebra with a power
-series ring via [g_i] = t_i + 1.  Everything is truncated at a total
-degree D, with a sticky flag recording whether any nonzero term was ever
-dropped, so no identity can silently pass through a lossy product.
+The group is Q x Z_p^s with Q finite abelian; topological generators
+g_1..g_s of the free part identify the algebra with a power series ring
+via [g_i] = t_i + 1.  Everything is truncated at a total degree D, with a
+sticky flag recording whether a nonzero term was ever dropped, so no
+identity can silently pass through a lossy product.
 
-Elements and graded pieces are `kernel.CoeffMap`s: addition, scaling and
-agreement live there.  This module adds the key shape, the involution and
-the product.  Two places truncate: group elements and the involution are
-substituted one variable per pass and form no term past D (past n for a
-degree-n leading term), and the product pairs terms degree bucket by degree
-bucket and never forms a pair past D.  Work past `WORK_LIMIT` is counted
-and refused before it starts.
+Elements and graded pieces are `kernel.CoeffMap`s.  The product and the
+involution map an element's separable terms factor by factor; `_expand`
+alone forms monomials, truncates and counts work, as far as a value is read.
 """
 
+import functools
 import itertools
+import math
 import operator
 
 from .errors import (DegreeTooLow, RankDeficient, ShapeMismatch,
@@ -23,9 +21,8 @@ from .errors import (DegreeTooLow, RankDeficient, ShapeMismatch,
 from .kernel import CoeffMap
 from .padic import PadicScalar
 
-# The most steps one operation may take: the series terms one substitution
-# pass emits, or the pairs of a product.
-# scenarios/t3-split.kv needs 51,186 at seed 0, for one substitution pass.
+# The most monomials one expansion may form.  scenarios/t3-split.kv needs
+# 10,252 at seed 0 (15,734 over seeds 0-10), for iota(xy) and iota(x) iota(y).
 WORK_LIMIT = 16_000_000
 
 
@@ -38,11 +35,8 @@ class GroupShape:
             raise ValueError("elementary divisors must be >= 2")
         if s < 0 or degree < 1:
             raise ValueError("need free rank >= 0 and degree >= 1")
-        self.divisors = divisors
-        self.s = s
-        self.degree = degree
-        self.p = p
-        self.prec = prec
+        self.divisors, self.s, self.degree, self.p, self.prec = \
+            divisors, s, degree, p, prec
 
     def q_elements(self):
         return list(itertools.product(*[range(d) for d in self.divisors]))
@@ -55,16 +49,8 @@ class GroupShape:
 
     def monomials(self, n):
         """All multi-exponents in s variables of total degree exactly n."""
-        def gen(rest, total):
-            if rest == 1:
-                yield (total,)
-                return
-            for head in range(total + 1):
-                for tail in gen(rest - 1, total - head):
-                    yield (head,) + tail
-        if self.s == 0:
-            return [()] if n == 0 else []
-        return list(gen(self.s, n))
+        return [tuple(map(c.count, range(self.s))) for c in
+                itertools.combinations_with_replacement(range(self.s), n)]
 
     def __eq__(self, other):
         return (isinstance(other, GroupShape)
@@ -76,7 +62,9 @@ class GroupShape:
 
 
 class GroupAlgebraElem(CoeffMap):
-    """Element of the truncated algebra: map (Q-element, exponent) -> scalar."""
+    """Element of the truncated algebra: a map (q, (f_1..f_s)) -> c of terms
+    c [q] prod f_i(t_i), each factor the tuple of its (degree, nonzero exact
+    integer) pairs by rising degree, at most D; built from monomials."""
 
     def __init__(self, shape, coeffs, lost=False):
         for q, e in coeffs:
@@ -84,7 +72,8 @@ class GroupAlgebraElem(CoeffMap):
                 raise ShapeMismatch("bad key %r" % ((q, e),))
             if sum(e) > shape.degree:
                 raise ShapeMismatch("degree beyond truncation")
-        super().__init__(coeffs, lost)
+        super().__init__({(q, tuple([((k, 1),) for k in e])): c
+                          for (q, e), c in coeffs.items()}, lost)
         self.shape = shape
 
     @classmethod
@@ -111,86 +100,64 @@ class GroupAlgebraElem(CoeffMap):
         a = (0,) * shape.s if free_exponent is None else tuple(free_exponent)
         if len(a) != shape.s:
             raise ShapeMismatch("free exponent %r needs %d entries" % (a, shape.s))
-        one = {(q, (0,) * shape.s): PadicScalar.one(shape.p, shape.prec)}
-        coeffs = _substitute(one, shape.s, shape.degree,
-                             lambda i, k: _binomials(a[i], shape.degree))
-        return cls(shape, coeffs, min(a, default=0) < 0 or sum(a) > shape.degree)
+        factors = tuple(tuple(enumerate(_binomials(ai, shape.degree))) for ai in a)
+        return cls.zero(shape)._like(
+            {(q, factors): PadicScalar.one(shape.p, shape.prec)},
+            min(a, default=0) < 0 or sum(a) > shape.degree)
 
     def _shape(self):
         return self.shape
 
     def __mul__(self, other):
-        """The product truncated at degree D, one degree bucket at a time.
-
-        `other`'s terms are grouped by total degree, so a term of degree d
-        meets only the buckets of degree <= D - d.  Skipping a nonempty
-        bucket drops nonzero terms, which flags the product lossy.
-        """
+        """Term pair by term pair, factor by factor, truncated at D.  A pair
+        whose top degrees (each capped at D) sum past D flags the product
+        lossy; one whose lowest degrees do is not formed."""
         self._check(other)
         degree, divisors = self.shape.degree, self.shape.divisors
-        buckets = [[] for _ in range(degree + 1)]
-        for (q, e), c in other.coeffs.items():
-            buckets[sum(e)].append((q, e, c))
-        upto = list(itertools.accumulate(map(len, buckets)))  # degree <= d
-        pairs = sum(upto[degree - sum(e)] for _, e in self.coeffs)
-        if pairs > WORK_LIMIT:
-            raise WorkLimitExceeded(
-                "a product of %d pairs is past the work limit" % pairs)
         out = {}
         lost = self.lost or other.lost
-        for (q1, e1), c1 in self.coeffs.items():
-            budget = degree - sum(e1)
-            lost = lost or upto[budget] < upto[-1]
-            for bucket in buckets[:budget + 1]:
-                for q2, e2, c2 in bucket:
-                    k = (tuple(map(operator.mod, map(operator.add, q1, q2),
-                                   divisors)),
-                         tuple(map(operator.add, e1, e2)))
-                    c = c1 * c2
-                    out[k] = out[k] + c if k in out else c
+        for (q1, f1), c1 in self.coeffs.items():
+            for (q2, f2), c2 in other.coeffs.items():
+                lost = lost or sum([min(degree, sum([f[-1][0] for f in g]))
+                                    for g in (f1, f2)]) > degree
+                if sum([f[0][0] for f in f1 + f2]) > degree:
+                    continue
+                k = (tuple(map(operator.mod, map(operator.add, q1, q2), divisors)),
+                     tuple(_times(a, b, degree) for a, b in zip(f1, f2)))
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
         return self._like(out, lost)
 
     def involution(self):
-        """[g] -> [g^{-1}]: negation on Q, t^e -> (-t)^e * prod (1+t_i)^{-e_i}.
+        """[g] -> [g^{-1}]: negation on Q, and the ring map t -> -t/(1+t) of
+        Z[t]/t^{D+1} on each factor, exact on the truncated quotient."""
+        return self._like({self._dual_key(k): c
+                           for k, c in self.coeffs.items()}, self.lost)
 
-        Filtration-preserving, hence exact on the truncated quotient: the
-        ring map t_i -> -t_i/(1+t_i), one counted `_substitute` pass per
-        variable (`involution_leading_term` stops at a degree).
-        """
-        return self._like(self._dual_series(self.shape.degree), self.lost)
+    def _dual_key(self, key):
+        """Q negated, and each factor f(t) -> f(-t/(1+t)) mod t^{D+1}."""
+        return (self.shape.q_neg(key[0]),
+                tuple(_dual(f, self.shape.degree, _dual_row) for f in key[1]))
 
-    def involution_leading_term(self, n):
-        """`involution().leading_term(n)`, forming no term past degree n; the
-        involution keeps `lost` and the lowest degree (its lowest piece is the
-        dual of this one), so the same cases raise `DegreeTooLow`."""
-        self.leading_term(n)
-        return GradedPiece(self.shape, n, self._dual_series(n))
+    def expand(self):
+        """The monomial map (q, exponent) -> scalar, truncated at D."""
+        return _expand(self.coeffs, self.shape.degree)
 
-    def _dual_series(self, budget):
-        q_neg = self.shape.q_neg
-        return _substitute({(q_neg(q), e): c for (q, e), c in self.coeffs.items()
-                            if sum(e) <= budget}, self.shape.s, budget,
-                           lambda i, k: _dual_row(k, budget))
+    _values = expand
 
     def rel_aug_degree(self):
         """Largest n <= D with the element in I_Q^n (D+1 for zero)."""
-        if not self.coeffs:
-            return self.shape.degree + 1
-        return min(sum(e) for (_, e) in self.coeffs)
-
-    def graded_part(self, n):
-        return {k: c for k, c in self.coeffs.items() if sum(k[1]) == n}
+        return next((n for n in range(self.shape.degree + 1)
+                     if _expand(self.coeffs, n)), self.shape.degree + 1)
 
     def leading_term(self, n):
+        """The class in I_Q^n / I_Q^{n+1}, expanded to degree n only."""
         if self.lost and n >= self.shape.degree:
             raise DegreeTooLow("element lost degree-%d information" % n)
-        if self.rel_aug_degree() < n:
+        coeffs = _expand(self.coeffs, n)
+        if any(sum(e) < n for _, e in coeffs):
             raise DegreeTooLow("element is not in I_Q^%d" % n)
-        return GradedPiece(self.shape, n, self.graded_part(n))
-
-    def __repr__(self):
-        return "GroupAlgebraElem(%d terms%s)" % (len(self.coeffs),
-                                                 ", lossy" if self.lost else "")
+        return GradedPiece(self.shape, n, coeffs)
 
 
 def _binomials(a, n):
@@ -206,28 +173,54 @@ def _dual_row(k, n):
     return [b if k % 2 == 0 else -b for b in _binomials(-k, n)]
 
 
-def _substitute(coeffs, s, budget, row):
-    """Map t_i^k to t_i^k * sum_m row(i, k)[m] t_i^m, one variable i per pass,
-    forming no term past total degree `budget`.  Each term emits c * row[m]
-    by `scale_int` and `+` (a row [1] passes it through, as no work), so a
-    coefficient is the interval the per-term expansion gives; a sum that
-    vanishes to precision stays, as its precision bounds the later passes.
-    A pass's emitted terms are counted, and refused past `WORK_LIMIT`."""
-    for i in range(s):
-        rows = {k: row(i, k) for k in {e[i] for _, e in coeffs}}
-        work = sum(min(len(rows[e[i]]), budget + 1 - sum(e))
-                   for _, e in coeffs if rows[e[i]] != [1])
+def _factor(pairs, n):
+    """The factor sum of (degree, integer) pairs, truncated at degree n."""
+    out = [0] * (n + 1)
+    for k, a in pairs:
+        if k <= n:
+            out[k] += a
+    return tuple((k, a) for k, a in enumerate(out) if a)
+
+
+def _times(f, g, n):
+    return _factor([(i + j, a * b) for i, a in f for j, b in g], n)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dual(f, n, row):
+    """t^k -> t^k * row(k, n - k), cached per factor, degree and row."""
+    return _factor([(m, a * b) for k, a in f
+                    for m, b in enumerate(row(k, n - k), k)], n)
+
+
+def _expand(terms, n):
+    """The monomials of degree <= n of `terms`: c [q] prod f_i adds
+    c * prod f_i[e_i] at (q, e) by one `scale_int` (none for 1) and one `+`,
+    as the term-by-term expansion does.  Past `WORK_LIMIT` (counted exactly
+    when the product of the factor lengths exceeds it) none is formed."""
+    if sum([math.prod(map(len, factors)) for _, factors in terms]) > WORK_LIMIT:
+        work = 0  # the coefficient sum of the product of the supports
+        for _, factors in terms:
+            support = ((0, 1),)
+            for f in factors:
+                support = _times(support, [(k, 1) for k, _ in f], n)
+            work += sum(m for _, m in support)
         if work > WORK_LIMIT:
-            raise WorkLimitExceeded("a substitution pass of %d series terms "
-                                    "is past the work limit" % work)
-        out = {}
-        for (q, e), c in coeffs.items():
-            head, k, tail = e[:i], e[i], e[i + 1:]
-            for m, n in enumerate(rows[k][:budget + 1 - sum(e)]):
-                key, d = (q, head + (k + m,) + tail), c if n == 1 else c.scale_int(n)
-                out[key] = out[key] + d if key in out else d
-        coeffs = out
-    return coeffs
+            raise WorkLimitExceeded("%d monomials are past the work limit" % work)
+    out = {}
+    for (q, factors), c in terms.items():
+        rest = sum([f[0][0] for f in factors])  # the least degree to come
+        if rest > n:
+            continue
+        partial = [((), 1, 0)]
+        for f in factors:
+            rest -= f[0][0]
+            partial = [(e + (k,), m * a, d + k) for e, m, d in partial
+                       for k, a in f if d + k + rest <= n]
+        for e, m, _ in partial:
+            key, x = (q, e), c if m == 1 else c.scale_int(m)
+            out[key] = out[key] + x if key in out else x
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 class GradedPiece(CoeffMap):
@@ -254,9 +247,6 @@ class GradedPiece(CoeffMap):
     def as_elem(self):
         """A lift of the class back into the algebra (its monomial rep)."""
         return GroupAlgebraElem(self.shape, dict(self.coeffs))
-
-    def __repr__(self):
-        return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
 
 
 def check_lemma_free_graded_injectivity(shape, n):

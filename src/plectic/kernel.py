@@ -1,11 +1,11 @@
 """The two arithmetic kernels the coefficient and coordinate types share.
 
 `CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
-group-algebra elements, their graded pieces and symmetric tensors are maps
-that differ only in their key shape and their product, which the subclass
-defines (`grpalg` alone decides truncation).  (A plectic invariant is a
-plain scalar, the committed Q_S.)  `CoordVector` is a fixed tuple of
-scalars with componentwise operations: the completed units and points.
+group-algebra elements, their graded pieces and symmetric tensors differ in
+their key shape, their product and what `_values` reads (a group-algebra
+element expands its separable terms; `grpalg` alone truncates).  A plectic
+invariant is a plain scalar, the committed Q_S.  `CoordVector` is a fixed
+tuple of scalars with componentwise operations: the completed units and points.
 """
 
 import operator
@@ -57,13 +57,17 @@ class CoeffMap:
         return self._like({k: c * scalar for k, c in self.coeffs.items()},
                           self.lost)
 
+    def _values(self):
+        """The map compared and tested for zero (a lazy form's expansion)."""
+        return self.coeffs
+
     def is_zero(self):
-        return not self.coeffs
+        return not self._values()
 
     def agreement(self, other):
         """Smallest certified key-wise agreement (INF for two zero maps)."""
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._values(), other._values()
         margin = INF
         for k, c in a.items():
             d = b.get(k)
@@ -72,6 +76,10 @@ class CoeffMap:
             if k not in a:
                 margin = min(margin, d.valuation)
         return margin
+
+    def __repr__(self):
+        return "%s(%r, %d terms, lost=%s)" % (
+            type(self).__name__, self._shape(), len(self.coeffs), self.lost)
 
 
 def _agreement(a, b):

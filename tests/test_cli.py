@@ -339,18 +339,13 @@ def test_t3_split_passes_every_suite():
 IOTA_CHECKS = ("grpalg.involution", "grpalg.diagram_sign", "gz.leading_term")
 
 
-def _iota_failures(sc):
-    report = run(sc, suites=("grpalg", "gz"), floor=30)
+def _iota_failures(sc, seed=None):
+    report = run(sc, suites=("grpalg", "gz"), floor=30, seed=seed)
     return {c.name for c in report.checks if c.name in IOTA_CHECKS
             and not c.passed}
 
 
-def _unnegated_dual_series(self, budget):
-    # the involution's passes without the negation on Q
-    return grpalg._substitute(
-        {k: c for k, c in self.coeffs.items() if sum(k[1]) <= budget},
-        self.shape.s, budget, lambda i, k: grpalg._dual_row(k, budget))
-
+_DUAL_KEY = grpalg.GroupAlgebraElem._dual_key
 
 MUTANTS = {
     # t^k -> t^k (1+t)^(-k): no (-1)^k
@@ -358,38 +353,64 @@ MUTANTS = {
     # C(k, m) in place of C(-k, m)
     "row": ("_dual_row", lambda k, n: [b if k % 2 == 0 else -b
                                        for b in grpalg._binomials(k, n)]),
-    "q_negation": ("_dual_series", _unnegated_dual_series),
+    # the involution's factors without the negation on Q
+    "q_negation": ("_dual_key", lambda self, key: (key[0],
+                                                   _DUAL_KEY(self, key)[1])),
 }
 
-
-@pytest.mark.parametrize("mutant,caught", [
+IOTA_MUTANTS = [
     ("sign", {"grpalg.involution", "grpalg.diagram_sign"}),
     ("row", {"grpalg.involution"}),
     ("q_negation", {"grpalg.diagram_sign"}),
-])
-def test_an_involution_mutant_fails_a_check(monkeypatch, mutant, caught):
-    # the checks read the involution only to the degree they compare, and
-    # still see each of its three parts break; r is even in every scenario,
-    # so gz.leading_term alone cannot see the sign
-    sc = load_scenario(T2)
+]
+
+
+def _assert_mutant_caught(monkeypatch, path, seeds, mutant, caught):
+    sc = load_scenario(path)
     if mutant == "q_negation":
         # on Q = (Z/2)^t negation is the identity, so this mutant is the
         # involution itself there; it shows once Q has an element of order 3
         shape = sc.shape
         sc.shape = grpalg.GroupShape((3,) + shape.divisors, shape.s,
                                      shape.degree, shape.p, shape.prec)
-    assert _iota_failures(sc) == set()
+    assert [_iota_failures(sc, seed) for seed in seeds] == [set()] * len(seeds)
     attr, fn = MUTANTS[mutant]
     monkeypatch.setattr(grpalg if attr == "_dual_row"
                         else grpalg.GroupAlgebraElem, attr, fn)
-    assert _iota_failures(sc) == caught
+    assert [_iota_failures(sc, seed) for seed in seeds] == [caught] * len(seeds)
     if mutant == "q_negation":
-        assert _iota_failures(load_scenario(T2)) == set()
+        assert _iota_failures(load_scenario(path)) == set()
+
+
+@pytest.mark.parametrize("mutant,caught", IOTA_MUTANTS)
+def test_an_involution_mutant_fails_a_check(monkeypatch, mutant, caught):
+    # the checks read the involution only to the degree they compare, and
+    # still see each of its three parts break; r is even in every scenario,
+    # so gz.leading_term alone cannot see the sign
+    _assert_mutant_caught(monkeypatch, T2, [None], mutant, caught)
+
+
+@pytest.mark.parametrize("mutant,caught", IOTA_MUTANTS)
+def test_an_involution_mutant_fails_a_check_on_t3_at_every_seed(
+        monkeypatch, mutant, caught):
+    # at s = 8 the diagram-sign draws still compare non-empty pieces, so
+    # each mutant is caught at every seed
+    _assert_mutant_caught(monkeypatch, str(GOLDEN / "t3-split.kv"), range(11),
+                          mutant, caught)
+
+
+def test_t3_grpalg_and_gz_fit_a_forty_thousand_step_work_limit(monkeypatch):
+    # the largest expansion at seed 0, iota(xy) and iota(x) iota(y) to
+    # degree 18, forms 10,252 monomials
+    monkeypatch.setattr(grpalg, "WORK_LIMIT", 40_000)
+    report = run(load_scenario(str(GOLDEN / "t3-split.kv")),
+                 suites=("grpalg", "gz"), floor=30, seed=0)
+    assert report.ok and len(report.checks) == 5
 
 
 def test_cli_exit_two_past_the_grpalg_work_limit(monkeypatch, capsys):
-    # the product of the involutions, 1029 pairs, is refused before it runs
-    monkeypatch.setattr(grpalg, "WORK_LIMIT", 1000)
+    # the expansion of iota(xy), 642 monomials, is refused before it runs
+    monkeypatch.setattr(grpalg, "WORK_LIMIT", 641)
     assert main(["verify", T2, "--suite", "grpalg"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -79,7 +79,7 @@ def reference_involution(x):
     duals = [reference_inverse(one + variable(shape, i)) - one
              for i in range(shape.s)]
     out = GroupAlgebraElem.zero(shape)
-    for (q, e), c in x.coeffs.items():
+    for (q, e), c in x.expand().items():
         term = GroupAlgebraElem.monomial(shape, shape.q_neg(q), None, 1).scale(c)
         for i, a in enumerate(e):
             for _ in range(a):
@@ -97,8 +97,8 @@ def reference_product(x, y):
     shape = x.shape
     out = {}
     lost = x.lost or y.lost
-    for (q1, e1), c1 in x.coeffs.items():
-        for (q2, e2), c2 in y.coeffs.items():
+    for (q1, e1), c1 in x.expand().items():
+        for (q2, e2), c2 in y.expand().items():
             e = tuple(a + b for a, b in zip(e1, e2))
             if sum(e) > shape.degree:
                 lost = True
@@ -131,12 +131,14 @@ def times_order_two(x, sign):
     """x * (1 + sign [g]) for g = (1, 0, ..) of order 2, without `*`:
     (1 + [g])x * (1 - [g])y cancels to zero at every key."""
     moved = {((q[0] ^ 1,) + q[1:], e): c.scale_int(sign)
-             for (q, e), c in x.coeffs.items()}
+             for (q, e), c in x.expand().items()}
     return x + GroupAlgebraElem(x.shape, moved, x.lost)
 
 
 def intervals(x):
-    return {k: (c.v, c.unit, c.prec) for k, c in x.coeffs.items()}
+    """(v, unit, prec) per monomial of an element or a graded piece."""
+    coeffs = x.expand() if isinstance(x, GroupAlgebraElem) else x.coeffs
+    return {k: (c.v, c.unit, c.prec) for k, c in coeffs.items()}
 
 
 ORACLE_SHAPES = [SHAPE, GroupShape((3,), 4, 10, P, N)]
@@ -153,7 +155,40 @@ def rand_oracle_elem(rng, shape):
     return out
 
 
-# -- the per-term expansion the substitution passes replace -----------------
+# -- dense references: substitution passes and the per-term expansion -------
+
+def substitute(coeffs, s, budget, row):
+    """Map t_i^k to t_i^k * sum_m row(i, k)[m] t_i^m, one variable i per pass,
+    forming no term past total degree `budget`.  Each term emits c * row[m]
+    by `scale_int` and `+` (a row [1] passes it through), so a coefficient
+    is the interval the per-term expansion gives; a sum that vanishes to
+    precision stays, as its precision bounds the later passes."""
+    for i in range(s):
+        out = {}
+        for (q, e), c in coeffs.items():
+            head, k, tail = e[:i], e[i], e[i + 1:]
+            for m, n in enumerate(row(i, k)[:budget + 1 - sum(e)]):
+                key, d = (q, head + (k + m,) + tail), c if n == 1 else c.scale_int(n)
+                out[key] = out[key] + d if key in out else d
+        coeffs = out
+    return coeffs
+
+
+def substituted_involution(x):
+    """The involution as dense substitution passes t_i -> -t_i/(1+t_i)."""
+    shape, degree = x.shape, x.shape.degree
+    coeffs = substitute({(shape.q_neg(q), e): c for (q, e), c in x.expand().items()},
+                        shape.s, degree, lambda i, k: grpalg._dual_row(k, degree))
+    return GroupAlgebraElem(shape, coeffs, x.lost)
+
+
+def substituted_group_elem(shape, q, a):
+    one = {(q, (0,) * shape.s): PadicScalar.one(shape.p, shape.prec)}
+    coeffs = substitute(one, shape.s, shape.degree,
+                        lambda i, k: grpalg._binomials(a[i], shape.degree))
+    return GroupAlgebraElem(shape, coeffs, min(a, default=0) < 0
+                            or sum(a) > shape.degree)
+
 
 def binomial(a, k):
     """C(a, k) for any integer a."""
@@ -181,7 +216,7 @@ def add_per_term_series(shape, coeffs, scalar, q, b, a):
 
 def per_term_involution(x):
     shape, out = x.shape, {}
-    for (q, e), c in x.coeffs.items():
+    for (q, e), c in x.expand().items():
         add_per_term_series(shape, out, -c if sum(e) % 2 else c,
                             shape.q_neg(q), e, tuple(-k for k in e))
     return GroupAlgebraElem(shape, out, x.lost)
@@ -256,26 +291,39 @@ SERIES_SHAPES = [((2,), 1, 9), ((3,), 2, 7), ((2, 2), 3, 6), ((), 4, 6),
 @pytest.mark.parametrize("divisors,s,degree", SERIES_SHAPES,
                          ids=["s%dD%d" % (s, d) for _, s, d in SERIES_SHAPES])
 def test_substitution_matches_the_per_term_expansion(p, divisors, s, degree):
-    # same keys, `lost` and (v, unit, prec) as each term's own series, and
-    # the degree-bounded leading term is the full involution's, raising alike
+    # the separable form, expanded, has the same keys, `lost` and
+    # (v, unit, prec) as each term's own series and as the substitution
+    # passes; its leading term, expanded only to its degree, is the full
+    # expansion's, raising alike; and products match the all-pairs product
     shape = GroupShape(divisors, s, degree, p, N)
     rng = random.Random("%d:%d:%d" % (p, s, degree))
     samples = 6 if s == 8 else 28
     pairs = 0
+    xs = []
     for _ in range(samples):
         x, pair = rand_series_operand(rng, shape)
         pairs += pair
+        xs.append(x)
         got, ref = x.involution(), per_term_involution(x)
-        assert intervals(got) == intervals(ref) and got.lost == ref.lost
+        assert intervals(got) == intervals(ref) \
+            == intervals(substituted_involution(x))
+        assert got.lost == ref.lost
         for n in range(degree + 1):
-            assert leading_or_raise(lambda: x.involution_leading_term(n)) \
-                == leading_or_raise(lambda: got.leading_term(n))
+            assert leading_or_raise(lambda: got.leading_term(n)) \
+                == leading_or_raise(lambda: ref.leading_term(n))
+    for x, y in zip(xs, xs[1:]):
+        coeffs, lost = reference_product(x, y)
+        got = x * y
+        assert intervals(got) == intervals(GroupAlgebraElem(shape, coeffs))
+        assert got.lost == lost
     for _ in range(samples // 4):
         q = tuple(rng.randrange(d) for d in divisors)
         a = tuple(rng.randrange(-3, 5) for _ in range(s))
         got, ref = (GroupAlgebraElem.group_elem(shape, q, a),
                     per_term_group_elem(shape, q, a))
-        assert intervals(got) == intervals(ref) and got.lost == ref.lost
+        assert intervals(got) == intervals(ref) \
+            == intervals(substituted_group_elem(shape, q, a))
+        assert got.lost == ref.lost
     assert pairs > 0 or s == 1
 
 
@@ -293,9 +341,9 @@ def test_augmentation_product_expansion():
 
 def test_generator_minus_one_is_the_variable():
     t1 = gen(0) - ONE
-    assert set(t1.coeffs) == {(((0,), (1, 0)))}
+    assert set(t1.expand()) == {(((0,), (1, 0)))}
     sq = t1 * t1
-    assert set(sq.coeffs) == {(((0,), (2, 0)))}
+    assert set(sq.expand()) == {(((0,), (2, 0)))}
 
 
 def test_involution_of_one():
@@ -334,7 +382,7 @@ def test_closed_forms_match_the_expansion(shape):
     for _ in range(6):
         x = rand_oracle_elem(rng, shape)
         closed, ref = x.involution(), reference_involution(x)
-        assert set(closed.coeffs) == set(ref.coeffs)
+        assert set(closed.expand()) == set(ref.expand())
         assert closed.agreement(ref) >= N
         assert closed.lost == ref.lost == x.lost
     for _ in range(6):
@@ -342,7 +390,7 @@ def test_closed_forms_match_the_expansion(shape):
         a = tuple(rng.randrange(-2, 4) for _ in range(shape.s))
         closed, ref = (GroupAlgebraElem.group_elem(shape, q, a),
                        reference_group_elem(shape, q, a))
-        assert set(closed.coeffs) == set(ref.coeffs)
+        assert set(closed.expand()) == set(ref.expand())
         assert closed.agreement(ref) >= N
         assert closed.lost == (min(a) < 0 or ref.lost)
 
@@ -380,6 +428,29 @@ def test_product_matches_the_all_pairs_product(divisors, s):
             dropped = dropped or (lost and not (x.lost or y.lost))
             vanished = vanished or any(c.is_zero() for c in coeffs.values())
     assert dropped and vanished
+
+
+def test_iota_product_is_at_least_as_precise_as_the_dense_product():
+    # iota(x) iota(y) multiplies exact factors before a coefficient meets
+    # another, so a key may be known to more digits than in the all-pairs
+    # product of the substituted involutions; it agrees to the fewer
+    tighter = 0
+    for shape in (SHAPE, GroupShape((3,), 3, 5, P, N)):
+        rng = random.Random("%d:%d" % (shape.s, shape.degree))
+        for _ in range(30):
+            x = rand_product_operand(rng, shape)
+            y = rand_product_operand(rng, shape)
+            got = (x.involution() * y.involution()).expand()
+            coeffs, lost = reference_product(substituted_involution(x),
+                                             substituted_involution(y))
+            want = GroupAlgebraElem(shape, coeffs).expand()
+            assert set(got) == set(want)
+            assert (x.involution() * y.involution()).lost == lost
+            for k, c in got.items():
+                assert c.prec >= want[k].prec
+                assert c.agreement(want[k]) >= want[k].prec
+                tighter += c.prec > want[k].prec
+    assert tighter > 0
 
 
 def test_group_elem_needs_one_exponent_per_variable():
@@ -477,9 +548,9 @@ def test_trivial_quotient_rank_one():
 @pytest.mark.parametrize("image", [
     lambda x: x.scale(mk(P)),  # a coefficient that is not a unit
     lambda x: x + GroupAlgebraElem(  # a second monomial, t^e reversed
-        x.shape, {(q, e[::-1]): c for (q, e), c in x.coeffs.items()}),
+        x.shape, {(q, e[::-1]): c for (q, e), c in x.expand().items()}),
     lambda x: GroupAlgebraElem(  # [q] forgotten: two images meet
-        x.shape, {((0,), e): c for (_, e), c in x.coeffs.items()}),
+        x.shape, {((0,), e): c for (_, e), c in x.expand().items()}),
 ])
 def test_injectivity_certificate_refuses_a_non_permutation(monkeypatch, image):
     product = GroupAlgebraElem.__mul__
@@ -495,19 +566,20 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
     x = ONE + t1
     y = GroupAlgebraElem.monomial(SHAPE, None, (5, 0), 1) \
         + GroupAlgebraElem.monomial(SHAPE, None, (0, 1), 1)
-    # a pass counts the terms it emits; t_i^0 passes through at no cost,
-    # and the leading term forms none past its degree
+    # an expansion counts the monomials it forms, and the leading term
+    # forms none past its degree; the product and the involution form none
     z = GroupAlgebraElem(SHAPE, {((0,), e): mk(1)
                                  for e in [(2, 0), (1, 1), (0, 2), (3, 0)]})
+    monkeypatch.setattr(grpalg, "WORK_LIMIT", 0)
+    iota_t1, iota_z, xy = t1.involution(), z.involution(), x * y
     cases = [
-        (6, lambda: t1.involution(), 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
-        (2, lambda: z.involution_leading_term(2), 3),  # two terms per pass
-        (4, lambda: x * y, 4),  # 1 meets both terms, t_1 meets both up to D
+        (6, iota_t1.expand, 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
+        (3, lambda: iota_z.leading_term(2).coeffs, 3),  # one per term of degree 2
+        (4, xy.expand, 4),  # 1 meets both terms, t_1 meets both up to D
     ]
     for work, op, terms in cases:
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work)
-        out = op()
-        assert len(out.coeffs) == terms
+        assert len(op()) == terms
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work - 1)
         with pytest.raises(WorkLimitExceeded):
             op()
