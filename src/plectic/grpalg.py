@@ -151,10 +151,10 @@ class GroupAlgebraElem(CoeffMap):
                      if _expand(self.coeffs, n)), self.shape.degree + 1)
 
     def leading_term(self, n):
-        """The class in I_Q^n / I_Q^{n+1}, expanded to degree n only."""
+        """The class in I_Q^n / I_Q^{n+1}, expanded to degree min(n, D) only."""
         if self.lost and n >= self.shape.degree:
             raise DegreeTooLow("element lost degree-%d information" % n)
-        coeffs = _expand(self.coeffs, n)
+        coeffs = _expand(self.coeffs, min(n, self.shape.degree))
         if any(sum(e) < n for _, e in coeffs):
             raise DegreeTooLow("element is not in I_Q^%d" % n)
         return GradedPiece(self.shape, n, coeffs)

@@ -502,6 +502,19 @@ def test_leading_term_requires_membership():
         ONE.leading_term(1)
 
 
+def test_no_leading_term_reads_past_the_truncation():
+    # iota(t_1 t_2) - t_1 t_2 vanishes mod I^3, though its separable terms
+    # reach degree 4: past D the class is zero, as for the zero element
+    shape = GroupShape((2,), 2, 2, P, N)
+    t12 = GroupAlgebraElem.monomial(shape, None, (1, 1), 1)
+    x = t12.involution() - t12
+    assert x.is_zero() and not x.lost
+    for n in (3, 4):
+        assert x.leading_term(n).is_zero()
+        with pytest.raises(DegreeTooLow):
+            (x + t12).leading_term(n)
+
+
 def test_graded_involution_diagram():
     # the involution acts on degree-n classes by (-1)^n and inversion on Q
     rng = random.Random(11)
