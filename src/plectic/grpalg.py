@@ -1,17 +1,16 @@
 """Truncated completed group algebras Z_p[Q][[t_1..t_s]].
 
-The group is Q x Z_p^s with Q finite abelian; topological generators
-g_1..g_s of the free part identify the algebra with a power series ring
-via [g_i] = t_i + 1.  Everything is truncated at a total degree D, with a
-sticky flag recording whether a nonzero term was ever dropped, so no
-identity can silently pass through a lossy product.
+The group is Q x Z_p^s with Q finite abelian; a choice of topological
+generators g_1..g_s of the free part identifies the algebra with a power
+series ring via [g_i] = t_i + 1.  Everything is truncated at a total
+degree D, with a sticky flag recording whether any nonzero term was ever
+dropped, so no identity can silently pass through a lossy product.
 
-Elements and graded pieces are `kernel.CoeffMap`s.  The product and the
-involution map an element's separable terms factor by factor; `_expand`
-alone forms monomials, truncates and counts work, as far as a value is read.
+Elements and graded pieces are `kernel.CoeffMap`s.  The product (which
+counts its term pairs) and the involution map separable terms factor by
+factor; `_expand` alone forms monomials, truncates and counts them.
 """
 
-import functools
 import itertools
 import math
 import operator
@@ -21,8 +20,9 @@ from .errors import (DegreeTooLow, RankDeficient, ShapeMismatch,
 from .kernel import CoeffMap
 from .padic import PadicScalar
 
-# The most monomials one expansion may form.  scenarios/t3-split.kv needs
-# 10,252 at seed 0 (15,734 over seeds 0-10), for iota(xy) and iota(x) iota(y).
+# The most steps one operation may take: the monomials one expansion forms,
+# or the term pairs of a product.  scenarios/t3-split.kv needs 10,252 at
+# seed 0 (15,734 over seeds 0-10), for expanding iota(xy) and iota(x) iota(y).
 WORK_LIMIT = 16_000_000
 
 
@@ -35,8 +35,11 @@ class GroupShape:
             raise ValueError("elementary divisors must be >= 2")
         if s < 0 or degree < 1:
             raise ValueError("need free rank >= 0 and degree >= 1")
-        self.divisors, self.s, self.degree, self.p, self.prec = \
-            divisors, s, degree, p, prec
+        self.divisors = divisors
+        self.s = s
+        self.degree = degree
+        self.p = p
+        self.prec = prec
 
     def q_elements(self):
         return list(itertools.product(*[range(d) for d in self.divisors]))
@@ -49,8 +52,16 @@ class GroupShape:
 
     def monomials(self, n):
         """All multi-exponents in s variables of total degree exactly n."""
-        return [tuple(map(c.count, range(self.s))) for c in
-                itertools.combinations_with_replacement(range(self.s), n)]
+        def gen(rest, total):
+            if rest == 1:
+                yield (total,)
+                return
+            for head in range(total + 1):
+                for tail in gen(rest - 1, total - head):
+                    yield (head,) + tail
+        if self.s == 0:
+            return [()] if n == 0 else []
+        return list(gen(self.s, n))
 
     def __eq__(self, other):
         return (isinstance(other, GroupShape)
@@ -113,6 +124,10 @@ class GroupAlgebraElem(CoeffMap):
         whose top degrees (each capped at D) sum past D flags the product
         lossy; one whose lowest degrees do is not formed."""
         self._check(other)
+        pairs = len(self.coeffs) * len(other.coeffs)
+        if pairs > WORK_LIMIT:
+            raise WorkLimitExceeded(
+                "a product of %d pairs is past the work limit" % pairs)
         degree, divisors = self.shape.degree, self.shape.divisors
         out = {}
         lost = self.lost or other.lost
@@ -130,14 +145,16 @@ class GroupAlgebraElem(CoeffMap):
 
     def involution(self):
         """[g] -> [g^{-1}]: negation on Q, and the ring map t -> -t/(1+t) of
-        Z[t]/t^{D+1} on each factor, exact on the truncated quotient."""
-        return self._like({self._dual_key(k): c
+        Z[t]/t^{D+1} on each factor, exact on the truncated quotient.  Each
+        distinct factor is mapped once per call."""
+        images = {f: _dual(f, self.shape.degree)
+                  for f in {f for _, factors in self.coeffs for f in factors}}
+        return self._like({self._dual_key(k, images): c
                            for k, c in self.coeffs.items()}, self.lost)
 
-    def _dual_key(self, key):
-        """Q negated, and each factor f(t) -> f(-t/(1+t)) mod t^{D+1}."""
-        return (self.shape.q_neg(key[0]),
-                tuple(_dual(f, self.shape.degree, _dual_row) for f in key[1]))
+    def _dual_key(self, key, images):
+        """Q negated, and each factor replaced by its image under t -> -t/(1+t)."""
+        return self.shape.q_neg(key[0]), tuple(map(images.__getitem__, key[1]))
 
     def expand(self):
         """The monomial map (q, exponent) -> scalar, truncated at D."""
@@ -147,8 +164,8 @@ class GroupAlgebraElem(CoeffMap):
 
     def rel_aug_degree(self):
         """Largest n <= D with the element in I_Q^n (D+1 for zero)."""
-        return next((n for n in range(self.shape.degree + 1)
-                     if _expand(self.coeffs, n)), self.shape.degree + 1)
+        return min((sum(e) for _, e in self.expand()),
+                   default=self.shape.degree + 1)
 
     def leading_term(self, n):
         """The class in I_Q^n / I_Q^{n+1}, expanded to degree min(n, D) only."""
@@ -158,6 +175,10 @@ class GroupAlgebraElem(CoeffMap):
         if any(sum(e) < n for _, e in coeffs):
             raise DegreeTooLow("element is not in I_Q^%d" % n)
         return GradedPiece(self.shape, n, coeffs)
+
+    def __repr__(self):
+        return "GroupAlgebraElem(%d terms%s)" % (len(self.coeffs),
+                                                 ", lossy" if self.lost else "")
 
 
 def _binomials(a, n):
@@ -179,18 +200,21 @@ def _factor(pairs, n):
     for k, a in pairs:
         if k <= n:
             out[k] += a
-    return tuple((k, a) for k, a in enumerate(out) if a)
+    return tuple([(k, a) for k, a in enumerate(out) if a])
 
 
 def _times(f, g, n):
     return _factor([(i + j, a * b) for i, a in f for j, b in g], n)
 
 
-@functools.lru_cache(maxsize=4096)
-def _dual(f, n, row):
-    """t^k -> t^k * row(k, n - k), cached per factor, degree and row."""
+def _dual(f, n):
+    """t^k -> t^k * _dual_row(k, n - k), truncated at degree n; the image of
+    one power t^k has no zero entry and nothing to merge."""
+    if len(f) == 1:
+        (k, a), = f
+        return tuple(zip(range(k, n + 1), [a * b for b in _dual_row(k, n - k)]))
     return _factor([(m, a * b) for k, a in f
-                    for m, b in enumerate(row(k, n - k), k)], n)
+                    for m, b in enumerate(_dual_row(k, n - k), k)], n)
 
 
 def _expand(terms, n):
@@ -247,6 +271,9 @@ class GradedPiece(CoeffMap):
     def as_elem(self):
         """A lift of the class back into the algebra (its monomial rep)."""
         return GroupAlgebraElem(self.shape, dict(self.coeffs))
+
+    def __repr__(self):
+        return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
 
 
 def check_lemma_free_graded_injectivity(shape, n):

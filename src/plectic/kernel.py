@@ -77,10 +77,6 @@ class CoeffMap:
                 margin = min(margin, d.valuation)
         return margin
 
-    def __repr__(self):
-        return "%s(%r, %d terms, lost=%s)" % (
-            type(self).__name__, self._shape(), len(self.coeffs), self.lost)
-
 
 def _agreement(a, b):
     return a.agreement(b)

@@ -74,6 +74,9 @@ class SymTensor(CoeffMap):
         e = max(self.coeffs)
         return e, self.coeffs[e]
 
+    def __repr__(self):
+        return "SymTensor(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
+
 
 def linear_form(module, vector):
     """Degree-1 element with the given coordinate vector."""

@@ -354,8 +354,8 @@ MUTANTS = {
     "row": ("_dual_row", lambda k, n: [b if k % 2 == 0 else -b
                                        for b in grpalg._binomials(k, n)]),
     # the involution's factors without the negation on Q
-    "q_negation": ("_dual_key", lambda self, key: (key[0],
-                                                   _DUAL_KEY(self, key)[1])),
+    "q_negation": ("_dual_key", lambda self, key, images: (
+        key[0], _DUAL_KEY(self, key, images)[1])),
 }
 
 IOTA_MUTANTS = [

@@ -580,14 +580,17 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
     y = GroupAlgebraElem.monomial(SHAPE, None, (5, 0), 1) \
         + GroupAlgebraElem.monomial(SHAPE, None, (0, 1), 1)
     # an expansion counts the monomials it forms, and the leading term
-    # forms none past its degree; the product and the involution form none
+    # forms none past its degree; a product counts its term pairs, and the
+    # involution forms no monomial
     z = GroupAlgebraElem(SHAPE, {((0,), e): mk(1)
                                  for e in [(2, 0), (1, 1), (0, 2), (3, 0)]})
+    xy = x * y
     monkeypatch.setattr(grpalg, "WORK_LIMIT", 0)
-    iota_t1, iota_z, xy = t1.involution(), z.involution(), x * y
+    iota_t1, iota_z = t1.involution(), z.involution()
     cases = [
         (6, iota_t1.expand, 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
         (3, lambda: iota_z.leading_term(2).coeffs, 3),  # one per term of degree 2
+        (4, lambda: (x * y).coeffs, 4),  # one separable term per pair
         (4, xy.expand, 4),  # 1 meets both terms, t_1 meets both up to D
     ]
     for work, op, terms in cases:
