@@ -21,7 +21,8 @@ sc = load_scenario(scenario_path)
 print("scenario:", sc.name, " p =", sc.p, " r =", sc.r,
       " reduction sign =", sc.reduction_sign)
 
-# the committed family of units and their minus-line coordinates
+# the committed family, the completed points of the units u_eta (each
+# completed once, when the scenario is read), and their minus-line coordinates
 coords = po.minus_coordinates(sc.family, sc.units)
 for i, coord in enumerate(coords):
     print("  Q_%d =" % (i + 1), coord)
@@ -30,7 +31,7 @@ for i, coord in enumerate(coords):
 # det[chi_i(tau_j) * (x_i + lam*y_i)] is C_G times the product of the values
 chi = po.character_table(sc.t)
 c_g = po.char_table_det(sc.t)
-points = [sc.points.complete(u) for u, _ in sc.family]
+points = [v for v, _ in sc.family]
 values = [QuadExtScalar(v.x + v.y, v.y) for v in points]
 twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
 product = math.prod(values, start=QuadExtScalar.from_base(

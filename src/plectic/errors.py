@@ -45,15 +45,6 @@ class ZeroDenominator(PlecticError):
     pass
 
 
-class InconsistentSigns(PlecticError):
-    """A scenario contradicts the sign constraints; not a code error."""
-
-
-class IdentityFails(PlecticError):
-    """No margin exists: Q_S = 0 while prod Q_eta != 0 (diverging pairs are
-    returned, and the report fails them)."""
-
-
 class WorkLimitExceeded(PlecticError):
     """An operation past `grpalg.WORK_LIMIT` steps, refused before it runs."""
 

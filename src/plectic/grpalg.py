@@ -220,9 +220,13 @@ def _dual(f, n):
 def _expand(terms, n):
     """The monomials of degree <= n of `terms`: c [q] prod f_i adds
     c * prod f_i[e_i] at (q, e) by one `scale_int` (none for 1) and one `+`,
-    as the term-by-term expansion does.  Past `WORK_LIMIT` (counted exactly
-    when the product of the factor lengths exceeds it) none is formed."""
-    if sum([math.prod(map(len, factors)) for _, factors in terms]) > WORK_LIMIT:
+    as the term-by-term expansion does.  Past `WORK_LIMIT` none is formed;
+    they are counted exactly only when a cheap bound exceeds it."""
+    bound = 0  # a factor's degrees differ, so <= cap of them are in reach
+    for _, factors in terms:
+        cap = max(0, n + 1 - sum([f[0][0] for f in factors]))
+        bound += math.prod([min(len(f), cap) for f in factors])
+    if bound > WORK_LIMIT:
         work = 0  # the coefficient sum of the product of the supports
         for _, factors in terms:
             support = ((0, 1),)

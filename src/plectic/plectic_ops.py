@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import IdentityFails, InconsistentSigns, ShapeMismatch
+from .errors import ShapeMismatch
 from .grpalg import GroupAlgebraElem, GroupShape
 from .linalg import det
 from .padic import INF, PadicScalar, QuadExtScalar, is_square
@@ -69,23 +69,22 @@ def sign_check(eps, a, r, c):
     reduction sign a: for the trivial character the relation collapses to
     (-1)^r = eps * eps_S, eps_S = (-a)^r, that is to
     eps * eps_S * (-1)^r = eps * a^r = 1.
-    Returns the verdict, "vacuous" or "consistent"."""
+    Returns the named check "consistency", as `factorization_check` does."""
     if c.is_zero():
-        return "vacuous"
+        return {"consistency": (True, "vacuous")}
     target = eps * a ** r
     if target != 1:
-        raise InconsistentSigns(
-            "nonzero invariant with eps*eps_S*(-1)^r = %d" % target)
-    return "consistent"
+        return {"consistency": (False, "inconsistent: nonzero invariant "
+                                "with eps*eps_S*(-1)^r = %d" % target)}
+    return {"consistency": (True, "consistent")}
 
 
 def minus_coordinates(family, units):
-    """The per-character invariant coordinates y_eta / (k_eta * b0)."""
+    """The invariant coordinates y_eta / (k_eta * b0) of (point, k_eta)."""
     out = []
     b0 = units.minus_scale  # 2*b0; the (1-sigma) projection doubles log_b
-    for u, k in family:
-        c = units.complete(u)
-        coord = (c.log_b + c.log_b) / b0  # (1-sigma) then generator basis
+    for point, k in family:
+        coord = (point.y + point.y) / b0  # (1-sigma) then generator basis
         coord = coord * PadicScalar.from_fraction(Fraction(1) / k, units.p, units.prec)
         out.append(coord)
     return out
@@ -104,12 +103,12 @@ def factorization_check(family, c_chi, c_s, units):
     note), a verdict being (lhs, rhs) pairs or an exact predicate.
 
     If Q_S = prod * root to k digits, the squares agree to k digits too, so
-    no squaring test runs.  The report decides pass or fail; the one raise
-    is the nonvanishing equivalence Q_S = 0 iff prod = 0.
+    no squaring test runs.  The report decides pass or fail; a failed
+    nonvanishing equivalence Q_S = 0 iff prod = 0 is the one check "identity".
     """
     prod, root = _root(family, c_s, units)
     if c_s.is_zero() != prod.is_zero():
-        raise IdentityFails("nonvanishing equivalence violated")
+        return {"identity": (False, "nonvanishing equivalence violated")}
     c_chi_p = PadicScalar.from_fraction(c_chi, units.p, units.prec)
     square = is_square(c_chi_p)
     return {
@@ -120,8 +119,8 @@ def factorization_check(family, c_chi, c_s, units):
     }
 
 
-def algebraicity_check(family, t, c_s, units, points):
-    """Steps 2 and 3 of the algebraicity theorem on the scenario's points.
+def algebraicity_check(family, t, c_s, units):
+    """Steps 2 and 3 of the algebraicity theorem on the family's points.
 
     C_G is the closed form `char_table_det(t)`.  `char_det` reads the table
     H: H H^T = r I, which for a +-1 matrix holds iff |det H| = r^{r/2}
@@ -137,13 +136,12 @@ def algebraicity_check(family, t, c_s, units, points):
     Returns the named checks, as `factorization_check` does.
     """
     r, p = 2 ** t, units.p
-    vectors = [points.complete(u) for u, _ in family]
     chi = character_table(t)
     c_g = char_table_det(t)
     step2 = []
     for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
         values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b))
-                  for v in vectors]
+                  for v, _ in family]
         lhs = det([[z if s > 0 else -z for s in row]
                    for z, row in zip(values, chi)])
         rhs = math.prod(values, start=QuadExtScalar.from_base(
@@ -154,7 +152,7 @@ def algebraicity_check(family, t, c_s, units, points):
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
                                              units.prec)
     y_det = det([[v.y.scale_int(s) for s in row]
-                 for v, row in zip(vectors, chi)])
+                 for (v, _), row in zip(family, chi)])
     step3 = (y_det.scale_int(2 ** r) * scale, c_s * units.minus_scale ** r)
     hadamard = all(sum(x * y for x, y in zip(row, other)) == r * (i == k)
                    for i, row in enumerate(chi) for k, other in enumerate(chi))

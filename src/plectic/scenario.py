@@ -151,7 +151,7 @@ class Scenario:
         self.units = UnitCompletion(self.p, self.precision)
         self.points = PointCompletion(self.units, self.q)
 
-        self.family = None
+        self.family = None  # (completed point of u_eta.K, k_eta.K) pairs
         # unknown keys are rejected above, so r of them are u_eta.1 .. u_eta.r
         u_count = sum(k.startswith("u_eta.") for k in raw)
         if u_count:
@@ -163,13 +163,14 @@ class Scenario:
                                self.precision)
                 if u.is_zero() or u.valuation != 0:
                     raise ValidationError("u_eta.%d must be a unit" % (i + 1))
-                if self.points.complete(u).is_zero():
+                point = self.points.complete(u)
+                if point.is_zero():
                     raise ValidationError("u_eta.%d lies in the period lattice"
                                           % (i + 1))
                 k = _number(Fraction, raw, "k_eta.%d" % (i + 1), "1")
                 if k == 0:
                     raise ValidationError("k_eta.%d must be nonzero" % (i + 1))
-                self.family.append((u, k))
+                self.family.append((point, k))
 
         self.c_chi = _number(Fraction, raw, "C_chi")
         self.invariant = None  # the committed invariant coordinate Q_S

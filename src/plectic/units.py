@@ -49,9 +49,6 @@ class UnitCompletion:
     def base(self, n):
         return PadicScalar.from_int(n, self.p, self.prec)
 
-    def zero_scalar(self):
-        return PadicScalar.zero(self.p, self.prec)
-
     # -- the coordinate map -------------------------------------------------
 
     def complete(self, u):
@@ -74,7 +71,7 @@ class UnitCompletion:
     def minus_project(self, c):
         """((1 - sigma)/2)(c) as a scalar: its coordinate in the generator
         basis of the minus line."""
-        return c.log_b / (self._b0 + self._b0)
+        return c.log_b / self.minus_scale
 
     def norm_one_unit(self):
         """u0 = (1 + p*w) / sigma(1 + p*w), the pinned minus generator."""
@@ -88,11 +85,6 @@ class UnitCompletion:
     def minus_scale(self):
         """log_b coordinate of the generator u0 (equals 2 * b0)."""
         return self._b0 + self._b0
-
-    def sigma_matrix(self):
-        one = PadicScalar.one(self.p, self.prec)
-        zero = self.zero_scalar()
-        return [[one, zero, zero], [zero, one, zero], [zero, zero, -one]]
 
 
 class CompletedPoint(CoordVector):

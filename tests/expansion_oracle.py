@@ -9,14 +9,15 @@ module, and `algebraicity_by_expansion` is the algebraicity check built
 from them: it compares whole binary forms of degree r coefficient-wise.
 `factorization_by_tensor` is the factorization check over rank-one
 `SymTensor`s, with `sqrt_ratio`'s squaring test, for the scalar
-`plectic_ops.factorization_check`.
+`plectic_ops.factorization_check`.  Families are (completed point, k_eta)
+pairs, as `Scenario.family` holds them.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from plectic.errors import IdentityFails, ShapeMismatch
+from plectic.errors import ShapeMismatch
 from plectic.kernel import CoeffMap
 from plectic.padic import INF, PadicScalar, is_square
 from plectic.plectic_ops import (char_table_det, character_table,
@@ -155,18 +156,18 @@ def minus_projection(n):
     return SymTensor(n.module, r, coeffs)
 
 
-def phi_minus(c, r, points):
+def phi_minus(c, r, units):
     """Image of the invariant c under the tensor of parametrizations: the
     pure tensor with every factor the minus point (0, 2*b0), scaled by c."""
-    factor = (points.units.zero_scalar(), points.units.minus_scale)
+    factor = (PadicScalar.zero(units.p, units.prec), units.minus_scale)
     return PlecticTensor.pure(c, (factor,) * r)
 
 
-def algebraicity_by_expansion(family, t, c_s, units, points):
+def algebraicity_by_expansion(family, t, c_s, units):
     """(C_G, step-2 margin, step-3 margin) of the algebraicity check, by the
     r!-term expansion; the floor is left to the caller."""
     r = 2 ** t
-    vectors = [points.complete(u) for u, _ in family]
+    vectors = [v for v, _ in family]
     chi = character_table(t)
     entries = [[(v.x.scale_int(s), v.y.scale_int(s)) for s in row]
                for v, row in zip(vectors, chi)]
@@ -192,13 +193,15 @@ def algebraicity_by_expansion(family, t, c_s, units, points):
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod,
                                              units.p, units.prec)
     lhs = minus_projection(n_w).scale(scale)
-    rhs = norm_map(phi_minus(c_s, r, points), module)
+    rhs = norm_map(phi_minus(c_s, r, units), module)
     return c_g, step2_margin, lhs.agreement(rhs)
 
 
 def factorization_by_tensor(family, c_chi, c_s, units):
     """The factorization margins over rank-one tensors, uncapped: the floor
-    is left to the caller, so `sqrt_ratio` certifies at -INF."""
+    is left to the caller, so `sqrt_ratio` certifies at -INF.  A violated
+    nonvanishing equivalence is the one failed check "identity", as
+    `factorization_check` returns it."""
     r = len(family)
     module = FreeModule(["u0"])
     coords = minus_coordinates(family, units)
@@ -214,7 +217,7 @@ def factorization_by_tensor(family, c_chi, c_s, units):
     root_sq_margin = (root * root).agreement(c_chi_p)
     nonzero = all(not c.is_zero() for c in coords)
     if (not n_qs.is_zero()) != nonzero:
-        raise IdentityFails("nonvanishing equivalence violated")
+        return {"identity": (False, "nonvanishing equivalence violated")}
     return {
         "square_margin": sq_margin,
         "linear_margin": lin_margin,

@@ -155,7 +155,11 @@ def test_cli_exit_one_on_failure(tmp_path, capsys):
     bad = tmp_path / "bad.kv"
     bad.write_text("tate_period = 1e1\neps = -1\nQ_S = 1e0\nsuites = sign\n")
     assert main(["verify", str(bad), "--format", "kv"]) == 1
-    assert "sign.consistency=fail" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "sign.consistency=fail margin=-1", "summary=fail checks=1"]
+    assert main(["verify", str(bad)]) == 1
+    assert "  (inconsistent: nonzero invariant with eps*eps_S*(-1)^r = -1)\n" \
+        in capsys.readouterr().out
 
 
 def test_cli_exit_two_on_errors(tmp_path, capsys):

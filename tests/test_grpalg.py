@@ -1,6 +1,7 @@
 """Group algebras: augmentation filtration, involution, graded pieces."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from plectic.grpalg import (
     check_lemma_free_graded_injectivity,
 )
 from plectic.padic import INF, PadicScalar
+from plectic.runner import run
+from plectic.scenario import load_scenario
 
 P = 5
 N = 30
@@ -599,3 +602,19 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work - 1)
         with pytest.raises(WorkLimitExceeded):
             op()
+
+
+def test_the_t3_gz_expansion_needs_no_exact_count(monkeypatch):
+    # iota(c t_1...t_8) has 8 factors of 18 coefficients (18^8 is past the
+    # limit) but one monomial of degree 8, so the bound clears the limit and
+    # the exact count, the one user of `_times` in the gz suite, never runs
+    t3 = Path(__file__).resolve().parent.parent / "bench/scenarios/t3-tower.kv"
+    sc = load_scenario(t3)
+
+    def refuse(*args):
+        raise AssertionError("the exact work count ran")
+
+    monkeypatch.setattr(grpalg, "_times", refuse)
+    report = run(sc, suites=("gz",), seed=0)
+    assert [(c.name, c.passed) for c in report.checks] == \
+        [("gz.leading_term", True)]

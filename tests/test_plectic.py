@@ -9,7 +9,6 @@ import pytest
 import expansion_oracle as oracle
 from plectic import plectic_ops as po
 from plectic.cli import main
-from plectic.errors import IdentityFails, InconsistentSigns
 from plectic.padic import INF, PadicScalar
 from plectic.runner import run
 from plectic.scenario import load_scenario, parse_scenario
@@ -86,17 +85,20 @@ def test_default_table_is_orthogonal():
                 assert dot == (r if i == j else 0)
 
 
+CONSISTENT = {"consistency": (True, "consistent")}
+INCONSISTENT = {"consistency": (False, "inconsistent: nonzero invariant with "
+                                "eps*eps_S*(-1)^r = -1")}
+
+
 def test_sign_check_follows_the_paper_sign_rule():
     # consistent iff (-1)^r = eps * eps_S with eps_S = (-a)^r
     for t in (0, 1, 2, 3):
         r = 2 ** t
         for a in (1, -1):
             for eps in (1, -1):
-                if eps * (-a) ** r * (-1) ** r == 1:
-                    assert po.sign_check(eps, a, r, mk(3)) == "consistent"
-                else:
-                    with pytest.raises(InconsistentSigns):
-                        po.sign_check(eps, a, r, mk(3))
+                want = CONSISTENT if eps * (-a) ** r * (-1) ** r == 1 \
+                    else INCONSISTENT
+                assert po.sign_check(eps, a, r, mk(3)) == want
 
 
 # -- projectors -------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_norm_map_symmetrizes():
 
 
 def test_norm_map_injective_on_minus_line():
-    m = oracle.phi_minus(mk(5), 2, PTS)
+    m = oracle.phi_minus(mk(5), 2, U)
     assert not oracle.norm_map(m, MODULE).is_zero()
 
 
@@ -190,7 +192,7 @@ def test_phi_minus_is_the_projected_base_point():
         c = mk(rng.randrange(1, P ** 10))
         by_hand = oracle.PlecticTensor.pure(c, ((base.x, base.y),) * r)
         by_hand = oracle.projector(by_hand, "-", a, oracle.make_sigma_point(a))
-        image = oracle.phi_minus(c, r, PTS)
+        image = oracle.phi_minus(c, r, U)
         assert oracle.norm_map(image, MODULE).agreement(
             oracle.norm_map(by_hand, MODULE)) >= N
 
@@ -261,8 +263,7 @@ def test_gz_sign_is_parity_of_degree():
 def test_gz_reconstruction_contract():
     for t in (1, 2):
         shape, r = po.tower_shape(t, P, N), 2 ** t
-        ell = po.gz_leading_term(mk(77), r, shape).as_elem()
-        lhs = ell.leading_term(r).scale(mk(2 ** r))
+        lhs = po.gz_leading_term(mk(77), r, shape).scale(mk(2 ** r))
         rhs = po.theta(mk(77), r, shape).involution().leading_term(r)
         assert lhs.agreement(rhs) >= N - 2
 
@@ -270,23 +271,23 @@ def test_gz_reconstruction_contract():
 # -- sign corollary --------------------------------------------------------------------
 
 def test_sign_check_accepts_consistent_configs():
-    assert po.sign_check(1, 1, 2, mk(1)) == "consistent"
+    assert po.sign_check(1, 1, 2, mk(1)) == CONSISTENT
     # degenerate r = 1 case: (-1)^1 = eps * eps_S with eps_S = -a
-    assert po.sign_check(1, 1, 1, mk(1)) == "consistent"
+    assert po.sign_check(1, 1, 1, mk(1)) == CONSISTENT
 
 
 def test_sign_check_flags_contradictions():
-    with pytest.raises(InconsistentSigns):
-        po.sign_check(-1, 1, 2, mk(1))
+    assert po.sign_check(-1, 1, 2, mk(1)) == INCONSISTENT
 
 
 def test_sign_check_vacuous_for_zero():
-    assert po.sign_check(-1, 1, 2, PadicScalar.zero(P, N)) == "vacuous"
+    assert po.sign_check(-1, 1, 2, PadicScalar.zero(P, N)) == \
+        {"consistency": (True, "vacuous")}
 
 
 # -- factorization and algebraicity ------------------------------------------------------
 
-def _golden_family(t, seed=77):
+def _golden_units(t, seed=77):
     rng = random.Random(seed)
     r = 2 ** t
     fam = []
@@ -294,6 +295,13 @@ def _golden_family(t, seed=77):
     for i in range(r):
         fam.append((U.ext(1 + P * rng.randrange(1, P ** 8),
                           P * rng.randrange(1, P ** 8)), ks[i % 4]))
+    return fam
+
+
+def _golden_family(t, seed=77):
+    """The units' completed points (point, k_eta), as `Scenario.family`
+    holds them, with C_chi = 4 and Q_S = 2 * prod Q_eta."""
+    fam = [(PTS.complete(u), k) for u, k in _golden_units(t, seed)]
     coords = po.minus_coordinates(fam, U)
     root = mk(2)
     c_s = root
@@ -313,9 +321,9 @@ def test_factorization_round_trip():
 
 
 def test_factorization_detects_mutations():
-    fam, c_chi, c_s = _golden_family(1)
-    (u1, k1), (u2, k2) = fam
-    mutated = [(u1, k1), (u2 * U.ext(1, P ** 3), k2)]
+    _, c_chi, c_s = _golden_family(1)
+    (u1, k1), (u2, k2) = _golden_units(1)
+    mutated = [(PTS.complete(u1), k1), (PTS.complete(u2 * U.ext(1, P ** 3)), k2)]
     res = agreements(po.factorization_check(mutated, c_chi, c_s, U))
     assert res["square"][0] < 30 and res["sqrt"][1] < 30
 
@@ -328,9 +336,8 @@ def test_factorization_wrong_constant_fails():
 
 def test_algebraicity_pipeline():
     for t in (1, 2):
-        pts = PointCompletion(U, Q)
         fam, c_chi, c_s = _golden_family(t)
-        res = po.algebraicity_check(fam, t, c_s, U, pts)
+        res = po.algebraicity_check(fam, t, c_s, U)
         assert res["char_det"] == (True, "C_G=%d" % po.char_table_det(t))
         res = agreements(res)
         assert min(res["norm_det"]) >= 25
@@ -353,14 +360,14 @@ def test_algebraicity_margins_on_the_golden_scenarios(name, prec, step2, step3):
         sc = parse_scenario("\n".join(
             lines + ["precision = %d" % prec, "reduction_sign = %d" % a]))
         res = agreements(po.algebraicity_check(
-            sc.family, sc.t, sc.invariant, sc.units, sc.points))
+            sc.family, sc.t, sc.invariant, sc.units))
         assert (min(res["norm_det"]), res["plectic_point"]) == (step2, [step3])
 
 
 def _seeded_family(rng, r):
     """r units with v(b) from 1 to 5, some with a = 1 exactly, and an
     invariant root * prod Q_eta certified to 36..39 relative digits, like a
-    committed Q_S."""
+    committed Q_S.  The family holds the units' completed points."""
     ks = [Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(5, 7),
           Fraction(2, 5)]
     fam = []
@@ -368,7 +375,7 @@ def _seeded_family(rng, r):
         b = P ** rng.randint(1, 5) * rng.choice(
             (rng.randrange(1, P), P * rng.randrange(P ** 7) + rng.randrange(1, P)))
         a = rng.choice((1, rng.randrange(1, P) + P * rng.randrange(P ** 8)))
-        fam.append((U.ext(a, b), rng.choice(ks)))
+        fam.append((PTS.complete(U.ext(a, b)), rng.choice(ks)))
     c_s = mk(rng.choice((2, 3)))
     for c in po.minus_coordinates(fam, U):
         c_s = c_s * c
@@ -388,8 +395,8 @@ def _factorization_case(rng, case):
 
 def test_factorization_check_matches_the_tensor_reference():
     # the same uncapped margins and root as the rank-one tensor check, or
-    # the same exception
-    margins, raised = [], 0
+    # the same failed nonvanishing equivalence
+    margins, violated = [], 0
     for seed in range(72):
         rng = random.Random(seed)
         t, case = 1 + seed % 3, seed // 3 % 6
@@ -399,12 +406,12 @@ def test_factorization_check_matches_the_tensor_reference():
             c_s = c_s + mk(P ** rng.randint(0, 45))
         elif case == 5:
             c_s = PadicScalar.zero(P, N)
-        try:
-            want = oracle.factorization_by_tensor(fam, c_chi, c_s, U)
-        except IdentityFails:
-            with pytest.raises(IdentityFails):
-                po.factorization_check(fam, c_chi, c_s, U)
-            raised += 1
+        want = oracle.factorization_by_tensor(fam, c_chi, c_s, U)
+        if "identity" in want:
+            assert want == {"identity": (False, "nonvanishing equivalence "
+                                         "violated")}
+            assert po.factorization_check(fam, c_chi, c_s, U) == want
+            violated += 1
             continue
         got = agreements(po.factorization_check(fam, c_chi, c_s, U))
         (square,), (linear, root_square) = got["square"], got["sqrt"]
@@ -416,8 +423,8 @@ def test_factorization_check_matches_the_tensor_reference():
         assert (root.v, root.unit, root.prec) == \
             (want_root.v, want_root.unit, want_root.prec)
         margins += [square, root_square]
-    # every Q_S = 0 raises; the margins reach from diverged to exact
-    assert raised == 12
+    # every Q_S = 0 violates it; the margins reach from diverged to exact
+    assert violated == 12
     assert min(margins) < 1 and max(margins) >= N
 
 
@@ -429,15 +436,31 @@ def test_algebraicity_check_matches_the_expansion_oracle():
         rng = random.Random(seed)
         t = 1 + seed % 2
         fam, c_s = _seeded_family(rng, 2 ** t)
-        c_g, step2, step3 = oracle.algebraicity_by_expansion(fam, t, c_s,
-                                                             U, PTS)
-        got = po.algebraicity_check(fam, t, c_s, U, PTS)
+        c_g, step2, step3 = oracle.algebraicity_by_expansion(fam, t, c_s, U)
+        got = po.algebraicity_check(fam, t, c_s, U)
         assert got["char_det"] == (True, "C_G=%d" % c_g)
         got = agreements(got)
         assert (min(got["norm_det"]), got["plectic_point"]) == (step2, [step3])
         margins += [step2, step3]
     # the families reach below the working precision and above it
     assert min(margins) < N < max(margins)
+
+
+def test_the_identity_suites_complete_no_unit(monkeypatch):
+    # the scenario completes the period and each u_eta once, at parse; the
+    # factorization and algebraicity suites read those completed points
+    calls = []
+    complete = UnitCompletion.complete
+
+    def counted(self, u):
+        calls.append(u)
+        return complete(self, u)
+
+    monkeypatch.setattr(UnitCompletion, "complete", counted)
+    sc = load_scenario(GOLDEN / "t2-split.kv")
+    assert len(calls) == sc.r + 1
+    report = run(sc, suites=("factorization", "algebraicity"))
+    assert report.ok and len(calls) == sc.r + 1
 
 
 def test_algebraicity_keeps_its_margin_on_a_lossy_unit(tmp_path, capsys):

@@ -126,10 +126,11 @@ def test_generator_homomorphism_doubling():
 
 
 def test_sigma_matrix_eigen_ranks():
+    # sigma's matrix, row i the image under `sigma` of basis vector i
     one = PadicScalar.one(P, N)
     zero = PadicScalar.zero(P, N)
-    sigma = U.sigma_matrix()
     ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    sigma = [U.sigma(CompletedUnit(*row)).coords() for row in ident]
     minus = [[ident[i][j] - sigma[i][j] for j in range(3)] for i in range(3)]
     plus = [[ident[i][j] + sigma[i][j] for j in range(3)] for i in range(3)]
     assert rank(sigma) == 3
@@ -164,7 +165,7 @@ def test_point_sigma_compatible_with_frobenius():
 
 def test_minus_line_matches_generator_powers():
     u0 = U.norm_one_unit()
-    want = CompletedPoint(U.zero_scalar(), U.minus_scale.scale_int(7))
+    want = CompletedPoint(PadicScalar.zero(P, N), U.minus_scale.scale_int(7))
     assert PTS.complete(u0 ** 7).agreement(want) >= N - 2
 
 
