@@ -7,7 +7,7 @@ from .units import CompletedPoint, CompletedUnit, PointCompletion, \
 from .tate import CurvePoint, TateCurve, j_invariant, tate_coefficients, \
     tate_period_from_j
 from .grpalg import GradedPiece, GroupAlgebraElem, GroupShape
-from .symalg import FreeModule, SymTensor, collapse, mu, sqrt_ratio
+from .symalg import SymTensor, collapse, mu, sqrt_ratio
 from .plectic_ops import char_table_det, drec, gz_leading_term, \
     tower_shape
 from .scenario import Scenario, load_scenario, parse_scenario

@@ -222,13 +222,17 @@ def _expand(terms, n):
     c * prod f_i[e_i] at (q, e) by one `scale_int` (none for 1) and one `+`,
     as the term-by-term expansion does.  Past `WORK_LIMIT` none is formed;
     they are counted exactly only when a cheap bound exceeds it."""
-    bound = 0  # a factor's degrees differ, so <= cap of them are in reach
-    for _, factors in terms:
-        cap = max(0, n + 1 - sum([f[0][0] for f in factors]))
-        bound += math.prod([min(len(f), cap) for f in factors])
+    live = []  # (q, factors, c, least degree) of the terms of some degree <= n
+    for (q, factors), c in terms.items():
+        least = sum([f[0][0] for f in factors])
+        if least <= n:
+            live.append((q, factors, c, least))
+    bound = 0  # a factor's degrees differ, so <= n + 1 - least of them are in reach
+    for _, factors, _, least in live:
+        bound += math.prod([min(len(f), n + 1 - least) for f in factors])
     if bound > WORK_LIMIT:
         work = 0  # the coefficient sum of the product of the supports
-        for _, factors in terms:
+        for _, factors, _, _ in live:
             support = ((0, 1),)
             for f in factors:
                 support = _times(support, [(k, 1) for k, _ in f], n)
@@ -236,10 +240,7 @@ def _expand(terms, n):
         if work > WORK_LIMIT:
             raise WorkLimitExceeded("%d monomials are past the work limit" % work)
     out = {}
-    for (q, factors), c in terms.items():
-        rest = sum([f[0][0] for f in factors])  # the least degree to come
-        if rest > n:
-            continue
+    for q, factors, c, rest in live:  # rest: the least degree to come
         partial = [((), 1, 0)]
         for f in factors:
             rest -= f[0][0]

@@ -218,18 +218,19 @@ class TateCurve:
         rule in `phi`, from those of the closed-form parts: the terms below
         `first` on intervals, as `_dot` would take them, with
         v(L_m) = m v(q) and prec(L_m) = m v(q) + prec(q) - v(q), the
-        interval L_m's own, so that no L_m is formed.  prec(u^-1) comes
-        from the rule of `inverse`, which raises as it would; u^-1 itself
+        interval L_m's own, so that no L_m is formed.  prec(u^-1) is that
+        of the quotient 1/u, which raises as `inverse` would; u^-1 itself
         is formed only if some term is below `first`."""
         p, vq = self.p, self.q.v
         vu = u.valuation
-        inv_prec = min(n for _, n in _inverse_shapes(u))
+        one = PadicScalar.one(p, INF)
+        inv_prec = min(_quotient_precisions(QuadExtScalar.from_base(one), u))
         top = max(n for n in precs if n != INF)
         rel_q = self.q.prec - vq
         m = 1
         while m * vq + min(u.prec, inv_prec - (m - 1) * vu, rel_q - m * vu) < top:
             if m == 1:
-                one, u_inv = PadicScalar.one(p, INF), u.inverse()
+                u_inv = u.inverse()
                 up, um = u, u_inv
             vl = m * vq
             pl = vl + rel_q
@@ -347,11 +348,12 @@ def _half_theta(z, vz, q, vq, c, k, mod):
     return (a0, b0), (a1, b1), (a2, b2), (a3, b3)
 
 
-def _inverse_shapes(z):
-    """[(v, prec)] of the components of z.inverse() by the precision rules
-    of `norm` and `/`, raising as they do, with no value formed: the norm
-    a^2 - c b^2 has valuation 2 min(v(a), v(b)), c being a nonsquare unit
-    mod p, and the precision `_dot` gives it."""
+def _quotient_precisions(w, z):
+    """The precisions of the components of w / z = w * z.inverse() by the
+    precision rules of `norm`, `/` and `_dot`, raising as they do, with no
+    inverse and no product formed: the norm a^2 - c b^2 of z has valuation
+    2 min(v(a), v(b)), c being a nonsquare unit mod p, and the precision
+    `_dot` gives it.  With w the exact one they are those of z.inverse()."""
     a, b = z.a, z.b
     if a.v == INF and b.v == INF:
         raise DivisionByZero("inverse of zero")
@@ -359,7 +361,7 @@ def _inverse_shapes(z):
     n = min(_term_prec(a.v, a.prec, a.v, a.prec), _term_prec(b.v, b.prec, b.v, b.prec))
     if nv >= n:
         raise DivisionByZero("divisor is zero to working precision")
-    shapes = []
+    shapes = []  # (v, prec) of the components of z.inverse()
     for s in (a, b):
         if s.v == INF:
             shapes.append((INF, s.prec - nv))
@@ -367,14 +369,7 @@ def _inverse_shapes(z):
             raise ValueError("cannot divide two exact values; truncate first")
         else:
             shapes.append((s.v - nv, s.v - nv + min(s.prec - s.v, n - nv)))
-    return shapes
-
-
-def _quotient_precisions(w, z):
-    """The precisions of the components of w / z = w * z.inverse() by the
-    rules of `_inverse_shapes` and `_dot`, with no inverse and no product
-    formed."""
-    (av, ap), (bv, bp) = _inverse_shapes(z)
+    (av, ap), (bv, bp) = shapes
     a, b = w.a, w.b
     return (min(_term_prec(a.v, a.prec, av, ap), _term_prec(b.v, b.prec, bv, bp)),
             min(_term_prec(a.v, a.prec, bv, bp), _term_prec(b.v, b.prec, av, ap)))

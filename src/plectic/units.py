@@ -37,8 +37,10 @@ class UnitCompletion:
             raise ValueError("need an odd prime p >= 5")
         self.p = p
         self.prec = prec
-        # minus coordinate of the pinned norm-one generator u0
-        self._b0 = plog(self.ext(1, p)).b
+        # log_b coordinate of the pinned minus generator u0 = g / sigma(g),
+        # g = 1 + p*w: twice the log_b coordinate b0 of g
+        b0 = plog(self.ext(1, p)).b
+        self.minus_scale = b0 + b0
 
     # -- element constructors ----------------------------------------------
 
@@ -80,11 +82,6 @@ class UnitCompletion:
 
     def norm_one_generator(self):
         return self.complete(self.norm_one_unit())
-
-    @property
-    def minus_scale(self):
-        """log_b coordinate of the generator u0 (equals 2 * b0)."""
-        return self._b0 + self._b0
 
 
 class CompletedPoint(CoordVector):

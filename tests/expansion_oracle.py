@@ -22,8 +22,7 @@ from plectic.kernel import CoeffMap
 from plectic.padic import INF, PadicScalar, is_square
 from plectic.plectic_ops import (char_table_det, character_table,
                                  minus_coordinates)
-from plectic.symalg import (FreeModule, SymTensor, collapse, linear_form,
-                            sqrt_ratio)
+from plectic.symalg import SymTensor, collapse, linear_form, sqrt_ratio
 
 
 # -- tensors ------------------------------------------------------------------
@@ -134,8 +133,9 @@ def perm_sign(perm):
 
 
 def norm_map(x, module):
-    """Collapse the r-fold tensor product into Sym^r of the local module."""
-    if module.rank != x.dim:
+    """Collapse the r-fold tensor product into Sym^r of the local module,
+    given by its rank."""
+    if module != x.dim:
         raise ShapeMismatch("module rank != factor dimension")
     if not x.terms:
         return SymTensor.zero(module, x.r)
@@ -153,7 +153,7 @@ def minus_projection(n):
     r = n.degree
     c = n.coeffs.get((0, r))
     coeffs = {} if c is None else {(0, r): c.scale_int(2 ** r)}
-    return SymTensor(n.module, r, coeffs)
+    return SymTensor(n.rank, r, coeffs)
 
 
 def phi_minus(c, r, units):
@@ -173,7 +173,7 @@ def algebraicity_by_expansion(family, t, c_s, units):
                for v, row in zip(vectors, chi)]
     # step (ii): the norm of the determinant is C_G times the point product
     c_g = char_table_det(t)
-    module = FreeModule(["x", "y"])
+    module = 2  # the (x, y) module, by its rank
     n_w = norm_map(det_map(entries), module)
     prod = linear_form(module, [vectors[0].x, vectors[0].y])
     for v in vectors[1:]:
@@ -203,7 +203,7 @@ def factorization_by_tensor(family, c_chi, c_s, units):
     nonvanishing equivalence is the one failed check "identity", as
     `factorization_check` returns it."""
     r = len(family)
-    module = FreeModule(["u0"])
+    module = 1  # the minus line, by its rank
     coords = minus_coordinates(family, units)
     n_qs = SymTensor(module, r, {(r,): c_s}) if not c_s.is_zero() \
         else SymTensor.zero(module, r)

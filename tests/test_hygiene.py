@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is read somewhere in it, and
 every function, class or constant it defines at module level is named
-somewhere other than its own definition."""
+somewhere other than its own definition; and the library imports only the
+standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,18 @@ def unused_imports(source):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in bound.items()
                   if name not in read)
+
+
+def third_party_imports(source):
+    """Top-level modules of the absolute imports that are not in the
+    standard library; relative imports are the package's own."""
+    tops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return sorted(tops - sys.stdlib_module_names)
 
 
 def bound_names(stmt):
@@ -82,6 +96,12 @@ REFERENCED = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_src_imports_only_the_standard_library():
+    found = {p.name: third_party_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -154,3 +174,10 @@ def test_unreferenced_definition_is_found():
 def test_unused_import_is_found():
     source = "import math\nfrom os import path, sep as s\nprint(path)\n"
     assert unused_imports(source) == [(1, "math"), (2, "s")]
+
+
+def test_third_party_import_is_found():
+    source = ("import os.path\nimport sympy.core as sc\nfrom . import padic\n"
+              "from .padic import INF\nfrom fractions import Fraction\n"
+              "from hypothesis import given\n")
+    assert third_party_imports(source) == ["hypothesis", "sympy"]

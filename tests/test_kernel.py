@@ -6,12 +6,12 @@ from expansion_oracle import PlecticTensor
 from plectic.errors import ShapeMismatch
 from plectic.grpalg import GradedPiece, GroupAlgebraElem, GroupShape
 from plectic.padic import INF, PadicScalar
-from plectic.symalg import FreeModule, SymTensor
+from plectic.symalg import SymTensor
 
 P = 5
 N = 30
 SHAPE = GroupShape((2,), 2, 4, P, N)
-MODULE = FreeModule(["a", "b"])
+RANK = 2
 EXACT_ONE = PadicScalar.one(P, INF)
 
 
@@ -24,7 +24,7 @@ def _graded_piece(first, second):
 
 
 def _sym_tensor(first, second):
-    return SymTensor(MODULE, 1, {(1, 0): first, (0, 1): second})
+    return SymTensor(RANK, 1, {(1, 0): first, (0, 1): second})
 
 
 def _plectic_tensor(first, second):

@@ -12,7 +12,7 @@ from plectic.cli import main
 from plectic.padic import INF, PadicScalar
 from plectic.runner import run
 from plectic.scenario import load_scenario, parse_scenario
-from plectic.symalg import FreeModule, linear_form
+from plectic.symalg import linear_form
 from plectic.units import PointCompletion, UnitCompletion
 
 P = 5
@@ -21,7 +21,7 @@ U = UnitCompletion(P, N)
 Q = PadicScalar(P, 1, 1, N)
 PTS = PointCompletion(U, Q)
 SHAPE = po.tower_shape(1, P, N)
-MODULE = FreeModule(["c0", "c1"])
+MODULE = 2  # the (x, y) module, by its rank
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 
 

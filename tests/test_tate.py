@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from plectic import tate
-from plectic.errors import NotMultiplicativeReduction, PlecticError
+from plectic.errors import DivisionByZero, NotMultiplicativeReduction, PlecticError
 from plectic.padic import INF, _POW, PadicScalar, QuadExtScalar, _dot, _quad, smallest_nonsquare
 from plectic.tate import (
     CurvePoint,
@@ -665,6 +665,49 @@ def test_phi_digits_survive_tripled_precision_on_lossy_operands(p):
         for z_lo, z_hi in ((lo.x, hi.x), (lo.y, hi.y)):
             for s_lo, s_hi in ((z_lo.a, z_hi.a), (z_lo.b, z_hi.b)):
                 assert s_lo.agreement(s_hi) >= s_lo.prec, (q, u)
+
+
+def _quotient_component(rng, p):
+    """A scalar for the quotient rules: an exact zero, an exact value, a
+    zero to precision -1..8, or a value of valuation -3..5 known to 1..8
+    digits past it."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PadicScalar.zero(p)
+    if kind == 2:
+        return PadicScalar.zero(p, rng.randint(-1, 8))
+    v = rng.randint(-3, 5)
+    prec = INF if kind == 1 else v + rng.randint(1, 8)
+    return PadicScalar(p, v, _lossy_unit(rng, p, 12), prec)
+
+
+def _formed_quotient_precisions(w, z):
+    out = w * z.inverse()
+    return out.a.prec, out.b.prec
+
+
+def _quotient_outcome(fn, w, z):
+    try:
+        return fn(w, z)
+    except (PlecticError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_quotient_precisions_match_the_formed_quotient(p):
+    # `phi` reads the precisions of its quotients, and `_head_precisions`
+    # prec(u^-1) as that of 1/u, from this rule without forming them
+    rng = random.Random(700 + p)
+    one = QuadExtScalar.from_base(PadicScalar.one(p, INF))
+    seen = set()
+    for i in range(1000):
+        w = one if i % 4 == 0 else \
+            QuadExtScalar(_quotient_component(rng, p), _quotient_component(rng, p))
+        z = QuadExtScalar(_quotient_component(rng, p), _quotient_component(rng, p))
+        want = _quotient_outcome(_formed_quotient_precisions, w, z)
+        assert _quotient_outcome(tate._quotient_precisions, w, z) == want, (w, z)
+        seen.add(want[0] if isinstance(want[0], type) else INF in want)
+    assert seen == {DivisionByZero, ValueError, True, False}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
