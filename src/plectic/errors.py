@@ -41,10 +41,6 @@ class NotProportional(PlecticError):
     pass
 
 
-class ZeroDenominator(PlecticError):
-    pass
-
-
 class WorkLimitExceeded(PlecticError):
     """An operation past `grpalg.WORK_LIMIT` steps, refused before it runs."""
 

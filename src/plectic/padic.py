@@ -95,17 +95,6 @@ class PadicScalar:
         return cls(p, -vd, num * inv, prec)
 
     @classmethod
-    def from_digits(cls, digits, v, p, prec):
-        unit = 0
-        for i, d in enumerate(digits):
-            if not 0 <= d < p:
-                raise ValueError("digit out of range")
-            unit += d * p ** i
-        if unit == 0:
-            return cls.zero(p, prec)
-        return cls(p, v, unit, prec)
-
-    @classmethod
     def one(cls, p, prec):
         return cls(p, 0, 1, prec)
 
@@ -471,10 +460,9 @@ def quad_teichmuller(u):
     p, n, c = u.p, int(u.prec), smallest_nonsquare(u.p)
     m = p * p - 1
     t = tuple(s.unit % p if s.v == 0 else 0 for s in (u.a, u.b))
-    precs = [n]
-    while precs[-1] > 1:
-        precs.append((precs[-1] + 1) // 2)
-    for k in reversed(precs[:-1]):
+    k = 1
+    while k < n:  # the doubling of `_inverse`
+        k = 2 * k if 2 * k < n else n
         mod = _POW[p, k]
         tm = _qpow(t, m, c, mod)
         d = _qmul(t, (tm[0] - 1, tm[1]), c, mod)
@@ -524,33 +512,27 @@ def _exact_power(u, m):
     return [r - big if 2 * r > big else r for r in _qpow(e, m, c, big)]
 
 
-class _LogSeries(dict):
+@functools.cache
+def _log_series(p, n, d):
     """(guard g, [(coefficient, modulus) for k = terms..1]) of log z modulo
-    p^(n + g) by Horner's rule, for v(z) >= d, by (p, n, d).
+    p^(n + g) by Horner's rule, for v(z) >= d.
 
     The terms k = 1..terms are those with k*d - floor(log_p k) < n, a bound
     that grows with k, and g = floor(log_p terms) >= v_p(k) for each, so the
     coefficient p^g (-1)^(k+1) / k is an integer.  Step k's result is later
     multiplied by z^(k-1), of valuation >= (k-1) d, so the step is reduced
     modulo p^(n + g - (k-1) d), and so is its coefficient."""
-
-    def __missing__(self, key):
-        p, n, d = key
-        terms = guard = 0
-        while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
-            terms += 1
-            guard += _POW[p, guard + 1] <= terms
-        steps = []
-        for k in range(terms, 0, -1):
-            mod = _POW[p, n + guard - (k - 1) * d]
-            vk = _int_valuation(k, p)
-            coef = pow(k // _POW[p, vk], -1, mod) * _POW[p, guard - vk]
-            steps.append(((coef if k & 1 else -coef) % mod, mod))
-        self[key] = series = (guard, steps)
-        return series
-
-
-_LOG = _LogSeries()
+    terms = guard = 0
+    while (terms + 1) * d - guard - (_POW[p, guard + 1] <= terms + 1) < n:
+        terms += 1
+        guard += _POW[p, guard + 1] <= terms
+    steps = []
+    for k in range(terms, 0, -1):
+        mod = _POW[p, n + guard - (k - 1) * d]
+        vk = _int_valuation(k, p)
+        coef = pow(k // _POW[p, vk], -1, mod) * _POW[p, guard - vk]
+        steps.append(((coef if k & 1 else -coef) % mod, mod))
+    return guard, steps
 
 
 def plog(u, power=1):
@@ -567,7 +549,7 @@ def plog(u, power=1):
     log rep = p^-j log(rep^(p^j)) on integer pairs modulo p^(n + g),
     n = max(prec(y), 1) + j: rep^(p^j) - 1 has j more digits of valuation,
     so the series needs fewer terms, and the g guard digits hold every 1/k
-    (`_LogSeries`).
+    (`_log_series`).
 
     The precision of y.  Let P = prec(u), the least component precision.
     If u is a unit whose components are exact or known to >= 1 digit, then
@@ -629,7 +611,7 @@ def plog(u, power=1):
         # the series' 1/k would divide two exact values
         raise ValueError("cannot divide two exact values; truncate first")
     d = x.valuation + j  # v(z - 1) >= d for z = rep^(p^j)
-    guard, steps = _LOG[p, n, d]
+    guard, steps = _log_series(p, n, d)
     mod = _POW[p, n + guard]
     z0, z1 = _qpow(y, _POW[p, j], c, mod)
     z0 -= 1

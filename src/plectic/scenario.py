@@ -61,7 +61,9 @@ def parse_padic(text, p, prec):
     digits = [int(d) for d in m.group(1).split(".")]
     if any(d >= p for d in digits):
         raise ParseError("digit >= p in %r" % text)
-    return PadicScalar.from_digits(digits, int(m.group(2)), p, prec)
+    unit = sum(d * p ** i for i, d in enumerate(digits))
+    # an all-zero digit list normalises to the zero to prec
+    return PadicScalar(p, int(m.group(2)), unit, prec)
 
 
 def parse_quad(text, p, prec):
@@ -142,7 +144,10 @@ class Scenario:
         if "tate_period" not in raw:
             raise ValidationError("tate_period required")
         self.q = parse_padic(raw["tate_period"], self.p, self.precision)
-        if self.q.is_zero() or self.q.v < 1:
+        if self.q.is_zero():
+            raise ValidationError("tate_period is zero to the working precision %d"
+                                  % self.precision)
+        if self.q.v < 1:
             raise ValidationError("tate_period must have positive valuation")
         if self.q.v % self.p == 0:
             raise ValidationError("tate_period valuation must be prime to p")

@@ -12,7 +12,7 @@ there; the product, which never truncates, adds exponent tuples pairwise.
 import math
 import operator
 
-from .errors import NotProportional, ShapeMismatch, ZeroDenominator
+from .errors import DivisionByZero, NotProportional, ShapeMismatch
 from .kernel import CoeffMap
 
 
@@ -102,7 +102,7 @@ def sqrt_ratio(x, y, floor=1):
     """
     x._check(y)
     if y.is_zero():
-        raise ZeroDenominator("cannot divide by the zero tensor")
+        raise DivisionByZero("cannot divide by the zero tensor")
     ey = max(y.coeffs)
     if x.is_zero():
         return y.coeffs[ey].scale_int(0)

@@ -333,6 +333,16 @@ def test_cli_exit_two_on_precision_above_the_cap():
     assert proc.stderr.startswith("error: precision must be between")
 
 
+def test_cli_exit_two_on_a_period_that_vanishes_at_the_working_precision(tmp_path):
+    scenario = tmp_path / "q-zero.kv"
+    scenario.write_text(
+        Path(T1).read_text().replace("tate_period = 1e1", "tate_period = 1e40"))
+    proc = _verify_in_child([str(scenario)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: tate_period is zero to the working precision 40\n"
+    assert proc.stdout == ""
+
+
 def test_t3_split_passes_every_suite():
     # r = 8 end to end: all eight suites, including grpalg and algebraicity
     proc = _verify_in_child([str(GOLDEN / "t3-split.kv"), "--format", "kv"])

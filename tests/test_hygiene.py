@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it, and
 every function, class or constant it defines at module level is named
-somewhere other than its own definition; and the library imports only the
-standard library."""
+somewhere other than its own definition; every error class is raised; and
+the library imports only the standard library."""
 
 import ast
 import sys
@@ -116,6 +116,37 @@ def test_every_private_definition_and_constant_is_named_elsewhere(path):
     public = public_definitions(source)
     names = [n for n in definitions(source) if n not in public]
     assert [n for n in names if n not in REFERENCED] == []
+
+
+def raised_names(source):
+    """Names a `raise` statement raises, as `raise X`, `raise X(...)` or
+    `raise m.X(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # an error class that no module raises is a fault nothing reports
+    errors = SRC / "errors.py"
+    classes = public_definitions(errors.read_text(encoding="utf-8"))
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8"))
+                           for p in MODULES if p != errors))
+    assert [n for n in classes if n != "PlecticError" and n not in raised] == []
+
+
+def test_raised_names_are_found():
+    source = ("def f(x):\n    if x:\n        raise A('a')\n"
+              "    try:\n        g()\n    except B:\n        raise\n"
+              "    raise errors.C from None\n\n"
+              "class D(Exception):\n    pass\n")
+    assert raised_names(source) == {"A", "C"}
 
 
 def agreement_calls(source):

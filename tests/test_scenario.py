@@ -1,12 +1,13 @@
 """Scenario files: literal grammar, validation, and defaults."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from plectic.errors import ParseError, ValidationError
-from plectic.padic import PadicScalar
+from plectic.padic import INF, PadicScalar
 from plectic.scenario import (
     SUITES,
     load_scenario,
@@ -31,6 +32,51 @@ def test_parse_padic_rejects_garbage():
     for bad in ("", "e0", "1.2", "1.2e", "5e0", "1.7e0", "x", "1e0 w"):
         with pytest.raises(ParseError):
             parse_padic(bad, 5, 10)
+
+
+def _digit_sum(digits, p):
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("text,v,unit", [
+    ("0.0.0e3", INF, 0),  # a zero to the working precision, not an exact zero
+    ("1.2.3.4.0.1.2.3.4.0.1.2e0", 0,
+     _digit_sum([1, 2, 3, 4, 0, 1, 2, 3, 4, 0], 5)),  # 12 digits, 10 kept
+    ("4.4e0", 0, 24),  # digit p - 1
+    ("3.1e-2", -2, 8),
+    ("0.0.3e-4", -2, 3),  # leading zero digits raise the valuation
+], ids=["all-zero", "past-precision", "digit-p-minus-one", "negative-valuation",
+        "leading-zeros"])
+def test_parse_padic_decodes_the_digit_sum(text, v, unit):
+    x = parse_padic(text, 5, 10)
+    assert (x.v, x.unit, x.prec) == (v, unit, 10)
+
+
+@pytest.mark.parametrize("text", ["5e0", "4.5e0", "1.2.7e1"])
+def test_parse_padic_rejects_digit_p(text):
+    with pytest.raises(ParseError, match="digit >= p"):
+        parse_padic(text, 5, 10)
+
+
+def test_parse_padic_matches_the_digit_sum_on_random_literals():
+    # the interval of sum(d_i p^i) * p^v known mod p^prec, read off directly
+    rng = random.Random(30)
+    for _ in range(200):
+        p = rng.choice([5, 7, 11, 1009])
+        prec = rng.randrange(10, 61)
+        digits = [rng.choice([0, rng.randrange(p)]) for _ in range(rng.randrange(1, prec + 6))]
+        v = rng.randrange(-5, prec + 3)
+        x = parse_padic("%se%d" % (".".join(map(str, digits)), v), p, prec)
+        assert x.prec == prec
+        total = _digit_sum(digits, p) % p ** max(prec - v, 0)
+        if total == 0:
+            assert x.is_zero()
+            continue
+        shift = 0
+        while total % p ** (shift + 1) == 0:
+            shift += 1
+        assert x.v == v + shift
+        assert x.unit % p and x.unit * p ** shift == total
 
 
 def test_parse_quad_literals():
@@ -84,6 +130,20 @@ def test_missing_period_rejected():
 def test_period_must_have_positive_valuation():
     with pytest.raises(ValidationError):
         parse_scenario("tate_period = 1e0\n")
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("0e0", "tate_period is zero to the working precision 40"),
+    ("1e40", "tate_period is zero to the working precision 40"),
+    ("1e1000", "tate_period is zero to the working precision 40"),
+    ("1e0", "tate_period must have positive valuation"),
+])
+def test_a_period_that_vanishes_at_the_working_precision_says_so(literal, message):
+    text = (GOLDEN / "t1-split.kv").read_text().replace(
+        "tate_period = 1e1", "tate_period = " + literal)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
 
 
 def test_parameter_validation():
