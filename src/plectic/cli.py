@@ -5,7 +5,7 @@ import sys
 
 from .errors import PlecticError
 from .runner import DEFAULT_FLOOR, run
-from .scenario import SUITES
+from .scenario import SUITES, load_scenario
 
 
 def build_parser():
@@ -33,16 +33,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        from .scenario import override_precision, parse_scenario
-
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if args.precision is not None:
-            text = override_precision(text, args.precision)
-        scenario = parse_scenario(text)
-        scenario.check_suites(args.suite or scenario.suites)
-        report = run(scenario, suites=args.suite, floor=args.floor,
-                     seed=args.seed)
+        report = run(load_scenario(args.scenario, args.precision),
+                     suites=args.suite, floor=args.floor, seed=args.seed)
         rendered = (report.render_kv() if args.format == "kv"
                     else report.render_human())
         if args.report:  # before stdout, so a failed write prints nothing

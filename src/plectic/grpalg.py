@@ -162,11 +162,6 @@ class GroupAlgebraElem(CoeffMap):
 
     _values = expand
 
-    def rel_aug_degree(self):
-        """Largest n <= D with the element in I_Q^n (D+1 for zero)."""
-        return min((sum(e) for _, e in self.expand()),
-                   default=self.shape.degree + 1)
-
     def leading_term(self, n):
         """The class in I_Q^n / I_Q^{n+1}, expanded to degree min(n, D) only."""
         if self.lost and n >= self.shape.degree:
@@ -272,10 +267,6 @@ class GradedPiece(CoeffMap):
         q_neg = self.shape.q_neg
         return self._like({(q_neg(q), e): c.scale_int(sign)
                            for (q, e), c in self.coeffs.items()}, self.lost)
-
-    def as_elem(self):
-        """A lift of the class back into the algebra (its monomial rep)."""
-        return GroupAlgebraElem(self.shape, dict(self.coeffs))
 
     def __repr__(self):
         return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))

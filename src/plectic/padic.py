@@ -202,9 +202,6 @@ class PadicScalar:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("intervals are unhashable")
-
     def __repr__(self):
         if self.is_zero():
             return "O(%d^%s)" % (self.p, self.prec)
@@ -374,9 +371,6 @@ class QuadExtScalar:
     def prec(self):
         return min(self.a.prec, self.b.prec)
 
-    def truncate(self, prec):
-        return _quad(self.a.truncate(prec), self.b.truncate(prec))
-
     # the components' own operations reject mixed primes, and one p fixes c
     def __add__(self, other):
         return _quad(self.a + other.a, self.b + other.b)
@@ -423,9 +417,6 @@ class QuadExtScalar:
         if not isinstance(other, QuadExtScalar):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("intervals are unhashable")
 
     def __repr__(self):
         return "(%r) + (%r)*w" % (self.a, self.b)

@@ -315,6 +315,7 @@ SUITE_FUNCS = {
 
 def run(scenario, suites=None, floor=DEFAULT_FLOOR, seed=None):
     chosen = suites if suites else scenario.suites
+    scenario.check_suites(chosen)  # an unrunnable suite is reported before a bad floor
     seed = scenario.seed if seed is None else seed
     report = Report(scenario.name, floor, scenario.precision)
     start = time.monotonic()

@@ -12,8 +12,8 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     seed           RNG seed for property checks (default 0)
     tate_period    p-adic literal (required)
     u_eta.K        quadratic-extension literal, K = 1..r
-    k_eta.K        rational (default 1)
-    C_chi          rational factorization constant
+    k_eta.K        rational [-]N or [-]N/D (default 1)
+    C_chi          rational [-]N or [-]N/D: the factorization constant
     Q_S            p-adic literal: the committed invariant coordinate
     suites         subset of the suite names (default: all)
 
@@ -22,8 +22,9 @@ it is read at are those of (Z/2)^t, so neither is a key.
 
 p-adic literals are base-p digit lists, low digit first, joined by '.',
 followed by 'e' and the valuation: `2.1.2.1e0` means 2 + p + 2p^2 + p^3.
-Quadratic literals are `A`, `A + B w`, or `A - B w` with A, B p-adic
-literals.
+A literal of valuation v needs p^(precision - v) at most 5^MAX_PRECISION,
+as a rational's N and D are.  Quadratic literals are `A`, `A + B w`, or
+`A - B w` with A, B p-adic literals.
 """
 
 import re
@@ -48,22 +49,40 @@ FAMILY_SUITES = ("factorization", "algebraicity")
 # cost of a run grows with the size of the modulus p^precision, not with the
 # digit count, so the modulus is bounded too, by the largest one at p = 5.
 MAX_PRECISION = 1000
+MAX_MODULUS = 5 ** MAX_PRECISION
 # `_is_prime` trial-divides up to sqrt(p): under 50 k steps below 2^31
 MAX_P = 2 ** 31
 
-_PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?\d+)$")
+_PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?)(\d+)$")
+_RATIONAL = re.compile(r"^-?(\d+)(?:/(0*[1-9]\d*))?$")  # D > 0
+
+
+def _capped(digits, limit):
+    """min(int(digits), limit + 1) for a decimal string.  A decimal digit
+    holds more than 3 bits, so a string of limit.bit_length() // 3 + 2
+    significant digits is past `limit`: int() reads no more than that."""
+    digits = digits.lstrip("0")[:limit.bit_length() // 3 + 2]
+    return min(int(digits or "0"), limit + 1)
 
 
 def parse_padic(text, p, prec):
     m = _PADIC.match(text.strip())
     if not m:
         raise ParseError("bad p-adic literal %r" % text)
-    digits = [int(d) for d in m.group(1).split(".")]
+    digits = [_capped(d, p - 1) for d in m.group(1).split(".")]
     if any(d >= p for d in digits):
         raise ParseError("digit >= p in %r" % text)
-    unit = sum(d * p ** i for i, d in enumerate(digits))
+    # a |v| past MAX_PRECISION >= prec is a zero to prec or past the bound
+    v = _capped(m.group(3), MAX_PRECISION) * (-1 if m.group(2) else 1)
+    keep = max(prec - v, 0)  # the scalar keeps its unit mod p^keep
+    if p ** keep > MAX_MODULUS:
+        raise ValidationError("a p-adic literal of valuation v needs "
+                              "p^(precision - v) at most 5^%d" % MAX_PRECISION)
+    unit = 0  # by Horner's rule, on the digits kept
+    for d in reversed(digits[:keep]):
+        unit = unit * p + d
     # an all-zero digit list normalises to the zero to prec
-    return PadicScalar(p, int(m.group(2)), unit, prec)
+    return PadicScalar(p, v, unit, prec)
 
 
 def parse_quad(text, p, prec):
@@ -98,15 +117,25 @@ def _is_prime(n):
     return True
 
 
-def _number(kind, raw, key, default=None):
-    """raw[key] (or `default`) read as `kind`; None when both are missing."""
+def _int(raw, key, default):
+    """raw[key] (or `default`) read as an int."""
+    text = raw.get(key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s = %r is not a valid int" % (key, text))
+
+
+def _rational(raw, key, default=None):
+    """raw[key] (or `default`) as a Fraction; None when both are missing."""
     text = raw.get(key, default)
     if text is None:
         return None
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("%s = %r is not a valid %s" % (key, text, kind.__name__))
+    m = _RATIONAL.match(text)
+    if not m or max(_capped(d, MAX_MODULUS) for d in m.groups("1")) > MAX_MODULUS:
+        raise ParseError("%s = %r is not a rational [-]N or [-]N/D with D > 0 "
+                         "and N, D at most 5^%d" % (key, text, MAX_PRECISION))
+    return Fraction(text)
 
 
 class Scenario:
@@ -114,10 +143,10 @@ class Scenario:
 
     def __init__(self, raw):
         self.name = raw.get("name", "unnamed")
-        self.p = _number(int, raw, "p", "5")
+        self.p = _int(raw, "p", "5")
         if not 5 <= self.p <= MAX_P or not _is_prime(self.p):
             raise ValidationError("p must be a prime between 5 and %d" % MAX_P)
-        self.t = _number(int, raw, "t", "1")
+        self.t = _int(raw, "t", "1")
         if self.t < 0 or self.t > 3:
             raise ValidationError("t must be between 0 and 3")
         self.r = 2 ** self.t
@@ -126,20 +155,20 @@ class Scenario:
         unknown = sorted(set(raw).difference(KEYS, family_keys))
         if unknown:
             raise ValidationError("unknown key %r" % unknown[0])
-        self.reduction_sign = _number(int, raw, "reduction_sign", "1")
+        self.reduction_sign = _int(raw, "reduction_sign", "1")
         if self.reduction_sign not in (1, -1):
             raise ValidationError("reduction_sign must be +1 or -1")
-        self.eps = _number(int, raw, "eps", "1")
+        self.eps = _int(raw, "eps", "1")
         if self.eps not in (1, -1):
             raise ValidationError("eps must be +1 or -1")
-        self.precision = _number(int, raw, "precision", "40")
+        self.precision = _int(raw, "precision", "40")
         if not 10 <= self.precision <= MAX_PRECISION:
             raise ValidationError("precision must be between 10 and %d"
                                   % MAX_PRECISION)
-        if self.p ** self.precision > 5 ** MAX_PRECISION:
+        if self.p ** self.precision > MAX_MODULUS:
             raise ValidationError("p^precision must be at most 5^%d"
                                   % MAX_PRECISION)
-        self.seed = _number(int, raw, "seed", "0")
+        self.seed = _int(raw, "seed", "0")
 
         if "tate_period" not in raw:
             raise ValidationError("tate_period required")
@@ -172,12 +201,12 @@ class Scenario:
                 if point.is_zero():
                     raise ValidationError("u_eta.%d lies in the period lattice"
                                           % (i + 1))
-                k = _number(Fraction, raw, "k_eta.%d" % (i + 1), "1")
+                k = _rational(raw, "k_eta.%d" % (i + 1), "1")
                 if k == 0:
                     raise ValidationError("k_eta.%d must be nonzero" % (i + 1))
                 self.family.append((point, k))
 
-        self.c_chi = _number(Fraction, raw, "C_chi")
+        self.c_chi = _rational(raw, "C_chi")
         self.invariant = None  # the committed invariant coordinate Q_S
         if "Q_S" in raw:
             self.invariant = parse_padic(raw["Q_S"], self.p, self.precision)
@@ -231,14 +260,13 @@ def parse_scenario(text):
     return Scenario(_key_values(text))
 
 
-def override_precision(text, precision):
-    """`text` with its precision set to `precision`, as a scenario text.  The
-    override comes after the line grammar, so a malformed or repeated line
-    is still an unusable input."""
-    raw = dict(_key_values(text), precision=str(precision))
-    return "".join("%s = %s\n" % kv for kv in raw.items())
-
-
-def load_scenario(path):
+def load_scenario(path, precision=None):
+    """The scenario in the file at `path`, its precision set to `precision`
+    unless that is None.  The override follows the line grammar, so a
+    malformed or repeated line is still an unusable input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        text = fh.read()
+    if precision is not None:
+        raw = dict(_key_values(text), precision=str(precision))
+        text = "".join("%s = %s\n" % kv for kv in raw.items())
+    return parse_scenario(text)

@@ -10,7 +10,8 @@ from them: it compares whole binary forms of degree r coefficient-wise.
 `factorization_by_tensor` is the factorization check over rank-one
 `SymTensor`s, with `sqrt_ratio`'s squaring test, for the scalar
 `plectic_ops.factorization_check`.  Families are (completed point, k_eta)
-pairs, as `Scenario.family` holds them.
+pairs, as `Scenario.family` holds them.  `rel_aug_degree`, `as_elem` and
+`quad_truncate` are readings of library values that only the tests need.
 """
 
 import itertools
@@ -18,8 +19,9 @@ import math
 from fractions import Fraction
 
 from plectic.errors import ShapeMismatch
+from plectic.grpalg import GroupAlgebraElem
 from plectic.kernel import CoeffMap
-from plectic.padic import INF, PadicScalar, is_square
+from plectic.padic import INF, PadicScalar, QuadExtScalar, is_square
 from plectic.plectic_ops import (char_table_det, character_table,
                                  minus_coordinates)
 from plectic.symalg import SymTensor, collapse, linear_form, sqrt_ratio
@@ -225,3 +227,21 @@ def factorization_by_tensor(family, c_chi, c_s, units):
         "root_square_margin": root_sq_margin,
         "c_chi_is_padic_square": is_square(c_chi_p),
     }
+
+
+# -- readings only the tests need ---------------------------------------------
+
+def rel_aug_degree(x):
+    """Largest n <= D with the group-algebra element x in I_Q^n (D + 1 for
+    zero): the lowest degree of its expansion."""
+    return min((sum(e) for _, e in x.expand()), default=x.shape.degree + 1)
+
+
+def as_elem(piece):
+    """A lift of a graded piece back into the algebra (its monomial rep)."""
+    return GroupAlgebraElem(piece.shape, dict(piece.coeffs))
+
+
+def quad_truncate(z, prec):
+    """z in Q_p(w) with both components truncated to `prec`."""
+    return QuadExtScalar(z.a.truncate(prec), z.b.truncate(prec))

@@ -17,7 +17,7 @@ import pytest
 from plectic import runner, units
 from plectic.padic import INF, QuadExtScalar
 from plectic.runner import Report, run
-from plectic.scenario import override_precision, parse_scenario
+from plectic.scenario import load_scenario
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected"
@@ -35,9 +35,9 @@ class _Capped:
         return self._rng.randrange(min(n, self._cap))
 
 
-def recorded_run(text, precision):
-    """The run of scenario `text` at `precision`, with units drawn modulo
-    p^N, and its checks as [(name, a bool or the pairs, margin)]."""
+def recorded_run(path, precision):
+    """The run of the scenario at `path` at `precision`, with units drawn
+    modulo p^N, and its checks as [(name, a bool or the pairs, margin)]."""
     records = []
     draw, add = runner._random_unit, Report.add
 
@@ -51,7 +51,7 @@ def recorded_run(text, precision):
         m.setattr(runner, "_random_unit",
                   lambda rng, u: draw(_Capped(rng, u.p ** N), u))
         m.setattr(Report, "add", recording_add)
-        report = run(parse_scenario(override_precision(text, precision)))
+        report = run(load_scenario(path, precision))
     return report, records
 
 
@@ -73,9 +73,9 @@ def unconfirmed(low, high):
 
 @pytest.mark.parametrize("name", ["t1-split.kv", "t2-split.kv", "t3-split.kv"])
 def test_every_reported_digit_holds_at_twice_the_precision(name):
-    text = (GOLDEN / name).read_text()
-    report, low = recorded_run(text, N)
-    _, high = recorded_run(text, 2 * N)
+    path = GOLDEN / name
+    report, low = recorded_run(path, N)
+    _, high = recorded_run(path, 2 * N)
     assert report.ok and len(low) == len(report.checks)
     assert sum(len(v) for _, v, _ in low if not isinstance(v, bool)) > 100
     assert unconfirmed(low, high) == []
@@ -92,9 +92,9 @@ def test_a_mutant_the_report_cannot_see_fails_the_audit(monkeypatch):
         return plog(u, power) * scale
 
     monkeypatch.setattr(units, "plog", mutant)
-    text = (GOLDEN / "t2-split.kv").read_text()
-    report, low = recorded_run(text, N)
+    path = GOLDEN / "t2-split.kv"
+    report, low = recorded_run(path, N)
     assert report.render_kv() == (EXPECTED / "t2-golden.kv").read_text()
-    _, high = recorded_run(text, 2 * N)
+    _, high = recorded_run(path, 2 * N)
     assert unconfirmed(low, high) == [("units.homomorphism", 38, 40),
                                       ("units.sigma_involution", 38, 40)]

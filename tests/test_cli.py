@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plectic import grpalg, runner
+from plectic import grpalg, runner, scenario
 from plectic.cli import main
 from plectic.errors import ValidationError
 from plectic.padic import PadicScalar
@@ -192,6 +192,23 @@ def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     bad.write_text("\n".join(lines + ["%s = %s" % (key, value)]) + "\n")
     assert main(["verify", str(bad), "--suite", "sign"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_parses_once_through_the_one_argument_parse_scenario(
+        monkeypatch, capsys):
+    # bench/child.py times the set-up by swapping in a one-argument
+    # `parse_scenario`: `--precision` must reach it in the text
+    texts = []
+    parse = scenario.parse_scenario
+
+    def recorder(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(scenario, "parse_scenario", recorder)
+    assert main(["verify", T1, "--suite", "sign", "--precision", "60"]) == 0
+    assert len(texts) == 1 and parse(texts[0]).precision == 60
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key", ["precisions", "precision_digits"])
@@ -547,6 +564,15 @@ _FUZZ_VALUES = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @example(base="t1-split.kv", edits=[("p", "2147483647")], precision=10)
+# past int()'s 4300 digits: a valuation, then one digit group
+@example(base="t1-split.kv", edits=[("Q_S", "1e" + "9" * 5000)], precision=10)
+@example(base="t1-split.kv", edits=[("Q_S", "1" * 5000 + "e0")], precision=10)
+# 40,000 digits, a 10^80000 denominator and a valuation past the bound,
+# which took seconds to parse
+@example(base="t1-split.kv", edits=[("Q_S", ".".join(["1"] * 40000) + "e0")],
+         precision=10)
+@example(base="t1-split.kv", edits=[("C_chi", "1e-80000")], precision=10)
+@example(base="t1-split.kv", edits=[("Q_S", "1e-4000000")], precision=10)
 @given(base=st.sampled_from(["t1-split.kv", "t2-split.kv"]),
        edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
                                 st.none() | _FUZZ_VALUES),

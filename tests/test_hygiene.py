@@ -1,18 +1,22 @@
 """Source hygiene: every name a module imports is read somewhere in it, and
 every function, class or constant it defines at module level is named
-somewhere other than its own definition; every error class is raised; and
-the library imports only the standard library."""
+somewhere other than its own definition; every function, class and method
+is named in `src` itself, so `src` holds only what `plectic verify` runs;
+every error class is raised; and the library imports only the standard
+library."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "plectic"
-# the package's __init__ imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the package's __init__ among them: a name it imported only to re-export
+# would be an unread import
+MODULES = sorted(SRC.glob("*.py"))
 # where a definition may be used: the other modules, the tests and the demos
 READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) \
     + sorted((ROOT / "demos").glob("*.py"))
@@ -212,3 +216,57 @@ def test_third_party_import_is_found():
               "from .padic import INF\nfrom fractions import Fraction\n"
               "from hypothesis import given\n")
     assert third_party_imports(source) == ["hypothesis", "sympy"]
+
+
+def _names_in(node):
+    """How often each name is read, imported or taken as an attribute
+    anywhere in `node`."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            counts[sub.name] += 1
+    return counts
+
+
+def unread_src_names(sources):
+    """`file:name` of each module-level function or class, and each method
+    that is not a dunder, that no source in `sources` (file -> text) names
+    outside its own definition.  Names are matched alone, so a method
+    passes when another one of the same name is read."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = sum((_names_in(tree) for tree in trees.values()), Counter())
+    unread = []
+    for name, tree in trees.items():
+        defs = [stmt for stmt in tree.body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+        defs += [f for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for f in cls.body if isinstance(f, ast.FunctionDef)
+                 and not (f.name.startswith("__") and f.name.endswith("__"))]
+        unread += ["%s:%s" % (name, d.name) for d in defs
+                   if total[d.name] == _names_in(d)[d.name]]
+    return sorted(unread)
+
+
+def test_every_src_name_is_read_in_src():
+    """src holds what `plectic verify` runs: a name that only tests or demos
+    read lives with them.  The match is by name, so it cannot see a method
+    such as QuadExtScalar.truncate come back: PadicScalar.truncate, which
+    src reads, shares the name."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_src_names(sources) == []
+
+
+def test_unread_src_names_are_found():
+    sources = {
+        "a.py": ("class A:\n    def __eq__(self, o):\n        return True\n"
+                 "    def used(self):\n        return self.helper()\n"
+                 "    def helper(self):\n        return self.helper\n"
+                 "    def unread(self):\n        return self.unread()\n\n"
+                 "def lone():\n    return lone()\n"),
+        "b.py": "from a import A\n\nA().used()\n",
+    }
+    assert unread_src_names(sources) == ["a.py:lone", "a.py:unread"]

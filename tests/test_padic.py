@@ -38,6 +38,14 @@ def ext(a, b, prec=N):
 
 # -- quadratic extension ring identities --------------------------------------
 
+def test_intervals_are_unhashable():
+    # equality is agreement to the working precision, which no hash follows
+    with pytest.raises(TypeError):
+        hash(PadicScalar.one(5, 10))
+    with pytest.raises(TypeError):
+        hash(QuadExtScalar.from_parts(1, 0, 5, 10))
+
+
 def test_conjugate_product_reduces_by_min_poly():
     # (1 + w)(1 - w) = 1 - w^2 = 1 - c
     got = ext(1, 1) * ext(1, -1)

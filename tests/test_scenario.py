@@ -9,6 +9,7 @@ import pytest
 from plectic.errors import ParseError, ValidationError
 from plectic.padic import INF, PadicScalar
 from plectic.scenario import (
+    MAX_PRECISION,
     SUITES,
     load_scenario,
     parse_padic,
@@ -45,14 +46,19 @@ def _digit_sum(digits, p):
     ("4.4e0", 0, 24),  # digit p - 1
     ("3.1e-2", -2, 8),
     ("0.0.3e-4", -2, 3),  # leading zero digits raise the valuation
+    # past int()'s 4300-digit strings: read by length, as a zero to precision
+    ("1e" + "9" * 5000, INF, 0),
+    ("0" * 5000 + "3e-1", -1, 3),  # zeros that lead one digit are not digits
+    ("1e0000000000000000000002", 2, 1),  # leading zeros, read by length too
 ], ids=["all-zero", "past-precision", "digit-p-minus-one", "negative-valuation",
-        "leading-zeros"])
+        "leading-zeros", "long-valuation", "long-digit", "long-zero-valuation"])
 def test_parse_padic_decodes_the_digit_sum(text, v, unit):
     x = parse_padic(text, 5, 10)
     assert (x.v, x.unit, x.prec) == (v, unit, 10)
 
 
-@pytest.mark.parametrize("text", ["5e0", "4.5e0", "1.2.7e1"])
+@pytest.mark.parametrize("text", ["5e0", "4.5e0", "1.2.7e1", "1" * 5000 + "e0"],
+                         ids=["5e0", "4.5e0", "1.2.7e1", "5000-digit"])
 def test_parse_padic_rejects_digit_p(text):
     with pytest.raises(ParseError, match="digit >= p"):
         parse_padic(text, 5, 10)
@@ -77,6 +83,63 @@ def test_parse_padic_matches_the_digit_sum_on_random_literals():
             shift += 1
         assert x.v == v + shift
         assert x.unit % p and x.unit * p ** shift == total
+
+
+def _bound_digits(p):
+    """The largest k with p^k at most 5^MAX_PRECISION."""
+    k = 0
+    while p ** (k + 1) <= 5 ** MAX_PRECISION:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p,prec", [(5, 40), (7, 40), (1009, 10)])
+def test_parse_padic_keeps_only_the_digits_below_the_bound(p, prec):
+    # at the bound p^(prec - v) = p^k is at most 5^MAX_PRECISION; the digits
+    # past the first prec - v do not change the scalar
+    k = _bound_digits(p)
+    rng = random.Random(p)
+    digits = [rng.randrange(1, p) for _ in range(k + 50)]
+    v = prec - k
+    x = parse_padic("%se%d" % (".".join(map(str, digits)), v), p, prec)
+    first = parse_padic("%se%d" % (".".join(map(str, digits[:k])), v), p, prec)
+    assert (x.v, x.unit, x.prec) == (first.v, first.unit, first.prec)
+    assert (x.v, x.prec) == (v, prec) and x.unit % p == digits[0]
+    with pytest.raises(ValidationError, match=r"at most 5\^%d$" % MAX_PRECISION):
+        parse_padic("%se%d" % (".".join(map(str, digits)), v - 1), p, prec)
+
+
+@pytest.mark.parametrize("text", ["1e-4000000", "1e-" + "9" * 5000],
+                         ids=["4000000", "5000-digit"])
+def test_parse_padic_refuses_a_valuation_far_past_the_bound(text):
+    with pytest.raises(ValidationError, match=r"at most 5\^%d$" % MAX_PRECISION):
+        parse_padic(text, 5, 10)
+
+
+@pytest.mark.parametrize("value,ok", [
+    ("-3/2", True),
+    ("0042/0007", True),
+    (str(5 ** MAX_PRECISION), True),
+    ("1/" + str(5 ** MAX_PRECISION), True),
+    (str(5 ** MAX_PRECISION + 1), False),
+    ("1/" + "0" * 5000 + str(5 ** MAX_PRECISION + 1), False),
+    ("1e-80000", False),  # Fraction alone would build 10^80000
+    ("1.5", False),
+    ("+3", False),
+    ("1/0", False),
+    ("1/-2", False),
+], ids=["negative", "leading-zeros", "N-at-bound", "D-at-bound", "N-past-bound",
+        "D-past-bound", "exponent", "decimal", "plus", "zero-D", "negative-D"])
+def test_rationals_are_bounded_integers_or_quotients(value, ok):
+    text = (GOLDEN / "t1-split.kv").read_text() + "k_eta.1 = %s\n" % value
+    text = text.replace("k_eta.1 = 1\n", "", 1)
+    if ok:
+        assert parse_scenario(text).family[0][1] == Fraction(value)
+    else:
+        with pytest.raises(ParseError, match=r"k_eta\.1 = .* is not a "
+                           r"rational \[-\]N or \[-\]N/D with D > 0 and N, D "
+                           r"at most 5\^%d$" % MAX_PRECISION):
+            parse_scenario(text)
 
 
 def test_parse_quad_literals():
