@@ -53,8 +53,9 @@ MAX_MODULUS = 5 ** MAX_PRECISION
 # `_is_prime` trial-divides up to sqrt(p): under 50 k steps below 2^31
 MAX_P = 2 ** 31
 
-_PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?)(\d+)$")
-_RATIONAL = re.compile(r"^-?(\d+)(?:/(0*[1-9]\d*))?$")  # D > 0
+# ASCII digits only: `_capped` strips leading zeros as the character '0'
+_PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?)(\d+)$", re.ASCII)
+_RATIONAL = re.compile(r"^-?(\d+)(?:/(0*[1-9]\d*))?$", re.ASCII)  # D > 0
 
 
 def _capped(digits, limit):
@@ -76,8 +77,11 @@ def parse_padic(text, p, prec):
     v = _capped(m.group(3), MAX_PRECISION) * (-1 if m.group(2) else 1)
     keep = max(prec - v, 0)  # the scalar keeps its unit mod p^keep
     if p ** keep > MAX_MODULUS:
-        raise ValidationError("a p-adic literal of valuation v needs "
-                              "p^(precision - v) at most 5^%d" % MAX_PRECISION)
+        # v is capped, so past -MAX_PRECISION it stands for a longer number
+        shown = v if v >= -MAX_PRECISION else "below -%d" % MAX_PRECISION
+        raise ValidationError("a p-adic literal of valuation %s needs "
+                              "p^(precision - v) at most 5^%d"
+                              % (shown, MAX_PRECISION))
     unit = 0  # by Horner's rule, on the digits kept
     for d in reversed(digits[:keep]):
         unit = unit * p + d
@@ -132,10 +136,12 @@ def _rational(raw, key, default=None):
     if text is None:
         return None
     m = _RATIONAL.match(text)
-    if not m or max(_capped(d, MAX_MODULUS) for d in m.groups("1")) > MAX_MODULUS:
+    n, d = (_capped(x, MAX_MODULUS) for x in m.groups("1")) if m else (0, 0)
+    if not m or max(n, d) > MAX_MODULUS:
         raise ParseError("%s = %r is not a rational [-]N or [-]N/D with D > 0 "
                          "and N, D at most 5^%d" % (key, text, MAX_PRECISION))
-    return Fraction(text)
+    # from the integers read by length: Fraction(text) would int() it all
+    return Fraction(-n if text.startswith("-") else n, d)
 
 
 class Scenario:

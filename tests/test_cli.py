@@ -573,6 +573,10 @@ _FUZZ_VALUES = st.one_of(
          precision=10)
 @example(base="t1-split.kv", edits=[("C_chi", "1e-80000")], precision=10)
 @example(base="t1-split.kv", edits=[("Q_S", "1e-4000000")], precision=10)
+# a C_chi whose value is 1 behind 5000 zeros, and a digit outside ASCII
+@example(base="t1-split.kv", edits=[("C_chi", "0" * 5000 + "1")], precision=10)
+@example(base="t1-split.kv", edits=[("Q_S", "\u0660\u0660\u0663e0")],
+         precision=10)
 @given(base=st.sampled_from(["t1-split.kv", "t2-split.kv"]),
        edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
                                 st.none() | _FUZZ_VALUES),

@@ -109,32 +109,48 @@ def test_parse_padic_keeps_only_the_digits_below_the_bound(p, prec):
         parse_padic("%se%d" % (".".join(map(str, digits)), v - 1), p, prec)
 
 
-@pytest.mark.parametrize("text", ["1e-4000000", "1e-" + "9" * 5000],
-                         ids=["4000000", "5000-digit"])
-def test_parse_padic_refuses_a_valuation_far_past_the_bound(text):
-    with pytest.raises(ValidationError, match=r"at most 5\^%d$" % MAX_PRECISION):
+@pytest.mark.parametrize("text,shown", [
+    ("1e-991", "-991"),  # p^1001 at p = 5, precision 10
+    ("1e-4000000", "below -%d" % MAX_PRECISION),
+    ("1e-" + "9" * 5000, "below -%d" % MAX_PRECISION),
+], ids=["991", "4000000", "5000-digit"])
+def test_parse_padic_refuses_a_valuation_far_past_the_bound(text, shown):
+    with pytest.raises(ValidationError, match=r"^a p-adic literal of valuation "
+                       r"%s needs p\^\(precision - v\) at most 5\^%d$"
+                       % (shown, MAX_PRECISION)):
         parse_padic(text, 5, 10)
 
 
-@pytest.mark.parametrize("value,ok", [
-    ("-3/2", True),
-    ("0042/0007", True),
-    (str(5 ** MAX_PRECISION), True),
-    ("1/" + str(5 ** MAX_PRECISION), True),
-    (str(5 ** MAX_PRECISION + 1), False),
-    ("1/" + "0" * 5000 + str(5 ** MAX_PRECISION + 1), False),
-    ("1e-80000", False),  # Fraction alone would build 10^80000
-    ("1.5", False),
-    ("+3", False),
-    ("1/0", False),
-    ("1/-2", False),
-], ids=["negative", "leading-zeros", "N-at-bound", "D-at-bound", "N-past-bound",
-        "D-past-bound", "exponent", "decimal", "plus", "zero-D", "negative-D"])
-def test_rationals_are_bounded_integers_or_quotients(value, ok):
+@pytest.mark.parametrize("text", ["\u0660\u0660\u0660\u0663e0", "1e\u0665",
+                                  "1.\u0663e0"])
+def test_parse_padic_reads_only_ascii_digits(text):
+    with pytest.raises(ParseError, match="bad p-adic literal"):
+        parse_padic(text, 5, 10)
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("-3/2", Fraction(-3, 2)),
+    ("0042/0007", Fraction(6)),
+    (str(5 ** MAX_PRECISION), Fraction(5 ** MAX_PRECISION)),
+    ("1/" + str(5 ** MAX_PRECISION), Fraction(1, 5 ** MAX_PRECISION)),
+    # past int()'s 4300-digit strings, but read by length as -7/2
+    ("-" + "0" * 5000 + "7/" + "0" * 5000 + "2", Fraction(-7, 2)),
+    (str(5 ** MAX_PRECISION + 1), None),
+    ("1/" + "0" * 5000 + str(5 ** MAX_PRECISION + 1), None),
+    ("1e-80000", None),  # Fraction alone would build 10^80000
+    ("1.5", None),
+    ("+3", None),
+    ("1/0", None),
+    ("1/-2", None),
+    ("\u0663/2", None),  # a non-ASCII digit
+], ids=["negative", "leading-zeros", "N-at-bound", "D-at-bound",
+        "long-leading-zeros", "N-past-bound", "D-past-bound", "exponent",
+        "decimal", "plus", "zero-D", "negative-D", "non-ascii-digit"])
+def test_rationals_are_bounded_integers_or_quotients(value, expected):
     text = (GOLDEN / "t1-split.kv").read_text() + "k_eta.1 = %s\n" % value
     text = text.replace("k_eta.1 = 1\n", "", 1)
-    if ok:
-        assert parse_scenario(text).family[0][1] == Fraction(value)
+    if expected is not None:
+        assert parse_scenario(text).family[0][1] == expected
     else:
         with pytest.raises(ParseError, match=r"k_eta\.1 = .* is not a "
                            r"rational \[-\]N or \[-\]N/D with D > 0 and N, D "
