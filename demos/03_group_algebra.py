@@ -1,12 +1,13 @@
 """Truncated completed group algebras and their augmentation filtration.
 
 Elements of Z_p[Q][[t_1..t_s]] are sums of separable terms c [q] prod f_i(t_i),
-truncated at a total degree, with a sticky flag that refuses to certify a
-leading term once information has been dropped; `expand()` reads one out as
-its monomials.  The involution [g] -> [g^{-1}] acts on degree-n graded pieces by
-(-1)^n together with inversion on the finite quotient.
+truncated at a total degree D: an element is its class modulo I^(D+1), which
+keeps every leading term of degree <= D and none past it; `expand()` reads
+one out as its monomials.  The involution [g] -> [g^{-1}] acts on degree-n
+graded pieces by (-1)^n together with inversion on the finite quotient.
 """
 
+from plectic.errors import DegreeTooLow
 from plectic.grpalg import (
     GroupAlgebraElem,
     GroupShape,
@@ -35,11 +36,16 @@ print("\nleading term of ([g]-1)([h]-1) in I^2/I^3:", sorted(lt.coeffs))
 print("involution acts by (-1)^2 on the class:",
       x.involution().leading_term(2).agreement(lt.dual()), "digits")
 
-# walking past the truncation degree poisons leading terms, loudly
+# past the truncation degree the quotient keeps nothing: t1^(D+1) is zero,
+# and no leading term of degree past D is read
 high = g - one
 for _ in range(shape.degree):
     high = high * (g - one)
-print("\npower past the cap is flagged lossy:", high.lost)
+print("\npower past the cap is zero in the quotient:", high.is_zero())
+try:
+    x.leading_term(shape.degree + 1)
+except DegreeTooLow as exc:
+    print("leading term past the cap is refused:", exc)
 
 print("\ninjectivity certificates (full column rank of the graded map):")
 for divisors, s, n in (((2,), 2, 2), ((2, 2), 2, 3), ((2, 2), 4, 4)):

@@ -3,8 +3,8 @@
 The group is Q x Z_p^s with Q finite abelian; a choice of topological
 generators g_1..g_s of the free part identifies the algebra with a power
 series ring via [g_i] = t_i + 1.  Everything is truncated at a total
-degree D, with a sticky flag recording whether any nonzero term was ever
-dropped, so no identity can silently pass through a lossy product.
+degree D: an element is its class modulo I^(D+1), where every operation is
+exact, and no leading term of degree past D is read from it.
 
 Elements and graded pieces are `kernel.CoeffMap`s.  The product (which
 counts its term pairs) and the involution map separable terms factor by
@@ -21,9 +21,11 @@ from .kernel import CoeffMap
 from .padic import PadicScalar
 
 # The most steps one operation may take: the monomials one expansion forms,
-# or the term pairs of a product.  scenarios/t3-split.kv needs 10,252 at
-# seed 0 (15,734 over seeds 0-10), for expanding iota(xy) and iota(x) iota(y).
-WORK_LIMIT = 16_000_000
+# or the term pairs of a product.  A monomial costs ~400 bytes, so one
+# expansion under the limit takes at most ~400 MB (962,598 monomials peaked
+# at 382 MB RSS).  scenarios/t3-split.kv needs 10,252 at seed 0 (15,734
+# over seeds 0-10), for expanding iota(xy) and iota(x) iota(y).
+WORK_LIMIT = 1_000_000
 
 
 class GroupShape:
@@ -77,14 +79,14 @@ class GroupAlgebraElem(CoeffMap):
     c [q] prod f_i(t_i), each factor the tuple of its (degree, nonzero exact
     integer) pairs by rising degree, at most D; built from monomials."""
 
-    def __init__(self, shape, coeffs, lost=False):
+    def __init__(self, shape, coeffs):
         for q, e in coeffs:
             if len(q) != len(shape.divisors) or len(e) != shape.s:
                 raise ShapeMismatch("bad key %r" % ((q, e),))
             if sum(e) > shape.degree:
                 raise ShapeMismatch("degree beyond truncation")
         super().__init__({(q, tuple([((k, 1),) for k in e])): c
-                          for (q, e), c in coeffs.items()}, lost)
+                          for (q, e), c in coeffs.items()})
         self.shape = shape
 
     @classmethod
@@ -113,16 +115,14 @@ class GroupAlgebraElem(CoeffMap):
             raise ShapeMismatch("free exponent %r needs %d entries" % (a, shape.s))
         factors = tuple(tuple(enumerate(_binomials(ai, shape.degree))) for ai in a)
         return cls.zero(shape)._like(
-            {(q, factors): PadicScalar.one(shape.p, shape.prec)},
-            min(a, default=0) < 0 or sum(a) > shape.degree)
+            {(q, factors): PadicScalar.one(shape.p, shape.prec)})
 
     def _shape(self):
         return self.shape
 
     def __mul__(self, other):
-        """Term pair by term pair, factor by factor, truncated at D.  A pair
-        whose top degrees (each capped at D) sum past D flags the product
-        lossy; one whose lowest degrees do is not formed."""
+        """Term pair by term pair, factor by factor, truncated at D; a pair
+        whose lowest degrees sum past D is not formed."""
         self._check(other)
         pairs = len(self.coeffs) * len(other.coeffs)
         if pairs > WORK_LIMIT:
@@ -130,18 +130,15 @@ class GroupAlgebraElem(CoeffMap):
                 "a product of %d pairs is past the work limit" % pairs)
         degree, divisors = self.shape.degree, self.shape.divisors
         out = {}
-        lost = self.lost or other.lost
         for (q1, f1), c1 in self.coeffs.items():
             for (q2, f2), c2 in other.coeffs.items():
-                lost = lost or sum([min(degree, sum([f[-1][0] for f in g]))
-                                    for g in (f1, f2)]) > degree
                 if sum([f[0][0] for f in f1 + f2]) > degree:
                     continue
                 k = (tuple(map(operator.mod, map(operator.add, q1, q2), divisors)),
                      tuple(_times(a, b, degree) for a, b in zip(f1, f2)))
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return self._like(out, lost)
+        return self._like(out)
 
     def involution(self):
         """[g] -> [g^{-1}]: negation on Q, and the ring map t -> -t/(1+t) of
@@ -150,7 +147,7 @@ class GroupAlgebraElem(CoeffMap):
         images = {f: _dual(f, self.shape.degree)
                   for f in {f for _, factors in self.coeffs for f in factors}}
         return self._like({self._dual_key(k, images): c
-                           for k, c in self.coeffs.items()}, self.lost)
+                           for k, c in self.coeffs.items()})
 
     def _dual_key(self, key, images):
         """Q negated, and each factor replaced by its image under t -> -t/(1+t)."""
@@ -163,17 +160,13 @@ class GroupAlgebraElem(CoeffMap):
     _values = expand
 
     def leading_term(self, n):
-        """The class in I_Q^n / I_Q^{n+1}, expanded to degree min(n, D) only."""
-        if self.lost and n >= self.shape.degree:
-            raise DegreeTooLow("element lost degree-%d information" % n)
-        coeffs = _expand(self.coeffs, min(n, self.shape.degree))
+        """The class in I_Q^n / I_Q^{n+1}, expanded to degree n <= D only."""
+        if n > self.shape.degree:
+            raise DegreeTooLow("degree %d is past the truncation" % n)
+        coeffs = _expand(self.coeffs, n)
         if any(sum(e) < n for _, e in coeffs):
             raise DegreeTooLow("element is not in I_Q^%d" % n)
         return GradedPiece(self.shape, n, coeffs)
-
-    def __repr__(self):
-        return "GroupAlgebraElem(%d terms%s)" % (len(self.coeffs),
-                                                 ", lossy" if self.lost else "")
 
 
 def _binomials(a, n):
@@ -266,10 +259,7 @@ class GradedPiece(CoeffMap):
         sign = -1 if self.degree % 2 else 1
         q_neg = self.shape.q_neg
         return self._like({(q_neg(q), e): c.scale_int(sign)
-                           for (q, e), c in self.coeffs.items()}, self.lost)
-
-    def __repr__(self):
-        return "GradedPiece(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
+                           for (q, e), c in self.coeffs.items()})
 
 
 def check_lemma_free_graded_injectivity(shape, n):

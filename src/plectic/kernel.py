@@ -1,7 +1,7 @@
 """The two arithmetic kernels the coefficient and coordinate types share.
 
-`CoeffMap` is a sparse map key -> nonzero scalar with a sticky `lost` flag:
-group-algebra elements, their graded pieces and symmetric tensors differ in
+`CoeffMap` is a sparse map key -> nonzero scalar: group-algebra elements
+(classes mod I^(D+1)), their graded pieces and symmetric tensors differ in
 their key shape, their product and what `_values` reads (a group-algebra
 element expands its separable terms; `grpalg` alone truncates).  A plectic
 invariant is a plain scalar, the committed Q_S.  `CoordVector` is a fixed
@@ -15,15 +15,14 @@ from .padic import INF
 
 
 class CoeffMap:
-    """Map key -> nonzero scalar; `lost` records any truncated product term.
+    """Map key -> nonzero scalar.
 
     Subclasses add their shape fields and `_shape()`, the data two operands
     must share; a key missing from the map is an exact zero.
     """
 
-    def __init__(self, coeffs, lost=False):
+    def __init__(self, coeffs):
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        self.lost = lost
 
     def _shape(self):
         return None
@@ -32,12 +31,11 @@ class CoeffMap:
         if type(other) is not type(self) or other._shape() != self._shape():
             raise ShapeMismatch("mixed %s shapes" % type(self).__name__)
 
-    def _like(self, coeffs, lost, **shape):
+    def _like(self, coeffs, **shape):
         """A map with this one's shape (updated by `shape`); keys are trusted."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, **shape)
         out.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        out.lost = lost
         return out
 
     def __add__(self, other):
@@ -45,17 +43,16 @@ class CoeffMap:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out[k] + c if k in out else c
-        return self._like(out, self.lost or other.lost)
+        return self._like(out)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()}, self.lost)
+        return self._like({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        return self._like({k: c * scalar for k, c in self.coeffs.items()},
-                          self.lost)
+        return self._like({k: c * scalar for k, c in self.coeffs.items()})
 
     def _values(self):
         """The map compared and tested for zero (a lazy form's expansion)."""
@@ -76,6 +73,10 @@ class CoeffMap:
             if k not in a:
                 margin = min(margin, d.valuation)
         return margin
+
+    def __repr__(self):
+        return "%s(%r, %d terms)" % (type(self).__name__, self._shape(),
+                                     len(self.coeffs))
 
 
 def _agreement(a, b):

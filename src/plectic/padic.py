@@ -347,8 +347,8 @@ class QuadExtScalar:
 
     @classmethod
     def from_parts(cls, a, b, p, prec):
-        mk = lambda x: x if isinstance(x, PadicScalar) else PadicScalar.from_int(x, p, prec)
-        return cls(mk(a), mk(b))
+        return cls(PadicScalar.from_int(a, p, prec),
+                   PadicScalar.from_int(b, p, prec))
 
     @classmethod
     def from_base(cls, a):

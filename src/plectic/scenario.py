@@ -17,8 +17,10 @@ Grammar (UTF-8, one `key = value` per line, `#` comments, blank lines ok):
     Q_S            p-adic literal: the committed invariant coordinate
     suites         subset of the suite names (default: all)
 
-Any other key is an unusable input.  The character table and the twists
-it is read at are those of (Z/2)^t, so neither is a key.
+The int keys (p, t, reduction_sign, eps, precision, seed) are an optional
+sign and ASCII decimal digits.  Any other key is an unusable input.  The
+character table and the twists it is read at are those of (Z/2)^t, so
+neither is a key.
 
 p-adic literals are base-p digit lists, low digit first, joined by '.',
 followed by 'e' and the valuation: `2.1.2.1e0` means 2 + p + 2p^2 + p^3.
@@ -56,6 +58,12 @@ MAX_P = 2 ** 31
 # ASCII digits only: `_capped` strips leading zeros as the character '0'
 _PADIC = re.compile(r"^(\d+(?:\.\d+)*)e(-?)(\d+)$", re.ASCII)
 _RATIONAL = re.compile(r"^-?(\d+)(?:/(0*[1-9]\d*))?$", re.ASCII)  # D > 0
+_INT = re.compile(r"^[+-]?\d+$", re.ASCII)
+
+
+def _quote(text, keep=40):
+    """repr(text) for an error message, cut to `keep` characters and `...`."""
+    return repr(text) if len(text) <= keep else "%r..." % text[:keep]
 
 
 def _capped(digits, limit):
@@ -69,10 +77,10 @@ def _capped(digits, limit):
 def parse_padic(text, p, prec):
     m = _PADIC.match(text.strip())
     if not m:
-        raise ParseError("bad p-adic literal %r" % text)
+        raise ParseError("bad p-adic literal %s" % _quote(text))
     digits = [_capped(d, p - 1) for d in m.group(1).split(".")]
     if any(d >= p for d in digits):
-        raise ParseError("digit >= p in %r" % text)
+        raise ParseError("digit >= p in %s" % _quote(text))
     # a |v| past MAX_PRECISION >= prec is a zero to prec or past the bound
     v = _capped(m.group(3), MAX_PRECISION) * (-1 if m.group(2) else 1)
     keep = max(prec - v, 0)  # the scalar keeps its unit mod p^keep
@@ -101,12 +109,12 @@ def parse_quad(text, p, prec):
             if parts[1] == "-":
                 b = -b
         else:
-            raise ParseError("bad extension literal %r" % text)
+            raise ParseError("bad extension literal %s" % _quote(text))
     elif len(parts) == 1:
         a = parse_padic(parts[0], p, prec)
         b = PadicScalar.zero(p, prec)
     else:
-        raise ParseError("bad extension literal %r" % text)
+        raise ParseError("bad extension literal %s" % _quote(text))
     return QuadExtScalar(a, b)
 
 
@@ -122,12 +130,14 @@ def _is_prime(n):
 
 
 def _int(raw, key, default):
-    """raw[key] (or `default`) read as an int."""
+    """raw[key] (or `default`) read as an int in ASCII decimal digits."""
     text = raw.get(key, default)
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError("%s = %r is not a valid int" % (key, text))
+    if _INT.match(text):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on the digits it reads
+            pass
+    raise ParseError("%s = %s is not a valid int" % (key, _quote(text)))
 
 
 def _rational(raw, key, default=None):
@@ -138,8 +148,9 @@ def _rational(raw, key, default=None):
     m = _RATIONAL.match(text)
     n, d = (_capped(x, MAX_MODULUS) for x in m.groups("1")) if m else (0, 0)
     if not m or max(n, d) > MAX_MODULUS:
-        raise ParseError("%s = %r is not a rational [-]N or [-]N/D with D > 0 "
-                         "and N, D at most 5^%d" % (key, text, MAX_PRECISION))
+        raise ParseError("%s = %s is not a rational [-]N or [-]N/D with D > 0 "
+                         "and N, D at most 5^%d"
+                         % (key, _quote(text), MAX_PRECISION))
     # from the integers read by length: Fraction(text) would int() it all
     return Fraction(-n if text.startswith("-") else n, d)
 
@@ -160,7 +171,7 @@ class Scenario:
                        for i in range(1, self.r + 1)}
         unknown = sorted(set(raw).difference(KEYS, family_keys))
         if unknown:
-            raise ValidationError("unknown key %r" % unknown[0])
+            raise ValidationError("unknown key %s" % _quote(unknown[0]))
         self.reduction_sign = _int(raw, "reduction_sign", "1")
         if self.reduction_sign not in (1, -1):
             raise ValidationError("reduction_sign must be +1 or -1")
@@ -221,7 +232,7 @@ class Scenario:
             names = raw["suites"].split()
             for n in names:
                 if n not in SUITES:
-                    raise ValidationError("unknown suite %r" % n)
+                    raise ValidationError("unknown suite %s" % _quote(n))
             self.suites = tuple(names)
             self.check_suites(names)
         elif self.has_family:
@@ -257,7 +268,8 @@ def _key_values(text):
         if not key or not value:
             raise ParseError("line %d: empty key or value" % lineno)
         if key in raw:
-            raise ParseError("line %d: duplicate key %r" % (lineno, key))
+            raise ParseError("line %d: duplicate key %s"
+                             % (lineno, _quote(key)))
         raw[key] = value
     return raw
 

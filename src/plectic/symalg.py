@@ -44,11 +44,7 @@ class SymTensor(CoeffMap):
                 k = tuple(map(operator.add, k1, k2))
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
-        return self._like(out, self.lost or other.lost,
-                          degree=self.degree + other.degree)
-
-    def __repr__(self):
-        return "SymTensor(deg=%d, %d terms)" % (self.degree, len(self.coeffs))
+        return self._like(out, degree=self.degree + other.degree)
 
 
 def linear_form(rank, vector):

@@ -45,7 +45,7 @@ class UnitCompletion:
     # -- element constructors ----------------------------------------------
 
     def ext(self, a, b):
-        """Build a + b*w from integers or scalars at working precision."""
+        """Build a + b*w from integers at working precision."""
         return QuadExtScalar.from_parts(a, b, self.p, self.prec)
 
     def base(self, n):

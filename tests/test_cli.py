@@ -184,6 +184,13 @@ def test_cli_exit_two_on_errors(tmp_path, capsys):
     ("u_eta.1", "1e0 +- 1e1 w"),  # one sign, not a run of them
     ("precison", "12"),  # a misspelt key is not silently ignored
     ("k_eta.3", "1"),  # r = 2: no third unit to normalize
+    # an int key is ASCII decimal: int() would read the next three as 40
+    ("precision", "4_0"),
+    ("precision", "\u0664\u0660"),  # Arabic-Indic digits
+    ("precision", "\uff14\uff10"),  # fullwidth digits
+    ("eps", "1.0"),
+    ("seed", "0x28"),
+    ("seed", "++1"),
 ])
 def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     text = (GOLDEN / "t1-split.kv").read_text()
@@ -192,6 +199,34 @@ def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     bad.write_text("\n".join(lines + ["%s = %s" % (key, value)]) + "\n")
     assert main(["verify", str(bad), "--suite", "sign"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+LONG_KEY = "x" * 5000
+
+
+@pytest.mark.parametrize("lines", [
+    ["Q_S = %se0" % ("1" * 5000)],  # one 5000-digit digit group: digit >= p
+    ["Q_S = 1.%sx" % ("1" * 5000)],  # a bad p-adic literal
+    ["u_eta.1 = 1e0 %s1e1 w" % ("+ " * 2500)],  # a bad extension literal
+    ["C_chi = 1.%s" % ("5" * 5000)],  # not a rational
+    ["seed = %s" % ("1_" * 2500)],  # not an ASCII decimal int
+    ["seed = %s" % ("9" * 5000)],  # past int()'s limit on the digits it reads
+    ["%s = 1" % LONG_KEY],  # an unknown key
+    ["%s = 1" % LONG_KEY] * 2,  # a duplicate key
+    ["suites = units %s" % LONG_KEY],  # an unknown suite
+], ids=["digit", "padic", "quad", "rational", "int", "int-limit",
+        "unknown-key", "duplicate-key", "unknown-suite"])
+def test_cli_error_lines_quote_a_bounded_part_of_the_value(tmp_path, capsys,
+                                                          lines):
+    keys = {line.split(" = ")[0] for line in lines}
+    text = (GOLDEN / "t1-split.kv").read_text()
+    kept = [ln for ln in text.splitlines() if ln.split(" = ")[0] not in keys]
+    bad = tmp_path / "bad.kv"
+    bad.write_text("\n".join(kept + lines) + "\n")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'..." in err
+    assert len(err.encode()) < 200
 
 
 def test_verify_parses_once_through_the_one_argument_parse_scenario(

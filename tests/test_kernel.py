@@ -1,4 +1,5 @@
-"""The shared coefficient kernel: one agreement rule and a sticky lost flag."""
+"""The shared coefficient kernel: one agreement rule, linear operations that
+keep a map's kind and shape, and one repr."""
 
 import pytest
 
@@ -49,13 +50,10 @@ def test_one_sided_key_agrees_to_its_valuation(build, extra):
 
 
 @pytest.mark.parametrize("build", MAPS, ids=lambda b: b.__name__[1:])
-def test_lost_survives_linear_operations(build):
+def test_linear_operations_keep_kind_and_shape(build):
     x = build(PadicScalar.from_int(2, P, N), PadicScalar.from_int(3, P, N))
     y = build(PadicScalar.from_int(5, P, N), PadicScalar.from_int(1, P, N))
-    assert not (x + y).lost
-    x.lost = True
     for out in (x + y, y + x, x - y, y - x, -x, x.scale(PadicScalar.from_int(4, P, N))):
-        assert out.lost
         assert type(out) is type(x) and out._shape() == x._shape()
 
 
@@ -68,13 +66,11 @@ def test_maps_of_different_kinds_do_not_mix():
         piece.agreement(elem)
 
 
-def test_truncating_product_sets_lost():
-    t1 = GroupAlgebraElem.monomial(SHAPE, None, (1, 0), 1)
-    t1_cubed = t1 * t1 * t1
-    assert not t1_cubed.lost
-    beyond = t1_cubed * t1_cubed  # degree 6 > D = 4
-    assert beyond.lost and beyond.is_zero()
-    assert (beyond * GroupAlgebraElem.one(SHAPE)).lost
+def test_one_repr_names_the_kind_the_shape_and_the_term_count():
     x = _sym_tensor(EXACT_ONE, EXACT_ONE)
-    x.lost = True
-    assert (x * x).lost and (x * x).degree == 2
+    assert repr(x) == "SymTensor((2, 1), 2 terms)"
+    assert repr(x * x) == "SymTensor((2, 2), 3 terms)"
+    assert repr(_group_elem(EXACT_ONE, EXACT_ONE)) \
+        == "GroupAlgebraElem(GroupShape(Q=(2,), s=2, D=4), 2 terms)"
+    assert repr(_graded_piece(EXACT_ONE, EXACT_ONE)) \
+        == "GradedPiece((GroupShape(Q=(2,), s=2, D=4), 1), 2 terms)"

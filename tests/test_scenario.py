@@ -158,6 +158,26 @@ def test_rationals_are_bounded_integers_or_quotients(value, expected):
             parse_scenario(text)
 
 
+@pytest.mark.parametrize("key,value,expected", [
+    ("precision", "+40", 40), ("precision", "040", 40),
+    ("eps", "+1", 1), ("eps", "-1", -1), ("reduction_sign", "+1", 1),
+    ("seed", "-7", -7),
+])
+def test_int_keys_take_a_sign_and_leading_zeros(key, value, expected):
+    sc = parse_scenario("tate_period = 1e1\n%s = %s\n" % (key, value))
+    assert getattr(sc, key) == expected
+
+
+def test_error_messages_cut_a_long_value_to_forty_characters():
+    with pytest.raises(ParseError) as err:
+        parse_padic("1" * 5000 + "e0", 5, 10)
+    assert str(err.value) == "digit >= p in %r..." % ("1" * 40)
+    # a short value is quoted whole, as before
+    with pytest.raises(ParseError) as err:
+        parse_padic("1" * 39 + "x", 5, 10)
+    assert str(err.value) == "bad p-adic literal %r" % ("1" * 39 + "x")
+
+
 def test_parse_quad_literals():
     a = parse_quad("3e0", 5, 10)
     assert a.b.is_zero() and not a.a.is_zero()
