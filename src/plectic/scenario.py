@@ -61,9 +61,9 @@ _RATIONAL = re.compile(r"^-?(\d+)(?:/(0*[1-9]\d*))?$", re.ASCII)  # D > 0
 _INT = re.compile(r"^[+-]?\d+$", re.ASCII)
 
 
-def _quote(text, keep=40):
-    """repr(text) for an error message, cut to `keep` characters and `...`."""
-    return repr(text) if len(text) <= keep else "%r..." % text[:keep]
+def _quote(text):
+    """repr(text) for an error message, cut to 40 characters and `...`."""
+    return repr(text) if len(text) <= 40 else "%r..." % text[:40]
 
 
 def _capped(digits, limit):
