@@ -522,12 +522,19 @@ def test_no_leading_term_reads_past_the_truncation():
     x = iota_defect(3)
     want = {((0,), (2, 1)): mk(-1), ((0,), (1, 2)): mk(-1)}
     assert x.leading_term(3).agreement(GradedPiece(x.shape, 3, want)) >= N
-    # t_1^(D+1) is zero in the quotient, so its class in degree D is zero
+
+
+def test_truncation_loss_is_sticky_and_loud():
+    # t_1^(D+1) is zero in the quotient: its class in degree D is zero, it
+    # stays zero under further products, and no class past D is read from it
     t1 = gen(0) - ONE
     high = t1
     for _ in range(SHAPE.degree):
-        high = high * t1
+        high = high * t1  # walks past the truncation degree
     assert high.is_zero() and high.leading_term(SHAPE.degree).is_zero()
+    assert (high * t1).is_zero() and (high * ONE).is_zero()
+    with pytest.raises(DegreeTooLow):
+        high.leading_term(SHAPE.degree + 1)
 
 
 def test_graded_involution_diagram():

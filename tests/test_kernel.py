@@ -57,6 +57,20 @@ def test_linear_operations_keep_kind_and_shape(build):
         assert type(out) is type(x) and out._shape() == x._shape()
 
 
+def test_truncating_product_sets_lost():
+    # a product past D = 4 is the zero class of the quotient, and stays zero
+    t1 = GroupAlgebraElem.monomial(SHAPE, None, (1, 0), 1)
+    t1_cubed = t1 * t1 * t1
+    assert not t1_cubed.is_zero()
+    assert t1_cubed.leading_term(3).agreement(
+        GradedPiece(SHAPE, 3, {((0,), (3, 0)): EXACT_ONE})) >= N
+    beyond = t1_cubed * t1_cubed  # degree 6 > D = 4
+    assert beyond.is_zero()
+    assert (beyond * GroupAlgebraElem.one(SHAPE)).is_zero()
+    x = _sym_tensor(EXACT_ONE, EXACT_ONE)
+    assert (x * x).degree == 2
+
+
 def test_maps_of_different_kinds_do_not_mix():
     elem = _group_elem(EXACT_ONE, EXACT_ONE)
     piece = _graded_piece(EXACT_ONE, EXACT_ONE)
