@@ -21,8 +21,9 @@ sc = load_scenario(scenario_path)
 print("scenario:", sc.name, " p =", sc.p, " r =", sc.r,
       " reduction sign =", sc.reduction_sign)
 
-# the committed family, the completed points of the units u_eta (each
-# completed once, when the scenario is read), and their minus-line coordinates
+# the committed family, the completed points x + y*w in Q_p(w) of the units
+# u_eta (each completed once, when the scenario is read), and their
+# minus-line coordinates
 coords = po.minus_coordinates(sc.family, sc.units)
 for i, coord in enumerate(coords):
     print("  Q_%d =" % (i + 1), coord)
@@ -32,7 +33,7 @@ for i, coord in enumerate(coords):
 chi = po.character_table(sc.t)
 c_g = po.char_table_det(sc.t)
 points = [v for v, _ in sc.family]
-values = [QuadExtScalar(v.x + v.y, v.y) for v in points]
+values = [QuadExtScalar(v.a + v.b, v.b) for v in points]
 twisted = det([[z if s > 0 else -z for s in row] for z, row in zip(values, chi)])
 product = math.prod(values, start=QuadExtScalar.from_base(
     PadicScalar.from_int(c_g, sc.p, INF)))
@@ -45,7 +46,7 @@ print("agrees with C_G * prod(x_i + lam*y_i) to", twisted.agreement(product),
 # its value at (0, 1): the determinant of the y-coordinates
 # times 2^r, rescaled by sqrt(C_chi) / (C_G * prod k_eta) with the root
 # recovered as Q_S / prod Q_eta, it is the plectic point Q_S * (2*b0)^r
-y_det = det([[v.y.scale_int(s) for s in row] for v, row in zip(points, chi)])
+y_det = det([[v.b.scale_int(s) for s in row] for v, row in zip(points, chi)])
 root = sc.invariant / math.prod(coords[1:], start=coords[0])
 k_prod = math.prod((k for _, k in sc.family), start=Fraction(1))
 minus = y_det.scale_int(2 ** sc.r) * root * PadicScalar.from_fraction(

@@ -5,7 +5,14 @@ import sys
 
 from .errors import PlecticError
 from .runner import DEFAULT_FLOOR, run
-from .scenario import SUITES, load_scenario
+from .scenario import _INT, SUITES, load_scenario
+
+
+def integer(text):
+    """An int in the int keys' grammar; argparse exits 2 on its ValueError."""
+    if not _INT.match(text):
+        raise ValueError(text)
+    return int(text)  # a ValueError too past int()'s limit on the digits
 
 
 def build_parser():
@@ -17,11 +24,11 @@ def build_parser():
     verify.add_argument("scenario", help="path to a scenario file")
     verify.add_argument("--suite", action="append", choices=SUITES,
                         help="run only the named suite (repeatable)")
-    verify.add_argument("--precision", type=int, default=None,
+    verify.add_argument("--precision", type=integer, default=None,
                         help="override working precision (base-p digits)")
-    verify.add_argument("--seed", type=int, default=None,
+    verify.add_argument("--seed", type=integer, default=None,
                         help="override the scenario RNG seed")
-    verify.add_argument("--floor", type=int, default=DEFAULT_FLOOR,
+    verify.add_argument("--floor", type=integer, default=DEFAULT_FLOOR,
                         help="pass/fail margin floor in digits")
     verify.add_argument("--report", default=None,
                         help="also write the report to this path")

@@ -7,8 +7,8 @@ degree D: an element is its class modulo I^(D+1), where every operation is
 exact, and no leading term of degree past D is read from it.
 
 Elements and graded pieces are `kernel.CoeffMap`s.  The product (which
-counts its term pairs) and the involution map separable terms factor by
-factor; `_expand` alone forms monomials, truncates and counts them.
+counts its factor entries) and the involution map separable terms factor
+by factor; `_expand` alone forms monomials, truncates and counts them.
 """
 
 import itertools
@@ -21,10 +21,11 @@ from .kernel import CoeffMap
 from .padic import PadicScalar
 
 # The most steps one operation may take: the monomials one expansion forms,
-# or the term pairs of a product.  A monomial costs ~400 bytes, so one
-# expansion under the limit takes at most ~400 MB (962,598 monomials peaked
-# at 382 MB RSS).  scenarios/t3-split.kv needs 10,252 at seed 0 (15,734
-# over seeds 0-10), for expanding iota(xy) and iota(x) iota(y).
+# or a product's factor entries, s*(D + 1) a term pair.  A monomial costs
+# ~400 bytes (962,598 peaked at 382 MB RSS) and an entry ~44 (a term at
+# s = 8, D = 18 took ~6.7 kB), so an operation under the limit takes at most
+# ~400 MB.  scenarios/t3-split.kv needs 2,432 entries and 10,252 monomials
+# at seed 0 (15,734 over seeds 0-10), for iota(xy) and iota(x) iota(y).
 WORK_LIMIT = 1_000_000
 
 
@@ -124,11 +125,12 @@ class GroupAlgebraElem(CoeffMap):
         """Term pair by term pair, factor by factor, truncated at D; a pair
         whose lowest degrees sum past D is not formed."""
         self._check(other)
-        pairs = len(self.coeffs) * len(other.coeffs)
-        if pairs > WORK_LIMIT:
-            raise WorkLimitExceeded(
-                "a product of %d pairs is past the work limit" % pairs)
         degree, divisors = self.shape.degree, self.shape.divisors
+        entries = max(1, self.shape.s * (degree + 1))  # of one term's factors
+        work = len(self.coeffs) * len(other.coeffs) * entries
+        if work > WORK_LIMIT:
+            raise WorkLimitExceeded(
+                "a product of %d factor entries is past the work limit" % work)
         out = {}
         for (q1, f1), c1 in self.coeffs.items():
             for (q2, f2), c2 in other.coeffs.items():

@@ -1,14 +1,11 @@
-"""The two arithmetic kernels the coefficient and coordinate types share.
+"""The arithmetic kernel the coefficient types share.
 
 `CoeffMap` is a sparse map key -> nonzero scalar: group-algebra elements
 (classes mod I^(D+1)), their graded pieces and symmetric tensors differ in
 their key shape, their product and what `_values` reads (a group-algebra
 element expands its separable terms; `grpalg` alone truncates).  A plectic
-invariant is a plain scalar, the committed Q_S.  `CoordVector` is a fixed
-tuple of scalars with componentwise operations: the completed units and points.
+invariant is a plain scalar, the committed Q_S.
 """
-
-import operator
 
 from .errors import ShapeMismatch
 from .padic import INF
@@ -78,41 +75,3 @@ class CoeffMap:
         return "%s(%r, %d terms)" % (type(self).__name__, self._shape(),
                                      len(self.coeffs))
 
-
-def _agreement(a, b):
-    return a.agreement(b)
-
-
-class CoordVector:
-    """A fixed-length tuple of scalars with componentwise operations."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, *coords):
-        self._coords = coords
-
-    def coords(self):
-        return self._coords
-
-    def _zip(self, other, op):
-        if type(other) is not type(self):
-            raise ShapeMismatch("mixed coordinate vectors")
-        return map(op, self._coords, other._coords)
-
-    def __add__(self, other):
-        return type(self)(*self._zip(other, operator.add))
-
-    def agreement(self, other):
-        return min(self._zip(other, _agreement))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self._coords)
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__,
-                           ", ".join(map(repr, self._coords)))
-
-
-def coordinate(i):
-    """A read-only named accessor for coordinate `i` of a CoordVector."""
-    return property(lambda self: self._coords[i])

@@ -80,11 +80,11 @@ def sign_check(eps, a, r, c):
 
 
 def minus_coordinates(family, units):
-    """The invariant coordinates y_eta / (k_eta * b0) of (point, k_eta)."""
+    """The invariant coordinates y / (k * b0) of the pairs (x + y*w, k)."""
     out = []
     b0 = units.minus_scale  # 2*b0; the (1-sigma) projection doubles log_b
     for point, k in family:
-        coord = (point.y + point.y) / b0  # (1-sigma) then generator basis
+        coord = (point.b + point.b) / b0  # (1-sigma) then generator basis
         coord = coord * PadicScalar.from_fraction(Fraction(1) / k, units.p, units.prec)
         out.append(coord)
     return out
@@ -127,12 +127,13 @@ def algebraicity_check(family, t, c_s, units):
     (equality in Hadamard's bound).
 
     Step 2: N(det W) = C_G * prod L(v_i), W_ij = chi_i(tau_j) * L(v_i) and
-    L(v) = v.x*x + v.y*y, as binary forms of degree r.  Evaluation at
-    (1, lam) is a ring map, so both sides are compared at lam = a + b*w for
-    the first r + 1 pairs (a, b) of range(p)^2; their residues in F_{p^2}
-    differ, so the Vandermonde matrix is a unit and the values agree as far
-    as the coefficients do.  Step 3: 1 - a*sigma = diag(0, 2) keeps 2^r times
-    the value at (0, 1); rescaled, it is the plectic point Q_S * (2*b0)^r.
+    L(v) = x*v_x + y*v_y for a point v = v_x + v_y*w, as binary forms of
+    degree r.  Evaluation at (1, lam) is a ring map, so both sides are
+    compared at lam = a + b*w for the first r + 1 pairs (a, b) of
+    range(p)^2; their residues in F_{p^2} differ, so the Vandermonde matrix
+    is a unit and the values agree as far as the coefficients do.  Step 3:
+    1 - a*sigma = diag(0, 2) keeps 2^r times the value at (0, 1); rescaled,
+    it is the plectic point Q_S * (2*b0)^r.
     Returns the named checks, as `factorization_check` does.
     """
     r, p = 2 ** t, units.p
@@ -140,7 +141,7 @@ def algebraicity_check(family, t, c_s, units):
     c_g = char_table_det(t)
     step2 = []
     for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
-        values = [QuadExtScalar(v.x + v.y.scale_int(a), v.y.scale_int(b))
+        values = [QuadExtScalar(v.a + v.b.scale_int(a), v.b.scale_int(b))
                   for v, _ in family]
         lhs = det([[z if s > 0 else -z for s in row]
                    for z, row in zip(values, chi)])
@@ -151,7 +152,7 @@ def algebraicity_check(family, t, c_s, units):
     k_prod = math.prod((k for _, k in family), start=Fraction(1))
     scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
                                              units.prec)
-    y_det = det([[v.y.scale_int(s) for s in row]
+    y_det = det([[v.b.scale_int(s) for s in row]
                  for (v, _), row in zip(family, chi)])
     step3 = (y_det.scale_int(2 ** r) * scale, c_s * units.minus_scale ** r)
     hadamard = all(sum(x * y for x, y in zip(row, other)) == r * (i == k)

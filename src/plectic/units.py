@@ -1,16 +1,16 @@
-"""Coordinates for the torsion-free pro-p completion of the local units.
+"""Completions of the local units and points of the quadratic extension.
 
-A nonzero u in the quadratic extension decomposes as p^v * zeta * u1 with
-zeta a Teichmuller root of unity and u1 a principal unit.  The completion
-coordinates are (v, log u1) with the logarithm written in the eigenbasis
-(1, w) of Frobenius, so sigma acts as diag(1, 1, -1) on coordinates and the
-eigenspace projections are exact.
+A nonzero u in Q_p(w) is p^v * zeta * u1 with zeta a Teichmuller root of
+unity and u1 a principal unit.  Its completed unit is (val, log), the
+scalar v and log u1 = log_a + log_b*w in Q_p(w); its completed point is
+the element of Q_p(w) this log leaves once the period is killed.  On both,
+sigma is Frobenius w -> -w, so the eigenspace projections are exact.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
-from .errors import PrecisionExhausted
-from .kernel import CoordVector, coordinate
+from .errors import PrecisionExhausted, ShapeMismatch
 from .padic import (
     INF,
     PadicScalar,
@@ -20,13 +20,21 @@ from .padic import (
 )
 
 
-class CompletedUnit(CoordVector):
-    """Coordinates (valuation, log_a, log_b) of a completed unit."""
+class CompletedUnit(namedtuple("CompletedUnit", "val log")):
+    """A completed unit: its valuation scalar and its log in Q_p(w)."""
 
     __slots__ = ()
-    val = coordinate(0)
-    log_a = coordinate(1)
-    log_b = coordinate(2)
+
+    def __add__(self, other):
+        if type(other) is not CompletedUnit:
+            raise ShapeMismatch("mixed completions")
+        return CompletedUnit(self.val + other.val, self.log + other.log)
+
+    def agreement(self, other):
+        return min(self.val.agreement(other.val), self.log.agreement(other.log))
+
+    def is_zero(self):
+        return self.val.is_zero() and self.log.is_zero()
 
 
 class UnitCompletion:
@@ -37,8 +45,8 @@ class UnitCompletion:
             raise ValueError("need an odd prime p >= 5")
         self.p = p
         self.prec = prec
-        # log_b coordinate of the pinned minus generator u0 = g / sigma(g),
-        # g = 1 + p*w: twice the log_b coordinate b0 of g
+        # log_b of the pinned minus generator u0 = g / sigma(g), g = 1 + p*w:
+        # twice the log_b of g
         b0 = plog(self.ext(1, p)).b
         self.minus_scale = b0 + b0
 
@@ -51,10 +59,10 @@ class UnitCompletion:
     def base(self, n):
         return PadicScalar.from_int(n, self.p, self.prec)
 
-    # -- the coordinate map -------------------------------------------------
+    # -- the completion map -------------------------------------------------
 
     def complete(self, u):
-        """Coordinates of a nonzero unit-group element."""
+        """The completed unit of a nonzero element."""
         if u.is_zero():
             raise PrecisionExhausted("cannot complete zero")
         v = u.valuation
@@ -64,16 +72,16 @@ class UnitCompletion:
         m = self.p * self.p - 1
         l = plog(_shift(u, -v), m)
         order = PadicScalar.from_int(m, self.p, INF)
-        return CompletedUnit(self.base(v), l.a / order, l.b / order)
+        return CompletedUnit(self.base(v), QuadExtScalar(l.a / order, l.b / order))
 
     def sigma(self, c):
-        """Frobenius on completion coordinates: diag(1, 1, -1)."""
-        return CompletedUnit(c.val, c.log_a, -c.log_b)
+        """Frobenius on a completed unit: it fixes val and conjugates log."""
+        return CompletedUnit(c.val, c.log.frobenius())
 
     def minus_project(self, c):
         """((1 - sigma)/2)(c) as a scalar: its coordinate in the generator
         basis of the minus line."""
-        return c.log_b / self.minus_scale
+        return c.log.b / self.minus_scale
 
     def norm_one_unit(self):
         """u0 = (1 + p*w) / sigma(1 + p*w), the pinned minus generator."""
@@ -84,19 +92,11 @@ class UnitCompletion:
         return self.complete(self.norm_one_unit())
 
 
-class CompletedPoint(CoordVector):
-    """Coordinates (x, y) of a point-group element modulo the period lattice."""
-
-    __slots__ = ()
-    x = coordinate(0)
-    y = coordinate(1)
-
-
 class PointCompletion:
     """Completion of the point group of a period-q torus over Q_p(w).
 
-    Coordinates of a unit u are obtained from its unit-completion
-    coordinates (v, a, b) by killing the period: (a - (v/v_q)*a_q, b).
+    The point of a unit u is its completed unit (v, a + b*w) with the period
+    killed: (a - (v/v_q)*a_q) + b*w in Q_p(w), where sigma is Frobenius.
     The valuation of q must be prime to p so v/v_q lands in Z_p.
     """
 
@@ -109,9 +109,9 @@ class PointCompletion:
         self.q = q
         self._vq_inv = PadicScalar.from_fraction(Fraction(1, q.v), units.p, units.prec)
         q_ext = QuadExtScalar.from_base(q)
-        self._alpha_q = units.complete(q_ext).log_a
+        self._alpha_q = units.complete(q_ext).log.a
 
     def complete(self, u):
         c = self.units.complete(u)
         t = c.val * self._vq_inv
-        return CompletedPoint(c.log_a - t * self._alpha_q, c.log_b)
+        return QuadExtScalar(c.log.a - t * self._alpha_q, c.log.b)

@@ -8,7 +8,7 @@ over all r! permutations, `norm_map` collapses it into Sym^r of the (x, y)
 module, and `algebraicity_by_expansion` is the algebraicity check built
 from them: it compares whole binary forms of degree r coefficient-wise.
 `factorization_by_tensor` is the factorization check over rank-one
-`SymTensor`s, with `sqrt_ratio`'s squaring test, for the scalar
+`SymTensor`s, its squares formed as tensors, for the scalar
 `plectic_ops.factorization_check`.  Families are (completed point, k_eta)
 pairs, as `Scenario.family` holds them.  `rel_aug_degree`, `as_elem` and
 `quad_truncate` are readings of library values that only the tests need.
@@ -171,15 +171,15 @@ def algebraicity_by_expansion(family, t, c_s, units):
     r = 2 ** t
     vectors = [v for v, _ in family]
     chi = character_table(t)
-    entries = [[(v.x.scale_int(s), v.y.scale_int(s)) for s in row]
+    entries = [[(v.a.scale_int(s), v.b.scale_int(s)) for s in row]
                for v, row in zip(vectors, chi)]
     # step (ii): the norm of the determinant is C_G times the point product
     c_g = char_table_det(t)
     module = 2  # the (x, y) module, by its rank
     n_w = norm_map(det_map(entries), module)
-    prod = linear_form(module, [vectors[0].x, vectors[0].y])
+    prod = linear_form(module, [vectors[0].a, vectors[0].b])
     for v in vectors[1:]:
-        prod = prod * linear_form(module, [v.x, v.y])
+        prod = prod * linear_form(module, [v.a, v.b])
     step2_margin = n_w.agreement(prod.scale(
         PadicScalar.from_int(c_g, units.p, INF)))
     # step (iii): compare the rescaled minus projection of the norm with the

@@ -201,6 +201,20 @@ def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--precision", "--seed", "--floor"])
+@pytest.mark.parametrize("value", [
+    "4_0", "\u0664\u0660", "\uff14\uff10",  # int() reads each as 40
+    "1.0", "0x28", "++1", "", "9" * 5000])
+def test_cli_int_flags_follow_the_int_key_grammar(capsys, flag, value):
+    # an int flag is read as an int key is: a bad value is a usage error,
+    # exit 2 with no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", T1, "--suite", "sign", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument %s" % flag in err and "Traceback" not in err
+
+
 LONG_KEY = "x" * 5000
 
 
@@ -475,7 +489,8 @@ def test_t3_grpalg_and_gz_fit_a_forty_thousand_step_work_limit(monkeypatch):
 
 
 def test_cli_exit_two_past_the_grpalg_work_limit(monkeypatch, capsys):
-    # the expansion of iota(xy), 642 monomials, is refused before it runs
+    # the product x*y, 16 pairs of 4 * 11 factor entries each (704), is
+    # refused before it runs
     monkeypatch.setattr(grpalg, "WORK_LIMIT", 641)
     assert main(["verify", T2, "--suite", "grpalg"]) == 2
     captured = capsys.readouterr()

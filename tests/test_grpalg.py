@@ -16,6 +16,7 @@ from plectic.grpalg import (
     check_lemma_free_graded_injectivity,
 )
 from plectic.padic import INF, PadicScalar
+from plectic.plectic_ops import tower_shape
 from plectic.runner import run
 from plectic.scenario import load_scenario
 
@@ -592,8 +593,8 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
     y = GroupAlgebraElem.monomial(SHAPE, None, (5, 0), 1) \
         + GroupAlgebraElem.monomial(SHAPE, None, (0, 1), 1)
     # an expansion counts the monomials it forms, and the leading term
-    # forms none past its degree; a product counts its term pairs, and the
-    # involution forms no monomial
+    # forms none past its degree; a product counts the s*(D + 1) factor
+    # entries each term pair can hold, and the involution forms no monomial
     z = GroupAlgebraElem(SHAPE, {((0,), e): mk(1)
                                  for e in [(2, 0), (1, 1), (0, 2), (3, 0)]})
     xy = x * y
@@ -602,7 +603,8 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
     cases = [
         (6, iota_t1.expand, 6),  # t_1 -> -t_1 + t_1^2 - ... - t_1^6
         (3, lambda: iota_z.leading_term(2).coeffs, 3),  # one per term of degree 2
-        (4, lambda: (x * y).coeffs, 4),  # one separable term per pair
+        # one separable term per pair, each of s*(D + 1) = 14 entries
+        (4 * SHAPE.s * (SHAPE.degree + 1), lambda: (x * y).coeffs, 4),
         (4, xy.expand, 4),  # 1 meets both terms, t_1 meets both up to D
     ]
     for work, op, terms in cases:
@@ -611,6 +613,29 @@ def test_work_is_counted_before_it_is_done(monkeypatch):
         monkeypatch.setattr(grpalg, "WORK_LIMIT", work - 1)
         with pytest.raises(WorkLimitExceeded):
             op()
+
+
+def test_a_t3_product_is_refused_before_it_forms_a_term(monkeypatch):
+    # at s = 8, D = 18 a 100 x 100-term product has 10,000 pairs, under the
+    # limit, but its terms can hold 10,000 * 8 * 19 = 1.52 M factor entries
+    shape = tower_shape(3, P, N)
+    rng = random.Random(43)
+
+    def hundred_terms():
+        out = GroupAlgebraElem.zero(shape)
+        while len(out.coeffs) < 100:
+            a = tuple(rng.randrange(-3, 4) for _ in range(shape.s))
+            out = out + GroupAlgebraElem.group_elem(shape, None, a)
+        return out
+
+    x, y = hundred_terms(), hundred_terms()
+
+    def refuse(*args):
+        raise AssertionError("a product term was formed")
+
+    monkeypatch.setattr(grpalg, "_times", refuse)
+    with pytest.raises(WorkLimitExceeded):
+        x * y
 
 
 def test_the_t3_gz_expansion_needs_no_exact_count(monkeypatch):

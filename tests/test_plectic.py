@@ -190,7 +190,7 @@ def test_phi_minus_is_the_projected_base_point():
     for t, a in ((1, 1), (1, -1), (2, 1), (2, -1)):
         r = 2 ** t
         c = mk(rng.randrange(1, P ** 10))
-        by_hand = oracle.PlecticTensor.pure(c, ((base.x, base.y),) * r)
+        by_hand = oracle.PlecticTensor.pure(c, ((base.a, base.b),) * r)
         by_hand = oracle.projector(by_hand, "-", a, oracle.make_sigma_point(a))
         image = oracle.phi_minus(c, r, U)
         assert oracle.norm_map(image, MODULE).agreement(

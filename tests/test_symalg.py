@@ -109,6 +109,25 @@ def test_sqrt_ratio_rejects_perturbations():
             sqrt_ratio(bad, y)
 
 
+def test_sqrt_ratio_forms_no_tensor_product(monkeypatch):
+    # the coefficient-wise certificate is the only one: no squares are formed
+    rng = random.Random(29)
+    ys = [collapse(M, [(mk(rng.randrange(1, P ** 4)),
+                        [vec(rng.randrange(P ** 6), rng.randrange(1, P ** 6)),
+                         vec(rng.randrange(1, P ** 6), rng.randrange(P ** 6))])])
+          for _ in range(10)]
+
+    def refuse(self, other):
+        raise AssertionError("sqrt_ratio formed a SymTensor product")
+
+    monkeypatch.setattr(SymTensor, "__mul__", refuse)
+    for y in ys:
+        a = mk(rng.randrange(1, P ** 8))
+        assert sqrt_ratio(y.scale(a), y).agreement(a) >= N - 4
+        with pytest.raises(NotProportional):
+            sqrt_ratio(y.scale(a) + SymTensor(M, 2, {(2, 0): mk(1)}), y)
+
+
 def test_sqrt_ratio_zero_denominator():
     x = collapse(M, [(mk(1), [vec(1, 0), vec(0, 1)])])
     with pytest.raises(DivisionByZero):

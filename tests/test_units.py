@@ -9,7 +9,7 @@ from expansion_oracle import make_sigma_point, quad_truncate
 from plectic.errors import PlecticError, ShapeMismatch
 from plectic.linalg import rank
 from plectic.padic import INF, PadicScalar, QuadExtScalar, plog, quad_teichmuller
-from plectic.units import CompletedPoint, CompletedUnit, PointCompletion, UnitCompletion
+from plectic.units import CompletedUnit, PointCompletion, UnitCompletion
 
 P = 5
 N = 40
@@ -32,7 +32,7 @@ def rand_unit(rng):
 def test_uniformizer_coordinates():
     c = U.complete(base(P))
     assert c.val.agreement(PadicScalar.one(P, N)) >= N
-    assert c.log_a.is_zero() and c.log_b.is_zero()
+    assert c.log.a.is_zero() and c.log.b.is_zero()
 
 
 def test_torsion_dies_in_completion():
@@ -111,18 +111,22 @@ def test_generator_homomorphism_doubling():
     u0 = U.norm_one_unit()
     gen = U.norm_one_generator()
     assert U.complete(u0 * u0).agreement(gen + gen) >= N - 3
-    # the two coordinate types share one vector arithmetic
-    for v, names in ((gen, ("val", "log_a", "log_b")),
-                     (PTS.complete(u0), ("x", "y"))):
+    # a completed unit is (val, log) and a completed point is in Q_p(w): both
+    # add, agree and test for zero on their scalars
+    point = PTS.complete(u0)
+    for v, by_parts, scalars in (
+            (gen, CompletedUnit(gen.val + gen.val, gen.log + gen.log),
+             (gen.val, gen.log.a, gen.log.b)),
+            (point, QuadExtScalar(point.a + point.a, point.b + point.b),
+             (point.a, point.b))):
         double = v + v
-        assert double.agreement(type(v)(*(c + c for c in v.coords()))) >= N - 3
+        assert double.agreement(by_parts) >= N - 3
         assert not v.is_zero() and not double.is_zero()
-        assert v.agreement(v) == min(c.agreement(c) for c in v.coords())
-        assert all(getattr(v, n) is c for n, c in zip(names, v.coords()))
-        with pytest.raises(AttributeError):
-            setattr(v, names[0], v.coords()[0])
+        assert v.agreement(v) == min(c.agreement(c) for c in scalars)
+    with pytest.raises(AttributeError):
+        setattr(gen, "val", gen.val)
     with pytest.raises(ShapeMismatch):
-        gen + PTS.complete(u0)
+        gen + point
 
 
 def test_sigma_matrix_eigen_ranks():
@@ -130,7 +134,8 @@ def test_sigma_matrix_eigen_ranks():
     one = PadicScalar.one(P, N)
     zero = PadicScalar.zero(P, N)
     ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    sigma = [U.sigma(CompletedUnit(*row)).coords() for row in ident]
+    images = (U.sigma(CompletedUnit(v, QuadExtScalar(a, b))) for v, a, b in ident)
+    sigma = [[c.val, c.log.a, c.log.b] for c in images]
     minus = [[ident[i][j] - sigma[i][j] for j in range(3)] for i in range(3)]
     plus = [[ident[i][j] + sigma[i][j] for j in range(3)] for i in range(3)]
     assert rank(sigma) == 3
@@ -159,13 +164,14 @@ def test_point_sigma_compatible_with_frobenius():
     # PTS has reduction sign +1: sigma is diag(1, -1) on (x, y)
     rng = random.Random(37)
     u = rand_unit(rng)
-    sigma = make_sigma_point(1)(PTS.complete(u).coords())
-    assert PTS.complete(u.frobenius()).agreement(CompletedPoint(*sigma)) >= N - 3
+    point = PTS.complete(u)
+    sigma = make_sigma_point(1)((point.a, point.b))
+    assert PTS.complete(u.frobenius()).agreement(QuadExtScalar(*sigma)) >= N - 3
 
 
 def test_minus_line_matches_generator_powers():
     u0 = U.norm_one_unit()
-    want = CompletedPoint(PadicScalar.zero(P, N), U.minus_scale.scale_int(7))
+    want = QuadExtScalar(PadicScalar.zero(P, N), U.minus_scale.scale_int(7))
     assert PTS.complete(u0 ** 7).agreement(want) >= N - 2
 
 
@@ -212,7 +218,7 @@ def test_complete_matches_the_teichmuller_lift(p, prec, count):
         u = _random_element(rng, units, prec)
         got = units.complete(u)
         want = _reference_complete(units, u)
-        assert [(s.v, s.unit, s.prec) for s in (got.val, got.log_a, got.log_b)] == \
+        assert [(s.v, s.unit, s.prec) for s in (got.val, got.log.a, got.log.b)] == \
             [(s.v, s.unit, s.prec) for s in want]
 
 
@@ -223,8 +229,8 @@ def test_complete_digits_survive_tripled_precision(p, prec):
     for _ in range(12):
         u_hi = _random_element(rng, hi, 3 * prec)
         c_lo, c_hi = lo.complete(quad_truncate(u_hi, prec)), hi.complete(u_hi)
-        for s_lo, s_hi in zip((c_lo.val, c_lo.log_a, c_lo.log_b),
-                              (c_hi.val, c_hi.log_a, c_hi.log_b)):
+        for s_lo, s_hi in zip((c_lo.val, c_lo.log.a, c_lo.log.b),
+                              (c_hi.val, c_hi.log.a, c_hi.log.b)):
             assert s_lo.agreement(s_hi) >= s_lo.prec
 
 
@@ -236,7 +242,7 @@ def _interval_complete(units, u):
     u1 = u * QuadExtScalar.from_base(PadicScalar(p, -v, 1, INF))
     l = plog(u1 ** (p * p - 1))
     order = PadicScalar.from_int(p * p - 1, p, INF)
-    return CompletedUnit(units.base(v), l.a / order, l.b / order)
+    return CompletedUnit(units.base(v), QuadExtScalar(l.a / order, l.b / order))
 
 
 def _fold_case(rng, p, prec):
@@ -282,7 +288,7 @@ def _completion_outcome(fn, u):
         c = fn(u)
     except (ArithmeticError, ValueError, PlecticError) as e:
         return type(e).__name__
-    return [(s.v, s.unit, s.prec) for s in (c.val, c.log_a, c.log_b)]
+    return [(s.v, s.unit, s.prec) for s in (c.val, c.log.a, c.log.b)]
 
 
 @pytest.mark.parametrize("p,prec,count", [(5, 20, 400), (7, 20, 400), (11, 20, 400),
