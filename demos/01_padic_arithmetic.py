@@ -6,6 +6,7 @@ an explicit number of digits.
 """
 
 from plectic.padic import (
+    INF,
     PadicScalar,
     QuadExtScalar,
     is_square,
@@ -46,3 +47,9 @@ order = P * P - 1
 print("teichmuller lift has order dividing p^2-1:",
       (zeta ** order).agreement(QuadExtScalar.from_parts(1, 0, P, N)),
       "digits")
+
+# plog is the Iwasawa logarithm: it vanishes on p and on the roots of unity,
+# so it reads only the principal part of a unit
+p_times_zeta = QuadExtScalar.from_parts(P, 0, P, INF) * zeta  # p exact
+print("plog(p*zeta*(1+2p)) agrees with plog(1+2p) to",
+      plog(p_times_zeta * u).agreement(plog(u)), "digits")

@@ -5,14 +5,17 @@ import sys
 
 from .errors import PlecticError
 from .runner import DEFAULT_FLOOR, run
-from .scenario import _INT, SUITES, load_scenario
+from .scenario import _INT, SUITES, _quote, load_scenario
 
 
 def integer(text):
-    """An int in the int keys' grammar; argparse exits 2 on its ValueError."""
-    if not _INT.match(text):
-        raise ValueError(text)
-    return int(text)  # a ValueError too past int()'s limit on the digits
+    """An int in the int keys' grammar, quoted as they are in an error."""
+    if _INT.match(text):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on the digits it reads
+            pass
+    raise argparse.ArgumentTypeError("%s is not a valid int" % _quote(text))
 
 
 def build_parser():

@@ -17,10 +17,6 @@ class NotAUnit(PlecticError):
     pass
 
 
-class NotPrincipalUnit(PlecticError):
-    pass
-
-
 class NotMultiplicativeReduction(PlecticError):
     pass
 

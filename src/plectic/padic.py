@@ -13,7 +13,8 @@ from fractions import Fraction
 from .errors import (
     DivisionByZero,
     NotAUnit,
-    NotPrincipalUnit,
+    PrecisionExhausted,
+    ShapeMismatch,
 )
 
 INF = math.inf
@@ -272,15 +273,15 @@ def _dot(p, terms):
 
 
 def _inverse(unit, p, k):
-    """unit^-1 mod p^k, reduced to 0..p^k - 1, for an integer unit prime
-    to p (of any size and sign) and k >= 1: the value pow(unit, -1, p^k)
-    has, by the Newton step y <- y(2 - unit*y), which doubles the correct
-    digits.  It serves `PadicScalar.__truediv__` and the two inverses of
-    `TateCurve._theta_xy`.  Newton is the faster from about 50 bits on
-    (p = 5, Python 3.11 on a 2-vCPU VM: 3.6 vs 6.7 us at 40 digits, 6.9 vs
-    36 us at 160); the built-in inverse is the faster for a k of a few
-    digits (0.86 vs 0.42 us at 5), so the 1/k of `plog`'s coefficient
-    table use it."""
+    """unit^-1 mod p^k, reduced to 0..p^k - 1, for an integer unit prime to
+    p (of any size and sign) and k >= 1: the value pow(unit, -1, p^k) has,
+    by the Newton step y <- y(2 - unit*y), which doubles the correct
+    digits.  It serves `PadicScalar.__truediv__`, `plog`'s 1/(p^2 - 1) and
+    the two inverses of `TateCurve._theta_xy`.  Newton is the faster from
+    about 50 bits on (p = 5, Python 3.11 on a 2-vCPU VM: 3.6 vs 6.7 us at
+    40 digits, 6.9 vs 36 us at 160); the built-in inverse is the faster for
+    a k of a few digits (0.86 vs 0.42 us at 5), so the 1/k of `plog`'s
+    coefficient table use it."""
     y, e = pow(unit, -1, p), 1
     while e < k:
         e = 2 * e if 2 * e < k else k
@@ -373,16 +374,25 @@ class QuadExtScalar:
 
     # the components' own operations reject mixed primes, and one p fixes c
     def __add__(self, other):
-        return _quad(self.a + other.a, self.b + other.b)
+        try:
+            return _quad(self.a + other.a, self.b + other.b)
+        except AttributeError:
+            raise ShapeMismatch("mixed operands") from None
 
     def __neg__(self):
         return _quad(-self.a, -self.b)
 
     def __sub__(self, other):
-        return _quad(self.a - other.a, self.b - other.b)
+        try:
+            return _quad(self.a - other.a, self.b - other.b)
+        except AttributeError:
+            raise ShapeMismatch("mixed operands") from None
 
     def __mul__(self, other):
-        p, a1, b1, a2, b2 = self.a.p, self.a, self.b, other.a, other.b
+        try:
+            p, a1, b1, a2, b2 = self.a.p, self.a, self.b, other.a, other.b
+        except AttributeError:
+            raise ShapeMismatch("mixed operands") from None
         if a2.p != p:
             raise ValueError("mixed primes")
         return _quad(_dot(p, ((a1, a2, 1), (b1, b2, smallest_nonsquare(p)))),
@@ -411,7 +421,10 @@ class QuadExtScalar:
         return _pow(QuadExtScalar.from_parts(1, 0, self.p, INF), self, k)
 
     def agreement(self, other):
-        return min(self.a.agreement(other.a), self.b.agreement(other.b))
+        try:
+            return min(self.a.agreement(other.a), self.b.agreement(other.b))
+        except AttributeError:
+            raise ShapeMismatch("mixed operands") from None
 
     def __eq__(self, other):
         if not isinstance(other, QuadExtScalar):
@@ -464,7 +477,7 @@ def quad_teichmuller(u):
 
 
 def _power_precisions(u, m):
-    """[prec of the components of u^m], m >= 1, INF for an exact one, from
+    """[prec of the components of u^m], m >= 2, INF for an exact one, from
     the valuations and precisions of u's components a, b alone.
 
     A component of u^m sums the monomials a^(m-j) (b w)^j of one parity of
@@ -475,32 +488,20 @@ def _power_precisions(u, m):
     are linear in j with one slope, so over one parity the least is at the
     ends: j in {0, 1, 2, m - 2, m - 1, m} is enough.  An interval partial
     product is finer than this only where a sum cancels, which it cannot
-    for m = 1 or when a component of u is zero (every monomial in it is a
-    zero); otherwise `plog` shows that for a unit the least component
-    precision is the same."""
+    when a component of u is zero (every monomial in it is a zero);
+    otherwise `plog` shows that for a unit the least component precision
+    is the same."""
     la, lb = (s.prec if s.v == INF else s.v for s in (u.a, u.b))
     na, nb = u.a.prec, u.b.prec
     precs = [INF, INF]
     for j in {0, 1, 2, m - 2, m - 1, m}:
-        if not 0 <= j <= m or (j < m and la == INF) or (j and lb == INF):
-            continue  # out of range, or an exact zero factor
+        if (j < m and la == INF) or (j and lb == INF):
+            continue  # an exact zero factor
         s = (la * (m - j) if j < m else 0) + (lb * j if j else 0)
         n = min(s - la + na if j < m else INF, s - lb + nb if j else INF)
         if n < precs[j & 1]:
             precs[j & 1] = n
     return precs
-
-
-def _exact_power(u, m):
-    """u^m on the exact components of u, the others taken as zero: the value
-    of every component of u^m that is exact by `_power_precisions` (a
-    monomial in an inexact factor is exact only when it is an exact zero).
-    With |(a, b)| = |a| + c|b|, |x*y| <= |x| |y| (c >= 1), so a modulus
-    past 2 |u|^m holds each component of u^m with its sign."""
-    p, c = u.p, smallest_nonsquare(u.p)
-    e = [s.unit * _POW[p, s.v] if s.prec == INF and s.v != INF else 0 for s in (u.a, u.b)]
-    big = 2 * (abs(e[0]) + c * abs(e[1])) ** m + 1
-    return [r - big if 2 * r > big else r for r in _qpow(e, m, c, big)]
 
 
 @functools.cache
@@ -526,81 +527,74 @@ def _log_series(p, n, d):
     return guard, steps
 
 
-def plog(u, power=1):
-    """log(u^power) for a u with v(u) >= 0, as plog of the interval u^power
-    gives it, without forming that interval; v(u) < 0 raises
-    NotPrincipalUnit, as u^power - 1 has negative valuation.
+def plog(u):
+    """The Iwasawa logarithm of a nonzero u in Q_p(w) known to a finite
+    precision: log u1 for u = p^v * zeta * u1, zeta a Teichmuller root of
+    unity and u1 a principal unit (log p = log zeta = 0).  As zeta^m = 1 for
+    m = p^2 - 1, a p-adic unit, it is log(y) / m for y = (u p^-v)^m: the
+    series at the interval y, times m^-1, without forming that interval.
 
     Precision rule: on intervals, each term x^k/k of the alternating series
-    in x = y - 1, y = u^power, has precision >= prec(y) (the powers of x
-    gain a digit at least every second step, more than v_p(k) loses), and
-    the sum starts at zero to prec(y); so the result is (prec(y), log(rep)
-    mod p^prec(y)) for the integer representative rep of y, whatever exact
-    method computes it.  Here rep = r^power, r the representative of u, and
-    log rep = p^-j log(rep^(p^j)) on integer pairs modulo p^(n + g),
+    in x = y - 1 has precision >= prec(y) (the powers of x gain a digit at
+    least every second step, more than v_p(k) loses), and the sum starts at
+    zero to prec(y); so the result is (prec(y), log(rep) mod p^prec(y)) for
+    the integer representative rep of y, whatever exact method computes it.
+    Here rep = r^m, r the representative of u p^-v, and log rep =
+    p^-j log(rep^(p^j)) on integer pairs modulo p^(n + g),
     n = max(prec(y), 1) + j: rep^(p^j) - 1 has j more digits of valuation,
     so the series needs fewer terms, and the g guard digits hold every 1/k
     (`_log_series`).
 
-    The precision of y.  Let P = prec(u), the least component precision.
-    If u is a unit whose components are exact or known to >= 1 digit, then
-    prec(u^m) = P for every m >= 1.  Count a zero to n as valuation n; a
-    product x*y is known to min(prec(x) + v(y), prec(y) + v(x))
-    (`_term_prec`), so by induction every component of every partial
-    product of u^m has valuation >= 0 and is known to >= P.  Each partial
-    product is a unit (its norm is) known to >= P >= 1 digits, so it has a
-    component t of valuation 0.  If x's component s has prec(s) = P, the
-    term of x*y in s and y's such t is known to min(P, prec(t) + v(s)) = P
-    when v(s) = 0; when v(s) > 0, x's other component s' has v(s') = 0 and
-    the term in s' and t is known to >= P while that in s and t is known
-    to min(P + 0, prec(t) + v(s)) = P.  Some component of x*y is then
-    known to exactly P.  If a component is zero to n < 1 instead, every
-    component of u^m (m >= 2) is a zero, the least known to m n.
-    `_power_precisions` gives each component's precision; it is the
-    interval's wherever the checks below can tell them apart.
+    The precision of y.  Let P = prec(u p^-v), the least component
+    precision.  If its components are exact or known to >= 1 digit, then
+    prec(y) = P.  Count a zero to n as valuation n; a product x*y is known
+    to min(prec(x) + v(y), prec(y) + v(x)) (`_term_prec`), so by induction
+    every component of every partial product of y has valuation >= 0 and
+    is known to >= P.  Each partial product is a unit (its norm is) known
+    to >= P >= 1 digits, so it has a component t of valuation 0.  If x's
+    component s has prec(s) = P, the term of x*y in s and y's such t is
+    known to min(P, prec(t) + v(s)) = P when v(s) = 0; when v(s) > 0, x's
+    other component s' has v(s') = 0 and the term in s' and t is known to
+    >= P while that in s and t is known to min(P + 0, prec(t) + v(s)) = P.
+    Some component of x*y is then known to exactly P.  If a component is
+    zero to n < 1 instead, every component of y is a zero, the least known
+    to m n.  `_power_precisions` gives each component's precision; it is
+    the interval's wherever the checks below can tell them apart.  As u has
+    a finite component, every monomial of an exact component of y has an
+    exact zero factor: that component is an exact zero, and 0 in rep.
 
     The checks.  x = y - 1 is read from rep mod p^M, M = n - j + G >=
     max(prec(y), 1), G a bound on g: each component to the lesser of its
-    precision and M, an exact one exactly (`_exact_power`).  The cut hides
-    only digits of valuation >= M >= prec(y): if it makes x zero, x is
-    zero to prec(y) and the interval's series is zero there too; if not,
-    the least valuation is unchanged.  Only a component finer than another
-    finite one is cut, so no exact component is left alone by it.  So the
-    zero, principal-unit and exactness tests decide as on the interval
-    y - 1, and one integer power rep^(p^j) serves them and the series."""
+    precision and M.  The cut hides only digits of valuation >= M >=
+    prec(y): if it makes x zero, x is zero to prec(y) and the interval's
+    series is zero there too; if not, the least valuation is unchanged.
+    rep = 1 mod p, as r is a unit mod p, so x has valuation >= 1, and one
+    integer power rep^(p^j) serves the zero test and the series."""
+    if u.is_zero():
+        raise PrecisionExhausted("plog of zero")
+    if u.prec == INF:
+        raise ValueError("plog needs a finite precision input")
     p, c = u.p, smallest_nonsquare(u.p)
-    if u.valuation < 0:
-        raise NotPrincipalUnit("plog needs u = 1 mod p")
-    precs = _power_precisions(u, power)
-    target = min(precs)
-    y, top = (0, 0), INF
-    if target != INF:
-        target = int(target)  # <= 0 when a zero component is that coarse: a zero result
-        # j balances j p-th powers against the series' terms
-        j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
-        n = max(target, 1) + j  # log z wanted mod p^n
-        # the series has fewer than 2n terms (k*d - log_p k >= n at k = 2n),
-        # so its guard floor(log_p terms) is at most G = floor(log_p(2n - 1))
-        g = 0
-        while _POW[p, g + 1] < 2 * n:
-            g += 1
-        top = n - j + g
-        y = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
-                  power, c, _POW[p, top])
-    if INF in precs:
-        y = [e if k == INF else r for r, e, k in zip(y, _exact_power(u, power), precs)]
+    order = p * p - 1
+    u = _shift(u, -u.valuation)
+    precs = _power_precisions(u, order)
+    target = int(min(precs))  # <= 0 when a zero component is that coarse
+    # j balances j p-th powers against the series' terms
+    j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
+    n = max(target, 1) + j  # log z wanted mod p^n
+    # the series has fewer than 2n terms (k*d - log_p k >= n at k = 2n),
+    # so its guard floor(log_p terms) is at most G = floor(log_p(2n - 1))
+    g = 0
+    while _POW[p, g + 1] < 2 * n:
+        g += 1
+    top = n - j + g
+    y = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
+              order, c, _POW[p, top])
     # an exact component stays exact; the others are read to at most p^top
     x = _quad(*(PadicScalar(p, 0, r, k if k == INF or k < top else top)
                 for r, k in zip((y[0] - 1, y[1]), precs)))
     if x.is_zero():
         return _quad(PadicScalar.zero(p, x.prec), PadicScalar.zero(p, x.prec))
-    if x.valuation < 1:
-        raise NotPrincipalUnit("plog needs u = 1 mod p")
-    if target == INF:
-        raise ValueError("plog needs a finite precision input")
-    if any(s.v != INF and s.prec == INF for s in (x.a, x.b)):
-        # the series' 1/k would divide two exact values
-        raise ValueError("cannot divide two exact values; truncate first")
     d = x.valuation + j  # v(z - 1) >= d for z = rep^(p^j)
     guard, steps = _log_series(p, n, d)
     mod = _POW[p, n + guard]
@@ -611,5 +605,6 @@ def plog(u, power=1):
         a0 += coef
         a0, a1 = (a0 * z0 + c * a1 * z1) % m, (a0 * z1 + a1 * z0) % m
     scale = _POW[p, guard + j]
-    return _quad(PadicScalar(p, 0, a0 // scale, target),
-                 PadicScalar(p, 0, a1 // scale, target))
+    inv = _inverse(order, p, target)  # 1/m to the digits kept
+    return _quad(PadicScalar(p, 0, a0 // scale * inv, target),
+                 PadicScalar(p, 0, a1 // scale * inv, target))

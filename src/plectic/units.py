@@ -1,23 +1,17 @@
 """Completions of the local units and points of the quadratic extension.
 
 A nonzero u in Q_p(w) is p^v * zeta * u1 with zeta a Teichmuller root of
-unity and u1 a principal unit.  Its completed unit is (val, log), the
-scalar v and log u1 = log_a + log_b*w in Q_p(w); its completed point is
-the element of Q_p(w) this log leaves once the period is killed.  On both,
+unity and u1 a principal unit.  Its completed unit is (v(u), plog u), the
+scalar v and the Iwasawa log log u1 = log_a + log_b*w in Q_p(w); its
+completed point is that log with the period killed, in Q_p(w).  On both,
 sigma is Frobenius w -> -w, so the eigenspace projections are exact.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import PrecisionExhausted, ShapeMismatch
-from .padic import (
-    INF,
-    PadicScalar,
-    QuadExtScalar,
-    _shift,
-    plog,
-)
+from .errors import ShapeMismatch
+from .padic import PadicScalar, QuadExtScalar, plog
 
 
 class CompletedUnit(namedtuple("CompletedUnit", "val log")):
@@ -62,17 +56,9 @@ class UnitCompletion:
     # -- the completion map -------------------------------------------------
 
     def complete(self, u):
-        """The completed unit of a nonzero element."""
-        if u.is_zero():
-            raise PrecisionExhausted("cannot complete zero")
-        v = u.valuation
-        # log(u1 / zeta) = log(u1^(p^2 - 1)) / (p^2 - 1): zeta^(p^2 - 1) = 1
-        # for the Teichmuller root zeta of u1, and p^2 - 1 is a p-adic unit;
-        # plog raises u1 to that power on integers, at the interval's precision
-        m = self.p * self.p - 1
-        l = plog(_shift(u, -v), m)
-        order = PadicScalar.from_int(m, self.p, INF)
-        return CompletedUnit(self.base(v), QuadExtScalar(l.a / order, l.b / order))
+        """The completed unit (v(u), plog u) of a nonzero element."""
+        log = plog(u)  # first: it refuses a zero u, of valuation INF
+        return CompletedUnit(self.base(u.valuation), log)
 
     def sigma(self, c):
         """Frobenius on a completed unit: it fixes val and conjugates log."""

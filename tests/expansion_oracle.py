@@ -12,6 +12,8 @@ from them: it compares whole binary forms of degree r coefficient-wise.
 `plectic_ops.factorization_check`.  Families are (completed point, k_eta)
 pairs, as `Scenario.family` holds them.  `rel_aug_degree`, `as_elem` and
 `quad_truncate` are readings of library values that only the tests need.
+`ref_plog` is the log series built from the composed scalar operations,
+the reference for `padic.plog` and `UnitCompletion.complete`.
 """
 
 import itertools
@@ -21,7 +23,8 @@ from fractions import Fraction
 from plectic.errors import ShapeMismatch
 from plectic.grpalg import GroupAlgebraElem
 from plectic.kernel import CoeffMap
-from plectic.padic import INF, PadicScalar, QuadExtScalar, is_square
+from plectic.padic import (INF, PadicScalar, QuadExtScalar, _int_valuation,
+                           _inverse, is_square, smallest_nonsquare)
 from plectic.plectic_ops import (char_table_det, character_table,
                                  minus_coordinates)
 from plectic.symalg import SymTensor, collapse, linear_form, sqrt_ratio
@@ -227,6 +230,55 @@ def factorization_by_tensor(family, c_chi, c_s, units):
         "root_square_margin": root_sq_margin,
         "c_chi_is_padic_square": is_square(c_chi_p),
     }
+
+
+# -- the log series from composed operations ----------------------------------
+
+def ref_qmul(x, y):
+    """The quadratic product composed of scalar `*`, `scale_int` and `+`."""
+    return QuadExtScalar(x.a * y.a + (x.b * y.b).scale_int(smallest_nonsquare(x.p)),
+                         x.a * y.b + x.b * y.a)
+
+
+def ref_qsub(x, y):
+    return x + QuadExtScalar(-y.a, -y.b)
+
+
+def ref_div_int(z, k):
+    """z / k for an integer k != 0: each component times one inverse of
+    the unit part of k, at the largest relative precision of z."""
+    p = z.a.p
+    vk = _int_valuation(k, p)
+    k //= p ** vk
+    rel = max((x.prec - x.v for x in (z.a, z.b) if x.v != INF), default=0)
+    if rel == INF:
+        raise ValueError("cannot divide two exact values; truncate first")
+    inv = _inverse(k, p, rel)
+    a, b = (PadicScalar(p, x.v - vk, x.unit * inv, x.prec - vk) if x.v != INF
+            else PadicScalar.zero(p, x.prec - vk) for x in (z.a, z.b))
+    return QuadExtScalar(a, b)
+
+
+def ref_plog(u):
+    """log u for a principal unit u known to a finite precision: the
+    alternating series with one quadratic sum and one division per term,
+    from the composed operations above."""
+    p, target = u.p, u.prec
+    if target == INF:
+        raise ValueError("plog needs a finite precision input")
+    x = ref_qsub(u, QuadExtScalar.from_parts(1, 0, p, INF))
+    if x.is_zero():
+        return QuadExtScalar(PadicScalar.zero(p, x.prec), PadicScalar.zero(p, x.prec))
+    assert x.valuation >= 1, "the series needs u = 1 mod p"
+    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target))
+    power, k = x, 1
+    while True:
+        total = total + ref_div_int(power, k if k & 1 else -k)
+        k += 1
+        power = ref_qmul(power, x)
+        if power.is_zero() or k * x.valuation - math.log(k, p) > target:
+            break
+    return total
 
 
 # -- readings only the tests need ---------------------------------------------

@@ -87,9 +87,9 @@ def test_a_mutant_the_report_cannot_see_fails_the_audit(monkeypatch):
     # change with the precision
     plog = units.plog
 
-    def mutant(u, power=1):
+    def mutant(u):
         scale = QuadExtScalar.from_parts(1 + u.p ** (u.prec - 3), 0, u.p, INF)
-        return plog(u, power) * scale
+        return plog(u) * scale
 
     monkeypatch.setattr(units, "plog", mutant)
     path = GOLDEN / "t2-split.kv"

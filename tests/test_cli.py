@@ -204,15 +204,16 @@ def test_cli_exit_two_on_malformed_values(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("flag", ["--precision", "--seed", "--floor"])
 @pytest.mark.parametrize("value", [
     "4_0", "\u0664\u0660", "\uff14\uff10",  # int() reads each as 40
-    "1.0", "0x28", "++1", "", "9" * 5000])
+    "1.0", "0x28", "++1", "", "9" * 5000, "1_" * 2500])
 def test_cli_int_flags_follow_the_int_key_grammar(capsys, flag, value):
     # an int flag is read as an int key is: a bad value is a usage error,
-    # exit 2 with no traceback
+    # exit 2 with no traceback, its line quoting the value as a key's does
     with pytest.raises(SystemExit) as exc:
         main(["verify", T1, "--suite", "sign", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument %s" % flag in err and "Traceback" not in err
+    assert len(err.splitlines()[-1].encode()) < 200
 
 
 LONG_KEY = "x" * 5000

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plectic.errors import DivisionByZero, NotPrincipalUnit, PlecticError
+from expansion_oracle import ref_div_int, ref_plog, ref_qmul, ref_qsub
+from plectic.errors import DivisionByZero, PlecticError, PrecisionExhausted
 
 from plectic.padic import (
     INF,
@@ -162,6 +163,42 @@ def test_plog_of_one_is_zero():
 def test_plog_is_a_homomorphism_on_squares():
     u = ext(1 + P, 0)
     assert plog(u * u).agreement(plog(u) + plog(u)) >= N - 2
+
+
+def _units(rng, count):
+    """Units of Q_p(w) at N (a is prime to p), most of them not = 1 mod p."""
+    return [ext(rng.randrange(1, P) + P * rng.randrange(P ** N), rng.randrange(P ** N))
+            for _ in range(count)]
+
+
+def test_plog_of_a_root_of_unity_is_zero():
+    for u in _units(random.Random(12), 10):
+        z = quad_teichmuller(u)
+        assert plog(z).is_zero() and plog(z).prec == N
+
+
+def test_plog_ignores_powers_of_p():
+    for u in _units(random.Random(13), 10):
+        for k in (-3, -1, 1, 2):
+            shifted = u * QuadExtScalar.from_base(PadicScalar(P, k, 1, INF))
+            assert _quad_outcome(plog, shifted) == _quad_outcome(plog, u)
+
+
+def test_plog_is_a_homomorphism_on_units():
+    xs = _units(random.Random(14), 20)
+    assert any((x - ext(1, 0)).valuation == 0 for x in xs)
+    for x, y in zip(xs[::2], xs[1::2]):
+        assert plog(x * y).agreement(plog(x) + plog(y)) >= N
+
+
+def test_plog_refuses_zero_and_exact_inputs():
+    with pytest.raises(PrecisionExhausted):
+        plog(ext(0, 0))
+    with pytest.raises(PrecisionExhausted):
+        plog(ext(P ** N, 0))  # zero to the working precision
+    for a, b in ((1, 0), (2, 3), (0, 1)):
+        with pytest.raises(ValueError, match="finite precision"):
+            plog(ext(a, b, prec=INF))
 
 
 def test_plog_series_oracle_small_precision():
@@ -547,56 +584,8 @@ def test_dot_matches_the_fold(p):
         assert _outcome(_dot, p, terms) == want, terms
 
 
-def _ref_qmul(x, y):
-    """The quadratic product composed of scalar `*`, `scale_int` and `+`."""
-    return QuadExtScalar(x.a * y.a + (x.b * y.b).scale_int(smallest_nonsquare(x.p)),
-                         x.a * y.b + x.b * y.a)
-
-
-def _ref_qsub(x, y):
-    return x + QuadExtScalar(-y.a, -y.b)
-
-
 def _ref_norm(x):
     return x.a * x.a - (x.b * x.b).scale_int(smallest_nonsquare(x.p))
-
-
-def _ref_div_int(z, k):
-    """z / k for an integer k != 0: each component times one inverse of
-    the unit part of k, at the largest relative precision of z."""
-    p = z.a.p
-    vk = _int_valuation(k, p)
-    k //= p ** vk
-    rel = max((x.prec - x.v for x in (z.a, z.b) if x.v != INF), default=0)
-    if rel == INF:
-        raise ValueError("cannot divide two exact values; truncate first")
-    inv = _inverse(k, p, rel)
-    a, b = (PadicScalar(p, x.v - vk, x.unit * inv, x.prec - vk) if x.v != INF
-            else PadicScalar.zero(p, x.prec - vk) for x in (z.a, z.b))
-    return QuadExtScalar(a, b)
-
-
-def _ref_plog(u):
-    """The alternating series with one quadratic sum and one division per
-    term, from the composed operations above."""
-    x = _ref_qsub(u, QuadExtScalar.from_parts(1, 0, u.p, INF))
-    if x.is_zero():
-        return QuadExtScalar(PadicScalar.zero(u.p, x.prec),
-                             PadicScalar.zero(u.p, x.prec))
-    if x.valuation < 1:
-        raise NotPrincipalUnit("plog needs u = 1 mod p")
-    p, target = u.p, u.prec
-    if target == INF:
-        raise ValueError("plog needs a finite precision input")
-    total = QuadExtScalar(PadicScalar.zero(p, target), PadicScalar.zero(p, target))
-    power, k = x, 1
-    while True:
-        total = total + _ref_div_int(power, k if k & 1 else -k)
-        k += 1
-        power = _ref_qmul(power, x)
-        if power.is_zero() or k * x.valuation - math.log(k, p) > target:
-            break
-    return total
 
 
 def _quad_outcome(fn, *args):
@@ -607,14 +596,22 @@ def _quad_outcome(fn, *args):
     return [(s.v, s.unit, s.prec) for s in _components(r)]
 
 
-def _quad_operand(rng, p, principal=False):
-    """a + b*w with components across the scalar cases; a principal unit
-    shifts a by 1 and puts p | b, keeping the components' precision."""
+def _quad_operand(rng, p):
+    """a + b*w with components across the scalar cases."""
     a, b = _operand(rng, p), _operand(rng, p)
-    if principal:
-        a = (0, 1, a[2]) if a[0] == INF else (0, 1 + p ** max(1, a[0] + 2) * a[1], a[2])
-        b = b if b[0] == INF else (max(1, b[0]), b[1], b[2])
     return QuadExtScalar(PadicScalar(p, *a), PadicScalar(p, *b))
+
+
+def _ref_iwasawa_log(u):
+    """log((u p^-v)^m) / m, m = p^2 - 1, from the composed operations: the
+    interval power, the series at it and one division."""
+    if u.is_zero():
+        raise PrecisionExhausted("plog of zero")
+    if u.prec == INF:  # so is its power, which the series refuses
+        raise ValueError("plog needs a finite precision input")
+    p, m = u.p, u.p * u.p - 1
+    y = (u * QuadExtScalar.from_base(PadicScalar(p, -u.valuation, 1, INF))) ** m
+    return ref_div_int(ref_plog(y), m)
 
 
 def test_smallest_nonsquare_is_the_least_nonresidue():
@@ -648,8 +645,8 @@ def test_quad_operations_match_the_composed_ones(p):
     rng = random.Random(200 + p)
     for _ in range(800):
         x, y = _quad_operand(rng, p), _quad_operand(rng, p)
-        assert _quad_outcome(lambda: x * y) == _quad_outcome(_ref_qmul, x, y)
-        assert _quad_outcome(lambda: x - y) == _quad_outcome(_ref_qsub, x, y)
+        assert _quad_outcome(lambda: x * y) == _quad_outcome(ref_qmul, x, y)
+        assert _quad_outcome(lambda: x - y) == _quad_outcome(ref_qsub, x, y)
         assert _quad_outcome(x.norm) == _quad_outcome(_ref_norm, x)
 
 
@@ -658,21 +655,17 @@ def test_quad_operations_match_the_composed_ones(p):
 def test_plog_matches_the_composed_series(p, prec):
     # at 160 and 640 (p = 5) the argument is raised to p^j, j = 5 and 10,
     # and k = 25 is a series term, so two guard digits hold 1/k; p = 1009
-    # sums fewer than p terms and needs none.  plog(u, m) is the series at
-    # the interval u ** m, for m = 1 and the m = p^2 - 1 of `complete`
+    # sums fewer than p terms and needs none.  plog(u) is the series at the
+    # interval (u p^-v)^m, m = p^2 - 1, divided by m, for every operand
     rng = random.Random(300 + p * prec)
     for i in range(60 if prec < 160 else 12):
         if i % 2:  # the scalar cases, exact and zero components included
-            u = _quad_operand(rng, p, principal=True)
-        else:  # a principal unit at prec, the case the suites make
-            d = rng.randrange(1, 4)
-            u = QuadExtScalar.from_parts(1 + p ** d * rng.randrange(p ** prec),
-                                         p ** rng.randrange(1, 4) * rng.randrange(p ** prec),
+            u = _quad_operand(rng, p)
+        else:  # a unit at prec times p^v, the case the suites make
+            u = QuadExtScalar.from_parts(rng.randrange(1, p ** prec), rng.randrange(p ** prec),
                                          p, prec)
-        for m in (1, p * p - 1):
-            if m > 1000 and u.prec == INF:
-                continue  # the exact power of p = 1009 has millions of digits
-            assert _quad_outcome(plog, u, m) == _quad_outcome(lambda: _ref_plog(u ** m)), (u, m)
+            u = u * QuadExtScalar.from_base(PadicScalar(p, rng.randrange(-2, 3), 1, INF))
+        assert _quad_outcome(plog, u) == _quad_outcome(_ref_iwasawa_log, u), u
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 1009])
