@@ -5,17 +5,12 @@ import sys
 
 from .errors import PlecticError
 from .runner import DEFAULT_FLOOR, run
-from .scenario import _INT, SUITES, _quote, load_scenario
+from .scenario import SUITES, load_scenario, read_int
 
 
 def integer(text):
     """An int in the int keys' grammar, quoted as they are in an error."""
-    if _INT.match(text):
-        try:
-            return int(text)
-        except ValueError:  # past int()'s limit on the digits it reads
-            pass
-    raise argparse.ArgumentTypeError("%s is not a valid int" % _quote(text))
+    return read_int(text, "", argparse.ArgumentTypeError)
 
 
 def build_parser():

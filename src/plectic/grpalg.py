@@ -54,17 +54,13 @@ class GroupShape:
         return tuple(0 for _ in self.divisors)
 
     def monomials(self, n):
-        """All multi-exponents in s variables of total degree exactly n."""
-        def gen(rest, total):
-            if rest == 1:
-                yield (total,)
-                return
-            for head in range(total + 1):
-                for tail in gen(rest - 1, total - head):
-                    yield (head,) + tail
+        """All multi-exponents in s variables of total degree exactly n, in
+        lexicographic order: the gaps between s - 1 bars in n + s - 1 places."""
         if self.s == 0:
             return [()] if n == 0 else []
-        return list(gen(self.s, n))
+        places = n + self.s - 1
+        return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
+                for bars in itertools.combinations(range(places), self.s - 1)]
 
     def __eq__(self, other):
         return (isinstance(other, GroupShape)

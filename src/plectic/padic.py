@@ -122,20 +122,23 @@ class PadicScalar:
     # the valuation, which only a sum of equal valuations can raise.
 
     def __add__(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        n = self.prec if self.prec < other.prec else other.prec
-        if self.v == INF:
-            return other.truncate(n)
-        if other.v == INF:
-            return self.truncate(n)
-        if self.v == other.v:
-            return PadicScalar(self.p, self.v, self.unit + other.unit, n)
-        lo, hi = (self, other) if self.v < other.v else (other, self)
-        d = hi.v - lo.v
-        # hi vanishes below the certified digits when d >= n - lo.v
-        unit = lo.unit if d >= n - lo.v else lo.unit + hi.unit * _POW[self.p, d]
-        return _unit(self.p, lo.v, unit, n)
+        try:
+            if self.p != other.p:
+                raise ValueError("mixed primes")
+            n = self.prec if self.prec < other.prec else other.prec
+            if self.v == INF:
+                return other.truncate(n)
+            if other.v == INF:
+                return self.truncate(n)
+            if self.v == other.v:
+                return PadicScalar(self.p, self.v, self.unit + other.unit, n)
+            lo, hi = (self, other) if self.v < other.v else (other, self)
+            d = hi.v - lo.v
+            # hi vanishes below the certified digits when d >= n - lo.v
+            unit = lo.unit if d >= n - lo.v else lo.unit + hi.unit * _POW[self.p, d]
+            return _unit(self.p, lo.v, unit, n)
+        except AttributeError:  # an operand that is not in Q_p
+            raise ShapeMismatch("mixed operands") from None
 
     def __neg__(self):
         if self.v == INF:
@@ -146,32 +149,38 @@ class PadicScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        if self.v == INF or other.v == INF:
-            return PadicScalar.zero(
-                self.p, _term_prec(self.v, self.prec, other.v, other.prec))
-        v = self.v + other.v
-        rel = min(self.prec - self.v, other.prec - other.v)
-        return _unit(self.p, v, self.unit * other.unit, v + rel)
+        try:
+            if self.p != other.p:
+                raise ValueError("mixed primes")
+            if self.v == INF or other.v == INF:
+                return PadicScalar.zero(
+                    self.p, _term_prec(self.v, self.prec, other.v, other.prec))
+            v = self.v + other.v
+            rel = min(self.prec - self.v, other.prec - other.v)
+            return _unit(self.p, v, self.unit * other.unit, v + rel)
+        except AttributeError:  # an operand that is not in Q_p
+            raise ShapeMismatch("mixed operands") from None
 
     def __truediv__(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        if other.v == INF:
-            if other.prec == INF:
-                raise DivisionByZero("division by exact zero")
-            raise DivisionByZero("divisor is zero to working precision")
-        if self.v == INF:
-            if self.prec == INF:
-                return PadicScalar.zero(self.p)
-            return PadicScalar.zero(self.p, self.prec - other.v)
-        v = self.v - other.v
-        rel = min(self.prec - self.v, other.prec - other.v)
-        if rel == INF:
-            raise ValueError("cannot divide two exact values; truncate first")
-        rel = int(rel)
-        return _unit(self.p, v, self.unit * _inverse(other.unit, self.p, rel), v + rel)
+        try:
+            if self.p != other.p:
+                raise ValueError("mixed primes")
+            if other.v == INF:
+                if other.prec == INF:
+                    raise DivisionByZero("division by exact zero")
+                raise DivisionByZero("divisor is zero to working precision")
+            if self.v == INF:
+                if self.prec == INF:
+                    return PadicScalar.zero(self.p)
+                return PadicScalar.zero(self.p, self.prec - other.v)
+            v = self.v - other.v
+            rel = min(self.prec - self.v, other.prec - other.v)
+            if rel == INF:
+                raise ValueError("cannot divide two exact values; truncate first")
+            rel = int(rel)
+            return _unit(self.p, v, self.unit * _inverse(other.unit, self.p, rel), v + rel)
+        except AttributeError:  # an operand that is not in Q_p
+            raise ShapeMismatch("mixed operands") from None
 
     def __pow__(self, k):
         if k == 0:
@@ -413,7 +422,10 @@ class QuadExtScalar:
         return _quad(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        try:
+            return self * other.inverse()
+        except AttributeError:
+            raise ShapeMismatch("mixed operands") from None
 
     def __pow__(self, k):
         if k < 0:
@@ -442,14 +454,6 @@ def _quad(a, b):
     return z
 
 
-def _shift(u, k):
-    """u * p^k for an integer k, the interval the product with the exact
-    p^k gives: a nonzero component keeps its unit, and its valuation and
-    precision rise by k; a zero one keeps only its precision, raised by k."""
-    return _quad(*(PadicScalar.zero(s.p, s.prec + k) if s.v == INF
-                   else _unit(s.p, s.v + k, s.unit, s.prec + k) for s in (u.a, u.b)))
-
-
 def quad_teichmuller(u):
     """The (p^2 - 1)-st root of unity congruent to a unit u mod p, to the
     precision prec(u) of u; a component that is an exact zero stays one,
@@ -474,34 +478,6 @@ def quad_teichmuller(u):
         t = ((t[0] - d[0] * inv) % mod, (t[1] - d[1] * inv) % mod)
     return _quad(*(PadicScalar.zero(p) if s.v == INF and s.prec == INF
                    else PadicScalar(p, 0, x, n) for s, x in zip((u.a, u.b), t)))
-
-
-def _power_precisions(u, m):
-    """[prec of the components of u^m], m >= 2, INF for an exact one, from
-    the valuations and precisions of u's components a, b alone.
-
-    A component of u^m sums the monomials a^(m-j) (b w)^j of one parity of
-    j.  A product of factors f is known (`_term_prec`, applied repeatedly)
-    to the least over f of S - v(f) + prec(f), S the sum of the factors'
-    valuations, a zero to n counting as valuation n; a monomial with an
-    exact zero factor is an exact zero.  On 1 <= j <= m - 1 both candidates
-    are linear in j with one slope, so over one parity the least is at the
-    ends: j in {0, 1, 2, m - 2, m - 1, m} is enough.  An interval partial
-    product is finer than this only where a sum cancels, which it cannot
-    when a component of u is zero (every monomial in it is a zero);
-    otherwise `plog` shows that for a unit the least component precision
-    is the same."""
-    la, lb = (s.prec if s.v == INF else s.v for s in (u.a, u.b))
-    na, nb = u.a.prec, u.b.prec
-    precs = [INF, INF]
-    for j in {0, 1, 2, m - 2, m - 1, m}:
-        if (j < m and la == INF) or (j and lb == INF):
-            continue  # an exact zero factor
-        s = (la * (m - j) if j < m else 0) + (lb * j if j else 0)
-        n = min(s - la + na if j < m else INF, s - lb + nb if j else INF)
-        if n < precs[j & 1]:
-            precs[j & 1] = n
-    return precs
 
 
 @functools.cache
@@ -557,28 +533,27 @@ def plog(u):
     other component s' has v(s') = 0 and the term in s' and t is known to
     >= P while that in s and t is known to min(P + 0, prec(t) + v(s)) = P.
     Some component of x*y is then known to exactly P.  If a component is
-    zero to n < 1 instead, every component of y is a zero, the least known
-    to m n.  `_power_precisions` gives each component's precision; it is
-    the interval's wherever the checks below can tell them apart.  As u has
-    a finite component, every monomial of an exact component of y has an
-    exact zero factor: that component is an exact zero, and 0 in rep.
+    zero to n < 1 instead, it is the least (a nonzero one of u p^-v is
+    known to >= 1 digit), and every component of y is a zero, the least
+    known to m n = m P; P is read as prec(u) - v(u).  As u has a finite
+    component, every monomial of an exact component of y has an exact
+    zero factor: that component is an exact zero, and 0 in rep.
 
-    The checks.  x = y - 1 is read from rep mod p^M, M = n - j + G >=
-    max(prec(y), 1), G a bound on g: each component to the lesser of its
-    precision and M.  The cut hides only digits of valuation >= M >=
-    prec(y): if it makes x zero, x is zero to prec(y) and the interval's
-    series is zero there too; if not, the least valuation is unchanged.
-    rep = 1 mod p, as r is a unit mod p, so x has valuation >= 1, and one
-    integer power rep^(p^j) serves the zero test and the series."""
+    The checks.  x = y - 1 is read from rep (mod p^(n - j + G), G a bound
+    on g) mod p^max(prec(y), 0).  That hides only digits of valuation >=
+    prec(y): if x is then zero, the interval's series is zero to prec(y)
+    too; if not, its valuation is unchanged.  rep = 1 mod p, as r is a
+    unit mod p, so v(x) >= 1, and one integer power rep^(p^j) serves the
+    zero test and the series."""
     if u.is_zero():
         raise PrecisionExhausted("plog of zero")
     if u.prec == INF:
         raise ValueError("plog needs a finite precision input")
     p, c = u.p, smallest_nonsquare(u.p)
     order = p * p - 1
-    u = _shift(u, -u.valuation)
-    precs = _power_precisions(u, order)
-    target = int(min(precs))  # <= 0 when a zero component is that coarse
+    v = u.valuation
+    least = u.prec - v  # P, the least component precision of u p^-v
+    target = int(least if least >= 1 else order * least)  # prec(y)
     # j balances j p-th powers against the series' terms
     j = math.isqrt(max(target, 0) // (2 * p.bit_length()))
     n = max(target, 1) + j  # log z wanted mod p^n
@@ -587,15 +562,13 @@ def plog(u):
     g = 0
     while _POW[p, g + 1] < 2 * n:
         g += 1
-    top = n - j + g
-    y = _qpow(tuple(s.unit * _POW[p, s.v] if s.v != INF else 0 for s in (u.a, u.b)),
-              order, c, _POW[p, top])
-    # an exact component stays exact; the others are read to at most p^top
-    x = _quad(*(PadicScalar(p, 0, r, k if k == INF or k < top else top)
-                for r, k in zip((y[0] - 1, y[1]), precs)))
-    if x.is_zero():
-        return _quad(PadicScalar.zero(p, x.prec), PadicScalar.zero(p, x.prec))
-    d = x.valuation + j  # v(z - 1) >= d for z = rep^(p^j)
+    r = tuple(0 if s.v == INF else s.unit * _POW[p, s.v - v] for s in (u.a, u.b))
+    y = _qpow(r, order, c, _POW[p, n - j + g])
+    cut = _POW[p, max(target, 0)]
+    x = [e % cut for e in (y[0] - 1, y[1])]  # y - 1 mod p^prec(y)
+    if not any(x):
+        return _quad(PadicScalar.zero(p, target), PadicScalar.zero(p, target))
+    d = min(_int_valuation(e, p) for e in x if e) + j  # v(z - 1) >= d for z = rep^(p^j)
     guard, steps = _log_series(p, n, d)
     mod = _POW[p, n + guard]
     z0, z1 = _qpow(y, _POW[p, j], c, mod)

@@ -129,15 +129,19 @@ def _is_prime(n):
     return True
 
 
-def _int(raw, key, default):
-    """raw[key] (or `default`) read as an int in ASCII decimal digits."""
-    text = raw.get(key, default)
+def read_int(text, label, error):
+    """text as an int in the int keys' grammar, else `error` quoting it."""
     if _INT.match(text):
         try:
             return int(text)
         except ValueError:  # past int()'s limit on the digits it reads
             pass
-    raise ParseError("%s = %s is not a valid int" % (key, _quote(text)))
+    raise error("%s%s is not a valid int" % (label, _quote(text)))
+
+
+def _int(raw, key, default):
+    """raw[key] (or `default`) read by `read_int`."""
+    return read_int(raw.get(key, default), "%s = " % key, ParseError)
 
 
 def _rational(raw, key, default=None):

@@ -25,6 +25,8 @@ class CompletedUnit(namedtuple("CompletedUnit", "val log")):
         return CompletedUnit(self.val + other.val, self.log + other.log)
 
     def agreement(self, other):
+        if type(other) is not CompletedUnit:
+            raise ShapeMismatch("mixed completions")
         return min(self.val.agreement(other.val), self.log.agreement(other.log))
 
     def is_zero(self):

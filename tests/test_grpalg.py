@@ -1,5 +1,6 @@
 """Group algebras: augmentation filtration, involution, graded pieces."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -564,6 +565,14 @@ def test_injectivity_certificates():
     for divisors, s, n, want in cases:
         shape = GroupShape(divisors, s, n + 2, P, N)
         assert check_lemma_free_graded_injectivity(shape, n) == want
+
+
+def test_monomials_are_the_exponents_of_degree_n_in_lexicographic_order():
+    for s in range(9):
+        for n in range(7):
+            shape = GroupShape((2,), s, max(n, 1), P, N)
+            assert shape.monomials(n) == [
+                e for e in itertools.product(range(n + 1), repeat=s) if sum(e) == n]
 
 
 def test_trivial_quotient_rank_one():

@@ -2,15 +2,20 @@
 every function, class or constant it defines at module level is named
 somewhere other than its own definition; every function, class and method
 is named in `src` itself, so `src` holds only what `plectic verify` runs;
-every error class is raised; and the library imports only the standard
-library."""
+every error class is raised; the library imports only the standard
+library; and the names README gives in backticks still exist."""
 
 import ast
+import importlib
+import inspect
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from plectic.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "plectic"
@@ -270,3 +275,61 @@ def test_unread_src_names_are_found():
         "b.py": "from a import A\n\nA().used()\n",
     }
     assert unread_src_names(sources) == ["a.py:lone", "a.py:unread"]
+
+
+def readme_names(text, heads):
+    """The names in the backticked spans of `text`, code blocks aside: each
+    dotted name whose first part is in `heads`, and each span that is one
+    private name `_x`."""
+    dotted, private = [], []
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        if re.fullmatch(r"_\w+", span):
+            private.append(span)
+        dotted += [name for name in re.findall(r"(?<![\w.])\w+(?:\.\w+)+", span)
+                   if name.split(".")[0] in heads]
+    return dotted, private
+
+
+def resolves(name, scopes):
+    """Whether each part of a dotted name is an attribute of the one before,
+    the first looked up in `scopes`."""
+    head, *rest = name.split(".")
+    obj = scopes[head]
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    """Every `module.name` or `Class.name` README gives (a `plectic` module
+    or class first) is an attribute, the name of a check in a golden report
+    or an attribute of a parsed `Scenario`; every private `_x` it gives is
+    defined in a module or class.  A deleted or renamed name fails here."""
+    modules = {p.stem: importlib.import_module("plectic." + p.stem)
+               for p in MODULES if p.stem != "__init__"}
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("plectic.")}
+    scopes = dict(classes, **modules, plectic=importlib.import_module("plectic"))
+    checks = {line.split("=")[0] for path in (ROOT / "bench" / "expected").glob("*.kv")
+              for line in path.read_text(encoding="utf-8").splitlines()}
+    parsed = dict(scopes, Scenario=load_scenario(ROOT / "scenarios" / "t2-split.kv"))
+    dotted, private = readme_names((ROOT / "README.md").read_text(encoding="utf-8"),
+                                   scopes)
+    assert dotted and private
+    assert [name for name in dotted if not resolves(name, scopes)
+            and name not in checks and not resolves(name, parsed)] == []
+    assert [name for name in private
+            if not any(hasattr(scope, name) for scope in scopes.values())] == []
+
+
+def test_readme_names_are_found():
+    text = ("`plectic.padic` and `padic.plog(u)`, `x.y`, `_dot`, `a _b`\n"
+            "```\n`padic.gone`\n```\nand `Report.add` over\n`units.gone`.\n")
+    assert readme_names(text, {"plectic", "padic", "Report", "units"}) == (
+        ["plectic.padic", "padic.plog", "Report.add", "units.gone"], ["_dot"])
+    scopes = {"padic": importlib.import_module("plectic.padic")}
+    assert resolves("padic.PadicScalar.agreement", scopes)
+    assert not resolves("padic.PadicScalar.gone", scopes)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expansion_oracle import ref_div_int, ref_plog, ref_qmul, ref_qsub
-from plectic.errors import DivisionByZero, PlecticError, PrecisionExhausted
+from plectic.errors import DivisionByZero, PlecticError, PrecisionExhausted, ShapeMismatch
 
 from plectic.padic import (
     INF,
@@ -199,6 +199,38 @@ def test_plog_refuses_zero_and_exact_inputs():
     for a, b in ((1, 0), (2, 3), (0, 1)):
         with pytest.raises(ValueError, match="finite precision"):
             plog(ext(a, b, prec=INF))
+
+
+def test_plog_precision_is_the_closed_form():
+    # prec(y), y = (u p^-v)^(p^2 - 1), read from u alone: P = prec(u) - v(u)
+    # when every component is exact or known to >= 1 digit, (p^2 - 1) n
+    # beside a component zero to n < 1
+    m = P * P - 1
+    rng = random.Random(15)
+    for _ in range(200):
+        a, b = (PadicScalar(P, rng.randrange(-3, 4), rng.randrange(1, P ** 30),
+                            rng.choice((INF, 5, 12, 40))) for _ in range(2))
+        for u in (QuadExtScalar(a, b), QuadExtScalar(a, PadicScalar.zero(P)),
+                  QuadExtScalar(a, PadicScalar.zero(P, a.v + rng.randrange(1, 9)))):
+            if u.prec != INF:
+                assert plog(u).prec == u.prec - u.valuation, u
+    for n in (0, -1, -4):
+        a = PadicScalar(P, 0, rng.randrange(1, P ** N), N)
+        zero = PadicScalar.zero(P, n)
+        for u in (QuadExtScalar(a, zero), QuadExtScalar(zero, a)):
+            got = plog(u)
+            assert got.is_zero() and (got.a.prec, got.b.prec) == (m * n, m * n), u
+
+
+def test_mixed_operands_raise_shape_mismatch_in_both_orders():
+    # a scalar of Q_p and one of Q_p(w) do not mix, whichever comes first
+    x, z = mk(3), ext(1, 2)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           lambda s, t: s.agreement(t))
+    for op in ops:
+        for s, t in ((x, z), (z, x)):
+            with pytest.raises(ShapeMismatch):
+                op(s, t)
 
 
 def test_plog_series_oracle_small_precision():

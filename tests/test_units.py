@@ -133,6 +133,13 @@ def test_generator_homomorphism_doubling():
             mixed()
 
 
+def test_unit_and_point_agreement_refuse_each_other_in_both_orders():
+    gen, point = U.norm_one_generator(), PTS.complete(U.norm_one_unit())
+    for x, y in ((gen, point), (point, gen)):
+        with pytest.raises(ShapeMismatch):
+            x.agreement(y)
+
+
 def test_sigma_matrix_eigen_ranks():
     # sigma's matrix, row i the image under `sigma` of basis vector i
     one = PadicScalar.one(P, N)
