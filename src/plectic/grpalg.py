@@ -17,7 +17,7 @@ import operator
 
 from .errors import (DegreeTooLow, RankDeficient, ShapeMismatch,
                      WorkLimitExceeded)
-from .kernel import CoeffMap
+from .kernel import CoeffMap, certified_rank
 from .padic import PadicScalar
 
 # The most steps one operation may take: the monomials one expansion forms,
@@ -263,21 +263,17 @@ class GradedPiece(CoeffMap):
 def check_lemma_free_graded_injectivity(shape, n):
     """Certify I(H)^n/I(H)^{n+1} tensor Q_p[Q] -> I_Q(G)^n/I_Q(G)^{n+1} injective.
 
-    H is the free part; the source basis is {t-monomial of degree n} x Q.
-    A permutation certificate: each basis element's image is one monomial
-    with a unit coefficient, and no two images share a monomial, so the
-    images are independent at every precision.  Returns the rank, the size
-    of the basis; raises `RankDeficient` where the certificate fails.
+    H is the free part; the source basis is {t-monomial of degree n} x Q,
+    whose images must pass the permutation certificate `certified_rank`.
+    Returns the rank, the size of the basis; raises `RankDeficient`, naming
+    the first basis element where the certificate fails.
     """
-    keys = set()
-    for e in shape.monomials(n):
-        base = GroupAlgebraElem.monomial(shape, None, e, 1)
-        for q in shape.q_elements():
-            img = GroupAlgebraElem.monomial(shape, q, None, 1) * base
-            terms = img.leading_term(n).coeffs
-            key = next(iter(terms), None)
-            if len(terms) != 1 or terms[key].valuation != 0 or key in keys:
-                raise RankDeficient("the image of [%r] t^%r is not a unit "
-                                    "multiple of a new monomial" % (q, e))
-            keys.add(key)
-    return len(keys)
+    basis = [(q, e) for e in shape.monomials(n) for q in shape.q_elements()]
+    rank = certified_rank(
+        (GroupAlgebraElem.monomial(shape, q, None, 1)
+         * GroupAlgebraElem.monomial(shape, None, e, 1)).leading_term(n)
+        for q, e in basis)
+    if rank < len(basis):
+        raise RankDeficient("the image of [%r] t^%r is not a unit multiple "
+                            "of a new monomial" % basis[rank])
+    return rank

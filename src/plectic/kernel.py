@@ -75,3 +75,15 @@ class CoeffMap:
         return "%s(%r, %d terms)" % (type(self).__name__, self._shape(),
                                      len(self.coeffs))
 
+
+def certified_rank(images):
+    """How many leading maps of `images` a permutation certificate proves
+    independent at every precision: each is one key with a unit coefficient,
+    a key no earlier one has.  A count of all of them certifies full rank."""
+    keys = set()
+    for image in images:
+        key = next(iter(image.coeffs), None)
+        if len(image.coeffs) != 1 or image.coeffs[key].valuation != 0 or key in keys:
+            break
+        keys.add(key)
+    return len(keys)

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .errors import ShapeMismatch
 from .grpalg import GroupAlgebraElem, GroupShape
-from .linalg import det
-from .padic import INF, PadicScalar, QuadExtScalar, is_square
+from .padic import PadicScalar, is_square
 
 
 # -- characters of (Z/2)^t ----------------------------------------------------
@@ -32,6 +31,23 @@ def char_table_det(t):
     H_2r = [[H_r, H_r], [H_r, -H_r]] (Sylvester), so det H_2r =
     (-2)^r det(H_r)^2 from det H_1 = 1, and C_G = (-2)^(t 2^(t-1))."""
     return (-2) ** (t * 2 ** t // 2)
+
+
+def int_det(rows):
+    """The exact determinant of a square integer matrix: the product of the
+    pivots of elimination over the rationals, signed by the row swaps."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for k in range(len(rows)):
+        i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if i is None:
+            return 0
+        rows[k], rows[i] = rows[i], rows[k]
+        out *= rows[k][k] if i == k else -rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [a - f * b for a, b in zip(row[k:], rows[k][k:])]
+    return out
 
 
 def tower_shape(t, p, prec):
@@ -91,10 +107,18 @@ def minus_coordinates(family, units):
 
 
 def _root(family, c_s, units):
-    """prod Q_eta (a left fold) and the square root Q_S / prod of C_chi."""
+    """prod Q_eta (a left fold) and root = Q_S / prod, None if both vanish."""
     coords = minus_coordinates(family, units)
     prod = math.prod(coords[1:], start=coords[0])
+    if c_s.is_zero() and prod.is_zero():
+        return prod, None
     return prod, c_s / prod
+
+
+def _vacuous(c_s, prod):
+    """Q_S = root * prod for any root, to the digits both vanish to."""
+    return [(c_s, prod)], ("vacuous: Q_S and prod Q_eta vanish to %d digits"
+                           % c_s.agreement(prod))
 
 
 def factorization_check(family, c_chi, c_s, units):
@@ -113,7 +137,8 @@ def factorization_check(family, c_chi, c_s, units):
     square = is_square(c_chi_p)
     return {
         "square": ([(c_s * c_s, prod * prod * c_chi_p)], ""),
-        "sqrt": ([(c_s, prod * root), (root * root, c_chi_p)], ""),
+        "sqrt": _vacuous(c_s, prod) if root is None else
+        ([(c_s, prod * root), (root * root, c_chi_p)], ""),
         "c_chi_square": (square, "square in Z_p" if square
                          else "not a square in Z_p"),
     }
@@ -123,40 +148,33 @@ def algebraicity_check(family, t, c_s, units):
     """Steps 2 and 3 of the algebraicity theorem on the family's points.
 
     C_G is the closed form `char_table_det(t)`.  `char_det` reads the table
-    H: H H^T = r I, which for a +-1 matrix holds iff |det H| = r^{r/2}
-    (equality in Hadamard's bound).
+    H: |det H| = r^{r/2}, equality in Hadamard's bound, holds for a +-1
+    matrix iff H H^T = r I.
 
     Step 2: N(det W) = C_G * prod L(v_i), W_ij = chi_i(tau_j) * L(v_i) and
-    L(v) = x*v_x + y*v_y for a point v = v_x + v_y*w, as binary forms of
-    degree r.  Evaluation at (1, lam) is a ring map, so both sides are
-    compared at lam = a + b*w for the first r + 1 pairs (a, b) of
-    range(p)^2; their residues in F_{p^2} differ, so the Vandermonde matrix
-    is a unit and the values agree as far as the coefficients do.  Step 3:
-    1 - a*sigma = diag(0, 2) keeps 2^r times the value at (0, 1); rescaled,
-    it is the plectic point Q_S * (2*b0)^r.
+    L(v) = x*v_x + y*v_y for a point v = v_x + v_y*w.  W is H with row i
+    scaled by L(v_i), so by multilinearity det W = det H * prod L(v_i) for
+    any points: `norm_det` checks det H = C_G, exactly.  Step 3:
+    1 - a*sigma = diag(0, 2) keeps 2^r times the y^r coefficient, the
+    y-column determinant C_G * prod b_i for v_i = a_i + b_i*w; divided by
+    C_G * prod k and times root = Q_S / prod Q_eta, it is the plectic
+    point Q_S * (2*b0)^r.  When Q_S and prod Q_eta vanish it is vacuous.
     Returns the named checks, as `factorization_check` does.
     """
     r, p = 2 ** t, units.p
     chi = character_table(t)
     c_g = char_table_det(t)
-    step2 = []
-    for a, b in (divmod(i, p) for i in range(r + 1)):  # never builds range(p)
-        values = [QuadExtScalar(v.a + v.b.scale_int(a), v.b.scale_int(b))
-                  for v, _ in family]
-        lhs = det([[z if s > 0 else -z for s in row]
-                   for z, row in zip(values, chi)])
-        rhs = math.prod(values, start=QuadExtScalar.from_base(
-            PadicScalar.from_int(c_g, p, INF)))
-        step2.append((lhs, rhs))
-    _, root = _root(family, c_s, units)
-    k_prod = math.prod((k for _, k in family), start=Fraction(1))
-    scale = root * PadicScalar.from_fraction(Fraction(1, c_g) / k_prod, p,
-                                             units.prec)
-    y_det = det([[v.b.scale_int(s) for s in row]
-                 for (v, _), row in zip(family, chi)])
-    step3 = (y_det.scale_int(2 ** r) * scale, c_s * units.minus_scale ** r)
-    hadamard = all(sum(x * y for x, y in zip(row, other)) == r * (i == k)
-                   for i, row in enumerate(chi) for k, other in enumerate(chi))
-    return {"char_det": (hadamard, "C_G=%d" % c_g),
-            "norm_det": (step2, ""),
-            "plectic_point": ([step3], "")}
+    prod, root = _root(family, c_s, units)
+    if root is None:
+        step3 = _vacuous(c_s, prod)
+    else:
+        k_prod = math.prod((k for _, k in family), start=Fraction(1))
+        b_prod = math.prod((v.b for v, _ in family[1:]), start=family[0][0].b)
+        lhs = b_prod.scale_int(2 ** r) * root * PadicScalar.from_fraction(
+            1 / k_prod, p, units.prec)
+        step3 = [(lhs, c_s * units.minus_scale ** r)], ""
+    det_h = int_det(chi)
+    return {"char_det": (abs(det_h) == r ** (r // 2), "C_G=%d" % c_g),
+            "norm_det": (det_h == c_g, "det W = det H * prod L(v_i) "
+                         "by multilinearity; checks det H = C_G"),
+            "plectic_point": step3}

@@ -7,6 +7,8 @@ factor of one (`make_sigma_point` gives sigma on point coordinates).
 over all r! permutations, `norm_map` collapses it into Sym^r of the (x, y)
 module, and `algebraicity_by_expansion` is the algebraicity check built
 from them: it compares whole binary forms of degree r coefficient-wise.
+`det_w_at_points` evaluates step 2 of that check at r + 1 points instead,
+with the same alternating sum (`leibniz_det`), for r up to 8.
 `factorization_by_tensor` is the factorization check over rank-one
 `SymTensor`s, its squares formed as tensors, for the scalar
 `plectic_ops.factorization_check`.  Families are (completed point, k_eta)
@@ -200,6 +202,46 @@ def algebraicity_by_expansion(family, t, c_s, units):
     lhs = minus_projection(n_w).scale(scale)
     rhs = norm_map(phi_minus(c_s, r, units), module)
     return c_g, step2_margin, lhs.agreement(rhs)
+
+
+def leibniz_det(rows):
+    """The alternating sum over permutations of a square matrix of scalars,
+    grouped by the columns the leading rows take: minors[S] sums the signed
+    products sending rows 0..|S|-1 onto the column set S, so r = 8 forms
+    2^r * r products, not r! * r.  No division is made."""
+    minors = {1 << j: x for j, x in enumerate(rows[0])}
+    for row in rows[1:]:
+        out = {}
+        for cols, m in minors.items():
+            for j, x in enumerate(row):
+                if cols >> j & 1:
+                    continue
+                # the rows above in a column right of j are its inversions
+                term = m * x if bin(cols >> j).count("1") % 2 == 0 else -(m * x)
+                key = cols | 1 << j
+                out[key] = out[key] + term if key in out else term
+        minors = out
+    (det,) = minors.values()
+    return det
+
+
+def det_w_at_points(family, t):
+    """Step 2 of the algebraicity check at r + 1 points: (det W, C_G *
+    prod L(v_i)) at lam = a + b*w for the first r + 1 pairs (a, b) of
+    range(p)^2, W_ij = chi_i(tau_j) * L(v_i) and L(v) = v_x + lam*v_y.
+    Evaluation at (1, lam) is a ring map and the residues of these lam in
+    F_{p^2} differ, so the Vandermonde matrix is a unit and the binary
+    forms of degree r agree as far as their values do."""
+    r, p = 2 ** t, family[0][0].p
+    chi = character_table(t)
+    c_g = QuadExtScalar.from_base(PadicScalar.from_int(char_table_det(t), p, INF))
+    pairs = []
+    for a, b in (divmod(i, p) for i in range(r + 1)):
+        values = [QuadExtScalar(v.a + v.b.scale_int(a), v.b.scale_int(b))
+                  for v, _ in family]
+        w = [[z if s > 0 else -z for s in row] for z, row in zip(values, chi)]
+        pairs.append((leibniz_det(w), math.prod(values, start=c_g)))
+    return pairs
 
 
 def factorization_by_tensor(family, c_chi, c_s, units):

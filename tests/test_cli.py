@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plectic import grpalg, runner, scenario
+from plectic import grpalg, plectic_ops as po, runner, scenario
 from plectic.cli import main
 from plectic.errors import ValidationError
 from plectic.padic import PadicScalar
 from plectic.runner import run
 from plectic.scenario import MAX_P, SUITES, load_scenario, parse_scenario
 from plectic.tate import CurvePoint
+from plectic.units import UnitCompletion
 
 GOLDEN = Path(__file__).resolve().parent.parent / "scenarios"
 T1 = str(GOLDEN / "t1-split.kv")
@@ -123,6 +124,42 @@ def test_t1_tate_and_units_at_640_digits_match_the_pinned_report(capsys):
     assert main(["verify", T1, "--precision", "640", "--suite", "tate", "--suite",
                  "units", "--format", "kv", "--seed", "0"]) == 0
     assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_the_vanishing_scenario_matches_the_pinned_report(capsys):
+    # eps = -1 forces Q_S = 0, and u_eta.1 in Q_p makes prod Q_eta zero to
+    # 38 digits: Q_S = root * prod Q_eta holds for any root to those 38
+    vanishing = str(GOLDEN / "t2-vanishing.kv")
+    pinned = Path(__file__).resolve().parent / "data" / "t2-vanishing.kv"
+    assert main(["verify", vanishing, "--format", "kv", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == pinned.read_text()
+    assert main(["verify", vanishing, "--suite", "factorization",
+                 "--suite", "algebraicity"]) == 0
+    note = "(vacuous: Q_S and prod Q_eta vanish to 38 digits)"
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines if ln.endswith(note)] == \
+        ["factorization.sqrt", "algebraicity.plectic_point"]
+
+
+@pytest.mark.parametrize("line,failed", [
+    # a nonzero invariant contradicts eps = -1, and prod Q_eta is zero
+    ("Q_S = 1e0", ["sign.consistency", "factorization.identity",
+                   "algebraicity.identity"]),
+    # Q_S = 0 with every Q_eta nonzero breaks the nonvanishing equivalence
+    ("u_eta.1 = 1e0 + 1e1 w", ["factorization.identity"]),
+])
+def test_leaving_the_vanishing_side_exits_one(tmp_path, capsys, line, failed):
+    key = line.split("=")[0]
+    text = "".join(ln + "\n" for ln in
+                   (GOLDEN / "t2-vanishing.kv").read_text().splitlines()
+                   if not ln.startswith(key))
+    scenario = tmp_path / "edited.kv"
+    scenario.write_text(text + line + "\n")
+    assert main(["verify", str(scenario), "--suite", "sign", "--suite",
+                 "factorization", "--suite", "algebraicity",
+                 "--format", "kv"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.split("=")[0] for ln in out if "=fail" in ln] == failed + ["summary"]
 
 
 def test_cli_human_report_lists_the_kv_checks_in_order(capsys):
@@ -478,6 +515,38 @@ def test_an_involution_mutant_fails_a_check_on_t3_at_every_seed(
     # each mutant is caught at every seed
     _assert_mutant_caught(monkeypatch, str(GOLDEN / "t3-split.kv"), range(11),
                           mutant, caught)
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def test_a_sigma_mutant_fails_eigenspace_ranks(monkeypatch):
+    # sigma as the identity is an involution of trace 3, not 1
+    sc = load_scenario(T2)
+    assert "units.eigenspace_ranks" not in _failed(run(sc, suites=("units",)))
+    monkeypatch.setattr(UnitCompletion, "sigma", lambda self, c: c)
+    assert "units.eigenspace_ranks" in _failed(run(sc, suites=("units",)))
+
+
+def test_a_mu_mutant_fails_mu_injective(monkeypatch):
+    # a mu that reads the first factor twice sends e_i (x) e_j and
+    # e_i (x) e_k to one monomial
+    sc = load_scenario(T2)
+    assert run(sc, suites=("symalg",)).ok
+    mu = runner.mu
+    monkeypatch.setattr(runner, "mu", lambda ranks, terms: mu(
+        ranks, [(c, [vecs[0], vecs[0]]) for c, vecs in terms]))
+    assert "symalg.mu_injective" in _failed(run(sc, suites=("symalg",)))
+
+
+def test_a_char_table_det_mutant_fails_norm_det(monkeypatch):
+    # C_G with its sign flipped is no longer det H
+    sc = load_scenario(T2)
+    assert run(sc, suites=("algebraicity",)).ok
+    c_g = po.char_table_det
+    monkeypatch.setattr(po, "char_table_det", lambda t: -c_g(t))
+    assert _failed(run(sc, suites=("algebraicity",))) == {"algebraicity.norm_det"}
 
 
 def test_t3_grpalg_and_gz_fit_a_forty_thousand_step_work_limit(monkeypatch):

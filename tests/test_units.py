@@ -3,11 +3,11 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from expansion_oracle import make_sigma_point, quad_truncate, ref_plog
 from plectic.errors import PlecticError, ShapeMismatch
-from plectic.linalg import rank
 from plectic.padic import INF, PadicScalar, QuadExtScalar, quad_teichmuller
 from plectic.units import CompletedUnit, PointCompletion, UnitCompletion
 
@@ -140,21 +140,28 @@ def test_unit_and_point_agreement_refuse_each_other_in_both_orders():
             x.agreement(y)
 
 
+def _signed(x):
+    """The integer of least absolute value that the scalar x equals."""
+    n = 0 if x.is_zero() else x.unit * P ** x.v % P ** x.prec
+    return n - P ** x.prec if 2 * n > P ** x.prec else n
+
+
 def test_sigma_matrix_eigen_ranks():
-    # sigma's matrix, row i the image under `sigma` of basis vector i
+    # sigma's matrix, row i the image under `sigma` of basis vector i, has
+    # integer entries: its ranks over Q are those units.eigenspace_ranks
+    # reads from sigma^2 = 1 and tr sigma = 1
     one = PadicScalar.one(P, N)
     zero = PadicScalar.zero(P, N)
     ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
     images = (U.sigma(CompletedUnit(v, QuadExtScalar(a, b))) for v, a, b in ident)
-    sigma = [[c.val, c.log.a, c.log.b] for c in images]
-    minus = [[ident[i][j] - sigma[i][j] for j in range(3)] for i in range(3)]
-    plus = [[ident[i][j] + sigma[i][j] for j in range(3)] for i in range(3)]
-    assert rank(sigma) == 3
-    assert rank(minus) == 1
-    assert rank(plus) == 2
-    prod = [[sum((minus[i][k] * plus[k][j] for k in range(3)), start=zero)
-             for j in range(3)] for i in range(3)]
-    assert all(prod[i][j].is_zero() for i in range(3) for j in range(3))
+    sigma = sympy.Matrix([[_signed(x) for x in (c.val, c.log.a, c.log.b)]
+                          for c in images])
+    eye = sympy.eye(3)
+    assert sigma.rank() == 3
+    assert (eye - sigma).rank() == 1
+    assert (eye + sigma).rank() == 2
+    assert (eye - sigma) * (eye + sigma) == sympy.zeros(3)
+    assert sigma * sigma == eye and sigma.trace() == 1
 
 
 # -- point completions -----------------------------------------------------------
